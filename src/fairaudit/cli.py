@@ -6,6 +6,8 @@ failure (a regression against the published figures), 4 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import sys
 from typing import Sequence
 
@@ -130,22 +132,14 @@ def parse_threshold(
         first_bin = population.bins.bin_of(boundary)
         thresholds: dict[str, float] = {}
         for g in population.groups:
-            acted = [
-                curve.p_score(g, b)
-                for b in curve.nonempty_bins(g)
-                if b >= first_bin
-            ]
+            cells = curve.by_group.get(g, ())
+            acted = [cell.p_score for b, cell in cells if b >= first_bin]
             if not acted:
                 raise ValidationError(
                     f"group {g!r} has no records at scores >= {boundary:g}"
                 )
             t = min(acted)
-            below = [
-                curve.p_score(g, b)
-                for b in curve.nonempty_bins(g)
-                if b < first_bin and curve.p_score(g, b) >= t
-            ]
-            if below:
+            if any(b < first_bin and cell.p_score >= t for b, cell in cells):
                 notes.append(
                     f"Group {g!r}: some bins below score {boundary:g} have "
                     f"p_score >= {t:.6g}; the probability threshold acts on "
@@ -189,8 +183,7 @@ def _base_report(
     }
     gap = max(
         calibration_gap(curve, a, b)
-        for a in population.groups
-        for b in population.groups
+        for a, b in itertools.combinations(population.groups, 2)
     )
     impossibility = None
     if len(population.groups) == 2:
@@ -263,9 +256,7 @@ def cmd_equalize(args: argparse.Namespace) -> int:
     report = _base_report(
         population, curve, policy, values, defaulted, args.tolerance, notes
     )
-    report = AuditReport(
-        **{**report.__dict__, "equalization": equalization}
-    )
+    report = dataclasses.replace(report, equalization=equalization)
     _emit(report, args)
     return EXIT_OK
 
@@ -314,9 +305,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         extras["lottery"] = fair_lottery(
             counts, int(spec.params["exclusion_quota"])
         )
-    report = AuditReport(
-        **{**report.__dict__, **extras, "notes": tuple(notes)}
-    )
+    report = dataclasses.replace(report, **extras, notes=tuple(notes))
     _emit(report, args)
     return EXIT_OK if passed else EXIT_SPEC_FAIL
 

@@ -28,6 +28,13 @@ class DecisionEV:
 
 @dataclass(frozen=True)
 class GroupAssessment:
+    """One group's decision counts and value sums under a policy.
+
+    The value sums come from integer cell counts (see
+    :func:`policy_expected_disvalue`), so ``expected_value`` equals
+    ``realized_value`` in sample.
+    """
+
     n: int
     acted: int
     refrained: int
@@ -106,34 +113,39 @@ def policy_expected_disvalue(
 ) -> PolicyAssessment:
     """Expected and realized value of a policy, per group and in total.
 
-    The expected component sums the chosen action's EV at each record's bin
-    p_score; ``best_expected_value`` sums the per-record maximum, so the
-    difference is the policy's expected disvalue.
+    Summed per curve cell from its integer counts: acting on a cell with
+    ``pos`` positives and ``neg`` negatives is worth pos*v_tp + neg*v_fp,
+    refraining pos*v_fn + neg*v_tn. That is both the cell's expected value
+    at its own p_score and the value its records realize, so in sample
+    ``expected_value == realized_value``. ``best_expected_value`` takes the
+    better action in every cell; the difference from the chosen one is the
+    policy's expected disvalue.
     """
-    decisions = apply_policy(population, policy, curve)
-    acc: dict[str, list[float]] = {
-        g: [0, 0, 0.0, 0.0, 0.0] for g in population.groups
-    }
-    for r, d in zip(population.records, decisions):
-        p = curve.p_score(r.group, population.bins.bin_of(r.score))
-        ev = expected_values(p, values)
-        chosen = ev.ev_act if d.is_act else ev.ev_refrain
-        slot = acc[r.group]
-        slot[0] += int(d.is_act)
-        slot[1] += int(not d.is_act)
-        slot[2] += chosen
-        slot[3] += max(ev.ev_act, ev.ev_refrain)
-        slot[4] += values.value_of(d, r.outcome)
-    return PolicyAssessment(
-        per_group={
-            g: GroupAssessment(
-                n=acted + refrained,
-                acted=acted,
-                refrained=refrained,
-                expected_value=expected,
-                best_expected_value=best,
-                realized_value=realized,
-            )
-            for g, (acted, refrained, expected, best, realized) in acc.items()
-        }
-    )
+    if not policy.covers(population.groups):
+        raise ValidationError("policy does not cover every group")
+    per_group: dict[str, GroupAssessment] = {}
+    for g in population.groups:
+        threshold = policy.threshold_for(g)
+        n = acted = 0
+        chosen = best = 0.0
+        for _b, cell in curve.by_group.get(g, ()):
+            pos = cell.positives
+            neg = cell.count - pos
+            act_value = pos * values.v_tp + neg * values.v_fp
+            refrain_value = pos * values.v_fn + neg * values.v_tn
+            n += cell.count
+            if cell.p_score >= threshold:
+                acted += cell.count
+                chosen += act_value
+            else:
+                chosen += refrain_value
+            best += max(act_value, refrain_value)
+        per_group[g] = GroupAssessment(
+            n=n,
+            acted=acted,
+            refrained=n - acted,
+            expected_value=chosen,
+            best_expected_value=best,
+            realized_value=chosen,
+        )
+    return PolicyAssessment(per_group=per_group)

@@ -99,7 +99,7 @@ class BinScheme:
         Raises ValidationError for scores outside [lo, hi]. The top edge
         belongs to the last bin.
         """
-        if score < self.lo or score > self.hi:
+        if not (self.lo <= score <= self.hi):
             raise ValidationError(
                 f"score {score!r} outside declared range [{self.lo}, {self.hi}]"
             )
@@ -159,7 +159,7 @@ def validate_population(
     for r in records:
         if not r.group:
             raise ValidationError(f"record {r.id!r} has an empty group label")
-        if r.score < bins.lo or r.score > bins.hi:
+        if not (bins.lo <= r.score <= bins.hi):
             raise ValidationError(
                 f"record {r.id!r}: score {r.score!r} outside declared "
                 f"range [{bins.lo}, {bins.hi}]"

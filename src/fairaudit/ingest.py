@@ -8,6 +8,7 @@ corrupt base rates.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,6 +62,11 @@ def ingest_csv(config: DatasetConfig) -> Population:
                     f"row {lineno}: unparseable score "
                     f"{row.get(config.score_col)!r}"
                 ) from None
+            if not math.isfinite(score):
+                raise IngestError(
+                    f"row {lineno}: score must be finite, got "
+                    f"{row[config.score_col]!r}"
+                )
             raw_outcome = (row[config.outcome_col] or "").strip()
             if raw_outcome not in ("0", "1"):
                 raise IngestError(

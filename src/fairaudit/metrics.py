@@ -7,6 +7,7 @@ not an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .domain import (
@@ -36,12 +37,24 @@ class CurveCell:
 class CalibrationCurve:
     """Per-(group, bin) counts and positive fractions for one population.
 
-    Cells with no records are simply absent from ``cells``.
+    Cells with no records are simply absent from ``cells``. Once a
+    population is binned, every audit quantity is a function of these
+    integer counts: confusion matrices, calibration gaps, and expected and
+    realized value (which coincide in sample, because a record's credence
+    is its own cell's positive fraction).
     """
 
     n_bins: int
     groups: tuple[str, ...]
     cells: Mapping[tuple[str, int], CurveCell]
+
+    @cached_property
+    def by_group(self) -> Mapping[str, tuple[tuple[int, CurveCell], ...]]:
+        """Each group's nonempty cells as (bin index, cell), in bin order."""
+        out: dict[str, list[tuple[int, CurveCell]]] = {}
+        for (g, b), cell in sorted(self.cells.items()):
+            out.setdefault(g, []).append((b, cell))
+        return {g: tuple(cells) for g, cells in out.items()}
 
     def cell(self, group: str, bin_index: int) -> CurveCell | None:
         return self.cells.get((group, bin_index))
@@ -55,9 +68,21 @@ class CalibrationCurve:
         return cell.p_score
 
     def nonempty_bins(self, group: str) -> tuple[int, ...]:
-        return tuple(
-            b for (g, b) in sorted(self.cells) if g == group
-        )
+        return tuple(b for b, _cell in self.by_group.get(group, ()))
+
+    def confusion(self, group: str, threshold: float) -> ConfusionMatrix:
+        """Counts of one group's records by (decision, outcome) when every
+        cell with p_score >= ``threshold`` is acted on."""
+        tp = fp = tn = fn = 0
+        for _b, cell in self.by_group.get(group, ()):
+            negatives = cell.count - cell.positives
+            if cell.p_score >= threshold:
+                tp += cell.positives
+                fp += negatives
+            else:
+                fn += cell.positives
+                tn += negatives
+        return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 @dataclass(frozen=True)
@@ -96,23 +121,11 @@ def confusion_for_group(
     """Classify a group's records by (decision, outcome).
 
     A record is decided "act" iff the p_score of its bin is >= the group's
-    threshold, so the counts aggregate cleanly over curve cells.
+    threshold, so the counts aggregate over the group's curve cells.
     """
     if group not in population.groups:
         raise ValidationError(f"unknown group {group!r}")
-    threshold = policy.threshold_for(group)
-    tp = fp = tn = fn = 0
-    for (g, _b), cell in curve.cells.items():
-        if g != group:
-            continue
-        negatives = cell.count - cell.positives
-        if cell.p_score >= threshold:
-            tp += cell.positives
-            fp += negatives
-        else:
-            fn += cell.positives
-            tn += negatives
-    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
+    return curve.confusion(group, policy.threshold_for(group))
 
 
 def false_positive_rate(cm: ConfusionMatrix) -> float | None:
@@ -166,12 +179,14 @@ def calibration_gap(
     for g in (group_a, group_b):
         if g not in curve.groups:
             raise ValidationError(f"unknown group {g!r}")
-    shared = set(curve.nonempty_bins(group_a)) & set(curve.nonempty_bins(group_b))
-    if not shared:
-        return 0.0
+    cells_b = dict(curve.by_group.get(group_b, ()))
     return max(
-        abs(curve.p_score(group_a, b) - curve.p_score(group_b, b))
-        for b in shared
+        (
+            abs(cell.p_score - cells_b[b].p_score)
+            for b, cell in curve.by_group.get(group_a, ())
+            if b in cells_b
+        ),
+        default=0.0,
     )
 
 

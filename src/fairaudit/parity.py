@@ -8,6 +8,7 @@ from typing import Mapping
 
 from .domain import (
     AuditError,
+    ConfusionMatrix,
     OutcomeValues,
     Population,
     Record,
@@ -63,29 +64,6 @@ class ImpossibilityVerdict:
     ordering_holds: bool
 
 
-def _fpr_at(
-    curve: CalibrationCurve, group: str, threshold: float
-) -> float | None:
-    fp = tn = 0
-    for (g, _b), cell in curve.cells.items():
-        if g != group:
-            continue
-        negatives = cell.count - cell.positives
-        if cell.p_score >= threshold:
-            fp += negatives
-        else:
-            tn += negatives
-    return fp / (fp + tn) if fp + tn else None
-
-
-def _acted_count(curve: CalibrationCurve, group: str, threshold: float) -> int:
-    return sum(
-        cell.count
-        for (g, _b), cell in curve.cells.items()
-        if g == group and cell.p_score >= threshold
-    )
-
-
 def _candidate_thresholds(
     curve: CalibrationCurve, group: str, baseline: float
 ) -> list[float]:
@@ -93,7 +71,7 @@ def _candidate_thresholds(
     # extremes and the baseline itself) can change the acted set. 1.0 plays
     # the role of "never act" unless some bin has p_score exactly 1.
     cands = {0.0, 1.0, baseline}
-    cands.update(curve.p_score(group, b) for b in curve.nonempty_bins(group))
+    cands.update(cell.p_score for _b, cell in curve.by_group.get(group, ()))
     return sorted(cands)
 
 
@@ -115,7 +93,7 @@ def equalize_fpr(
     output. ``disvalue_delta`` is the increase in total expected disvalue
     relative to the baseline policy under ``values``.
     """
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise ValidationError("tolerance must be positive")
     if direction not in (LOWER_OTHERS, RAISE_OTHERS):
         raise ValidationError(f"unknown direction {direction!r}")
@@ -123,9 +101,12 @@ def equalize_fpr(
     if len(groups) < 2:
         raise ValidationError("equalization needs at least 2 groups")
 
+    baseline = {
+        g: curve.confusion(g, baseline_policy.threshold_for(g)) for g in groups
+    }
     baseline_fprs: dict[str, float] = {}
-    for g in groups:
-        fpr = _fpr_at(curve, g, baseline_policy.threshold_for(g))
+    for g, cm in baseline.items():
+        fpr = false_positive_rate(cm)
         if fpr is None:
             raise AuditError(
                 f"group {g!r} has no negatives; its FPR is undefined and "
@@ -138,27 +119,25 @@ def equalize_fpr(
     target = baseline_fprs[reference]
 
     thresholds: dict[str, float] = {}
-    fprs: dict[str, float] = {}
+    chosen: dict[str, ConfusionMatrix] = {}
     for g in groups:
         t0 = baseline_policy.threshold_for(g)
         if g == reference:
-            thresholds[g], fprs[g] = t0, baseline_fprs[g]
+            thresholds[g], chosen[g] = t0, baseline[g]
             continue
-        best: tuple[float, float, float, float] | None = None
+        best: tuple[float, float, float] | None = None
         for t in _candidate_thresholds(curve, g, t0):
-            fpr = _fpr_at(curve, g, t)
+            cm = curve.confusion(g, t)
+            fpr = false_positive_rate(cm)
             assert fpr is not None  # group has negatives, checked above
             # Prefer the smallest gap; break ties toward the baseline
             # threshold so an already-equal group is left untouched.
             key = (abs(fpr - target), abs(t - t0), t)
-            if best is None or key < (best[0], best[1], best[2]):
-                best = (key[0], key[1], key[2], fpr)
-        assert best is not None
-        thresholds[g], fprs[g] = best[2], best[3]
+            if best is None or key < best:
+                best, thresholds[g], chosen[g] = key, t, cm
 
-    residual = max(
-        abs(fprs[a] - fprs[b]) for a in groups for b in groups
-    )
+    fprs = {g: false_positive_rate(cm) for g, cm in chosen.items()}
+    residual = max(fprs.values()) - min(fprs.values())
     equalized = ThresholdPolicy.per_group(thresholds)
     base_cost = policy_expected_disvalue(
         population, baseline_policy, curve, values
@@ -173,13 +152,8 @@ def equalize_fpr(
         residual_gap=residual,
         exact=residual <= tolerance,
         disvalue_delta=eq_cost - base_cost,
-        acted_baseline={
-            g: _acted_count(curve, g, baseline_policy.threshold_for(g))
-            for g in groups
-        },
-        acted_equalized={
-            g: _acted_count(curve, g, thresholds[g]) for g in groups
-        },
+        acted_baseline={g: cm.tp + cm.fp for g, cm in baseline.items()},
+        acted_equalized={g: cm.tp + cm.fp for g, cm in chosen.items()},
         reference_group=reference,
     )
 

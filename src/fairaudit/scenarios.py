@@ -22,6 +22,7 @@ from .domain import (
     validate_population,
 )
 from .metrics import (
+    CalibrationCurve,
     base_rate,
     calibration_curve,
     calibration_gap,
@@ -30,7 +31,13 @@ from .metrics import (
     false_positive_rate,
     positive_predictive_value,
 )
-from .parity import LOWER_OTHERS, RAISE_OTHERS, equalize_fpr, fair_lottery
+from .parity import (
+    LOWER_OTHERS,
+    RAISE_OTHERS,
+    EqualizationResult,
+    equalize_fpr,
+    fair_lottery,
+)
 
 STRIDE_HEIGHT = "stride_height"
 SECTION_GRADES = "section_grades"
@@ -396,11 +403,22 @@ def build_scenario(name: str) -> tuple[Population, ScenarioSpec]:
     return builder()
 
 
+#: Check kinds read from the FPR equalization of the scenario's policy.
+_EQUALIZATION_KINDS = (
+    "equalized_threshold", "acted_baseline", "acted_equalized",
+    "equalize_residual",
+)
+
+
 def scenario_figure(
-    population: Population, spec: ScenarioSpec, label: str
+    population: Population,
+    spec: ScenarioSpec,
+    label: str,
+    curve: CalibrationCurve,
+    equalization: EqualizationResult | None,
 ) -> float:
-    """Evaluate one check label against the built population."""
-    curve = calibration_curve(population)
+    """Evaluate one check label against the built population, its curve
+    and, for equalization labels, the equalization of its policy."""
     policy = ThresholdPolicy.uniform(spec.threshold)
     kind, _, rest = label.partition(":")
 
@@ -411,26 +429,22 @@ def scenario_figure(
         counts = {g: len(population.group_records(g)) for g in population.groups}
         quota = int(spec.params["exclusion_quota"])
         return fair_lottery(counts, quota).per_group[rest]
-    if kind in ("equalized_threshold", "acted_baseline", "acted_equalized",
-                "equalize_residual"):
-        result = equalize_fpr(
-            population, curve, policy, tolerance=1e-9,
-            direction=spec.equalize_direction,
-        )
+    if kind in _EQUALIZATION_KINDS:
+        assert equalization is not None
         if kind == "equalized_threshold":
-            return result.thresholds[rest]
+            return equalization.thresholds[rest]
         if kind == "acted_baseline":
-            return float(result.acted_baseline[rest])
+            return float(equalization.acted_baseline[rest])
         if kind == "acted_equalized":
-            return float(result.acted_equalized[rest])
-        return result.residual_gap
+            return float(equalization.acted_equalized[rest])
+        return equalization.residual_gap
     if kind == "equiv_threshold":
         # Effective per-group probability threshold implied by the uniform
         # score rule: the smallest acted-bin p_score.
         acted = [
-            curve.p_score(rest, b)
-            for b in curve.nonempty_bins(rest)
-            if curve.p_score(rest, b) >= spec.threshold
+            cell.p_score
+            for _b, cell in curve.by_group.get(rest, ())
+            if cell.p_score >= spec.threshold
         ]
         if not acted:
             raise AuditError(f"group {rest!r} has no acted bins")
@@ -458,10 +472,23 @@ def scenario_figure(
 def check_scenario(
     population: Population, spec: ScenarioSpec
 ) -> list[tuple[Check, float, bool]]:
-    """Evaluate every check; returns (check, actual, passed) triples."""
+    """Evaluate every check; returns (check, actual, passed) triples.
+
+    The curve is built once, and the equalization is run once if any check
+    reads it.
+    """
+    curve = calibration_curve(population)
+    equalization = None
+    if any(c.label.partition(":")[0] in _EQUALIZATION_KINDS for c in spec.checks):
+        equalization = equalize_fpr(
+            population, curve, ThresholdPolicy.uniform(spec.threshold),
+            tolerance=1e-9, direction=spec.equalize_direction,
+        )
     results = []
     for check in spec.checks:
-        actual = scenario_figure(population, spec, check.label)
+        actual = scenario_figure(
+            population, spec, check.label, curve, equalization
+        )
         ok = abs(actual - check.expected) <= check.tol
         if check.rendered is not None:
             from .report import format_percent

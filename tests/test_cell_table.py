@@ -1,0 +1,220 @@
+"""Every post-ingest audit quantity is read off the calibration curve's
+per-(group, bin) counts. These tests hold that path to a per-record
+reference loop and pin that nothing re-bins a record once the curve exists.
+"""
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fairaudit import (
+    SYMMETRIC_VALUES,
+    BinScheme,
+    OutcomeLabel,
+    OutcomeValues,
+    Record,
+    ThresholdPolicy,
+    build_scenario,
+    calibration_curve,
+    calibration_gap,
+    equalize_fpr,
+    group_metrics,
+    policy_expected_disvalue,
+    validate_population,
+)
+from fairaudit.cli import _base_report
+
+
+@st.composite
+def populations(draw):
+    """2-4 groups, 2-5 bins of random integer widths, scores on a half-unit
+    grid so that records land on bin edges as well as inside bins."""
+    n_groups = draw(st.integers(min_value=2, max_value=4))
+    lo = draw(st.integers(min_value=-3, max_value=3))
+    widths = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    edges = tuple(float(e) for e in itertools.accumulate([lo] + widths))
+    bins = BinScheme(edges=edges)
+    steps = int(2 * (edges[-1] - edges[0]))
+    rows = draw(st.lists(
+        st.tuples(
+            st.integers(0, n_groups - 1), st.integers(0, steps), st.booleans()
+        ),
+        min_size=n_groups,
+        max_size=40,
+    ))
+    records = [
+        Record(
+            id=str(i),
+            # The first n_groups records name every group at least once.
+            group=f"g{i if i < n_groups else g}",
+            score=edges[0] + step / 2,
+            outcome=OutcomeLabel(int(positive)),
+        )
+        for i, (g, step, positive) in enumerate(rows)
+    ]
+    return validate_population(records, bins, action_benefits_subject=False)
+
+
+@st.composite
+def outcome_values(draw, integral):
+    """Values with v_tn > v_fp and v_tp > v_fn, integral or not."""
+    if integral:
+        base, margin = st.integers(-5, 5).map(float), st.integers(1, 5).map(float)
+    else:
+        base = st.floats(-10, 10, allow_nan=False)
+        margin = st.floats(0.05, 10, allow_nan=False)
+    v_fp, v_fn = draw(base), draw(base)
+    return OutcomeValues(
+        v_tp=v_fn + draw(margin), v_fp=v_fp, v_tn=v_fp + draw(margin), v_fn=v_fn
+    )
+
+
+def reference_cells(population):
+    """(group, bin) -> [count, positives], tallied record by record."""
+    cells = {}
+    for r in population.records:
+        cell = cells.setdefault((r.group, population.bins.bin_of(r.score)), [0, 0])
+        cell[0] += 1
+        cell[1] += int(r.outcome.is_positive)
+    return cells
+
+
+def reference_assessment(population, policy, values):
+    """Per-group confusion counts and value sums, one record at a time."""
+    cells = reference_cells(population)
+    out = {
+        g: dict(tp=0, fp=0, tn=0, fn=0, acted=0, expected=0.0, best=0.0, realized=0.0)
+        for g in population.groups
+    }
+    for r in population.records:
+        count, positives = cells[(r.group, population.bins.bin_of(r.score))]
+        p = positives / count
+        act = p >= policy.threshold_for(r.group)
+        ev_act = p * values.v_tp + (1 - p) * values.v_fp
+        ev_refrain = (1 - p) * values.v_tn + p * values.v_fn
+        slot = out[r.group]
+        key = ("t" if act == r.outcome.is_positive else "f") + ("p" if act else "n")
+        slot[key] += 1
+        slot["acted"] += int(act)
+        slot["expected"] += ev_act if act else ev_refrain
+        slot["best"] += max(ev_act, ev_refrain)
+        if act:
+            slot["realized"] += values.v_tp if r.outcome.is_positive else values.v_fp
+        else:
+            slot["realized"] += values.v_fn if r.outcome.is_positive else values.v_tn
+    return out
+
+
+def reference_gap(population):
+    """Max |p_score difference| over all G^2 ordered group pairs and the
+    bins they share; 0.0 when no pair shares a bin."""
+    cells = reference_cells(population)
+    p = {key: pos / count for key, (count, pos) in cells.items()}
+    return max(
+        (
+            abs(p[(a, b)] - p[(c, b)])
+            for a in population.groups
+            for c in population.groups
+            for (g, b) in p
+            if g == a and (c, b) in p
+        ),
+        default=0.0,
+    )
+
+
+def draw_policy(data, population, curve):
+    """A uniform or per-group policy whose thresholds are either arbitrary
+    or exactly some cell's p_score, so ties at the threshold occur."""
+    ties = sorted({cell.p_score for cell in curve.cells.values()})
+    threshold = st.one_of(st.floats(0.0, 1.0), st.sampled_from(ties))
+    if data.draw(st.booleans(), label="uniform"):
+        return ThresholdPolicy.uniform(data.draw(threshold, label="threshold"))
+    return ThresholdPolicy.per_group(
+        {g: data.draw(threshold, label=f"threshold {g}") for g in population.groups}
+    )
+
+
+@settings(deadline=None)
+@given(populations(), st.booleans(), st.data())
+def test_cell_sums_match_the_per_record_reference(population, integral, data):
+    curve = calibration_curve(population)
+    policy = draw_policy(data, population, curve)
+    values = data.draw(outcome_values(integral), label="values")
+    ref = reference_assessment(population, policy, values)
+    assessment = policy_expected_disvalue(population, policy, curve, values)
+
+    for g in population.groups:
+        cm = group_metrics(population, g, policy, curve).confusion
+        r = ref[g]
+        assert (cm.tp, cm.fp, cm.tn, cm.fn) == (r["tp"], r["fp"], r["tn"], r["fn"])
+        a = assessment.per_group[g]
+        assert (a.n, a.acted, a.refrained) == (cm.n, r["acted"], cm.n - r["acted"])
+        assert a.expected_value == pytest.approx(r["expected"], abs=1e-9)
+        assert a.best_expected_value == pytest.approx(r["best"], abs=1e-9)
+        assert a.realized_value == pytest.approx(r["realized"], abs=1e-9)
+        if integral:
+            assert a.expected_value == a.realized_value == r["realized"]
+    if integral:
+        total = assessment.total
+        assert total.expected_value == total.realized_value
+
+    report = _base_report(population, curve, policy, values, False, 1e-9, [])
+    assert report.calibration_gap == reference_gap(population)
+
+
+@settings(deadline=None)
+@given(populations(), st.data())
+def test_equalization_counts_match_the_per_record_reference(population, data):
+    curve = calibration_curve(population)
+    policy = draw_policy(data, population, curve)
+    cells = reference_cells(population)
+    if any(
+        all(pos == count for (g2, _b), (count, pos) in cells.items() if g2 == g)
+        for g in population.groups
+    ):
+        return  # a group without negatives has no FPR to equalize
+
+    def acted_and_fpr(group, threshold):
+        acted = fp = negatives = 0
+        for (g, _b), (count, pos) in cells.items():
+            if g != group:
+                continue
+            negatives += count - pos
+            if pos / count >= threshold:
+                acted += count
+                fp += count - pos
+        return acted, fp / negatives
+
+    result = equalize_fpr(population, curve, policy, tolerance=1e-9)
+    for g in population.groups:
+        acted, _ = acted_and_fpr(g, policy.threshold_for(g))
+        assert result.acted_baseline[g] == acted
+        acted, fpr = acted_and_fpr(g, result.thresholds[g])
+        assert (result.acted_equalized[g], result.fprs[g]) == (acted, fpr)
+    assert result.residual_gap == max(
+        abs(result.fprs[a] - result.fprs[b])
+        for a in population.groups
+        for b in population.groups
+    )
+
+
+def test_post_curve_quantities_never_rebin_a_record(monkeypatch):
+    population, spec = build_scenario("compas_synthetic")
+    policy = ThresholdPolicy.uniform(spec.threshold)
+
+    def run(curve):
+        return (
+            [group_metrics(population, g, policy, curve) for g in population.groups],
+            calibration_gap(curve, *population.groups),
+            policy_expected_disvalue(population, policy, curve, SYMMETRIC_VALUES),
+            equalize_fpr(population, curve, policy, tolerance=1e-9),
+        )
+
+    expected = run(calibration_curve(population))
+    curve = calibration_curve(population)
+
+    def no_binning(self, score):
+        raise AssertionError("a record was re-binned after the curve was built")
+
+    monkeypatch.setattr(BinScheme, "bin_of", no_binning)
+    assert run(curve) == expected

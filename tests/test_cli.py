@@ -110,6 +110,13 @@ class TestAuditCommand:
         code = main(["audit", "--input", str(f), "--bins", COMPAS_BINS])
         assert code == EXIT_INPUT
 
+    def test_nan_score_exits_2_naming_the_row(self, tmp_path, capsys):
+        f = tmp_path / "nan.csv"
+        f.write_text("id,group,score,outcome\nr1,a,2.0,1\nr2,b,nan,0\n")
+        code = main(["audit", "--input", str(f), "--bins", COMPAS_BINS])
+        assert code == EXIT_INPUT
+        assert "row 3" in capsys.readouterr().err
+
     def test_score_threshold_spec(self, compas_csv, capsys):
         code = main([
             "audit", "--input", compas_csv, "--bins", COMPAS_BINS,
@@ -141,6 +148,14 @@ class TestEqualizeCommand:
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["equalization"]["reference_group"] == "white"
+
+    def test_nan_tolerance_exits_2(self, compas_csv, capsys):
+        code = main([
+            "equalize", "--input", compas_csv, "--bins", COMPAS_BINS,
+            "--tolerance", "nan",
+        ])
+        assert code == EXIT_INPUT
+        assert "tolerance must be positive" in capsys.readouterr().err
 
 
 class TestScenarioCommand:

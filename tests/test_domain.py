@@ -37,6 +37,10 @@ class TestBinScheme:
         with pytest.raises(ValidationError):
             bin_of(0.5, COMPAS_BINS)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValidationError, match="outside declared range"):
+            bin_of(float("nan"), COMPAS_BINS)
+
     def test_needs_two_bins(self):
         with pytest.raises(ValidationError):
             BinScheme(edges=(0.0, 1.0))
@@ -67,6 +71,11 @@ class TestValidatePopulation:
 
     def test_score_out_of_range_names_record(self):
         records = [rec(1, "a", 2), rec("bad", "b", 11)]
+        with pytest.raises(ValidationError, match="bad"):
+            validate_population(records, COMPAS_BINS, False)
+
+    def test_nan_score_names_record(self):
+        records = [rec(1, "a", 2), rec("bad", "b", float("nan"))]
         with pytest.raises(ValidationError, match="bad"):
             validate_population(records, COMPAS_BINS, False)
 

@@ -69,6 +69,13 @@ class TestIngest:
         with pytest.raises(IngestError, match="row 3.*score"):
             ingest_csv(config_for(f, ten_bins))
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
+    def test_non_finite_score_names_row(self, tmp_path, ten_bins, raw):
+        f = tmp_path / "data.csv"
+        f.write_text(f"id,group,score,outcome\nr1,a,2.0,1\nr2,b,{raw},0\n")
+        with pytest.raises(IngestError, match="row 3: score must be finite"):
+            ingest_csv(config_for(f, ten_bins))
+
     def test_empty_file(self, tmp_path, ten_bins):
         f = tmp_path / "data.csv"
         f.write_text("id,group,score,outcome\n")

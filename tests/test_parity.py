@@ -194,6 +194,10 @@ class TestEqualizeFpr:
             equalize_fpr(pop, curve, ThresholdPolicy.uniform(0.5), tolerance=0.0)
         with pytest.raises(ValidationError):
             equalize_fpr(
+                pop, curve, ThresholdPolicy.uniform(0.5), tolerance=float("nan")
+            )
+        with pytest.raises(ValidationError):
+            equalize_fpr(
                 pop,
                 curve,
                 ThresholdPolicy.uniform(0.5),

@@ -24,6 +24,34 @@ class TestNamedScenarios:
         ]
         assert not failures, "; ".join(failures)
 
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_curve_and_equalization_computed_once(self, name, monkeypatch):
+        import fairaudit.scenarios as scenarios
+
+        pop, spec = build_scenario(name)
+        calls = {"curve": 0, "equalize": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            scenarios, "calibration_curve",
+            counting("curve", scenarios.calibration_curve),
+        )
+        monkeypatch.setattr(
+            scenarios, "equalize_fpr", counting("equalize", scenarios.equalize_fpr)
+        )
+        check_scenario(pop, spec)
+        reads_equalization = any(
+            c.label.partition(":")[0] in scenarios._EQUALIZATION_KINDS
+            for c in spec.checks
+        )
+        assert calls == {"curve": 1, "equalize": int(reads_equalization)}
+
     def test_unknown_scenario(self):
         with pytest.raises(AuditError, match="unknown scenario"):
             build_scenario("trolley_problem")
