@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import math
 import sys
 from typing import Sequence
 
@@ -58,8 +59,11 @@ DEFAULT_VALUES_NOTE = (
 def parse_bins(spec: str) -> BinScheme:
     """Parse a bin spec like '1-4=low,5-10=high'.
 
-    Each segment is lo-hi with an optional =label; bins are half-open at
+    Each segment is lo-hi with an optional =label; bounds may be negative
+    or written with an exponent ('-3--1', '1e-05-1'). Bins are half-open at
     each interior boundary and closed at the top of the last segment.
+    Segments must not overlap; a gap between two segments belongs to the
+    segment below it.
     """
     edges: list[float] = []
     labels: list[str] = []
@@ -69,20 +73,31 @@ def parse_bins(spec: str) -> BinScheme:
     last_hi = None
     for seg in segments:
         rng, _, label = seg.partition("=")
-        lo_s, sep, hi_s = rng.partition("-")
-        if not sep:
-            raise ValidationError(f"bad bin segment {seg!r}; expected lo-hi")
-        try:
-            lo, hi = float(lo_s), float(hi_s)
-        except ValueError:
-            raise ValidationError(f"bad bin segment {seg!r}") from None
+        lo, hi = _segment_bounds(seg, rng)
         if hi < lo:
             raise ValidationError(f"bin segment {seg!r} has hi < lo")
+        if last_hi is not None and lo < last_hi:
+            raise ValidationError(
+                f"bin segment {seg!r} overlaps the segment before it"
+            )
         edges.append(lo)
         labels.append(label or rng)
         last_hi = hi
     edges.append(last_hi)  # type: ignore[arg-type]
     return BinScheme(edges=tuple(edges), labels=tuple(labels))
+
+
+def _segment_bounds(seg: str, rng: str) -> tuple[float, float]:
+    """Split 'lo-hi' at the first '-' that leaves a number on both sides."""
+    for i, ch in enumerate(rng):
+        if ch == "-" and i > 0:
+            try:
+                lo, hi = float(rng[:i]), float(rng[i + 1:])
+            except ValueError:
+                continue
+            if not (math.isnan(lo) or math.isnan(hi)):
+                return lo, hi
+    raise ValidationError(f"bad bin segment {seg!r}; expected lo-hi")
 
 
 def parse_values(spec: str) -> OutcomeValues:

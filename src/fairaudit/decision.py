@@ -30,9 +30,10 @@ class DecisionEV:
 class GroupAssessment:
     """One group's decision counts and value sums under a policy.
 
-    The value sums come from integer cell counts (see
-    :func:`policy_expected_disvalue`), so ``expected_value`` equals
-    ``realized_value`` in sample.
+    Value is linear in the confusion counts, so both sums are
+    :meth:`OutcomeValues.value_of` of a confusion matrix: the policy's own
+    (``expected_value``) and the one at p* (``best_expected_value``), the
+    best any threshold can do (see :func:`policy_expected_disvalue`).
     """
 
     n: int
@@ -40,7 +41,12 @@ class GroupAssessment:
     refrained: int
     expected_value: float
     best_expected_value: float
-    realized_value: float
+
+    @property
+    def realized_value(self) -> float:
+        """In sample this is ``expected_value``: a record's credence is its
+        own cell's positive fraction, whose value its records realize."""
+        return self.expected_value
 
     @property
     def expected_disvalue(self) -> float:
@@ -63,7 +69,6 @@ class PolicyAssessment:
             refrained=sum(g.refrained for g in gs),
             expected_value=sum(g.expected_value for g in gs),
             best_expected_value=sum(g.best_expected_value for g in gs),
-            realized_value=sum(g.realized_value for g in gs),
         )
 
 
@@ -113,39 +118,24 @@ def policy_expected_disvalue(
 ) -> PolicyAssessment:
     """Expected and realized value of a policy, per group and in total.
 
-    Summed per curve cell from its integer counts: acting on a cell with
-    ``pos`` positives and ``neg`` negatives is worth pos*v_tp + neg*v_fp,
-    refraining pos*v_fn + neg*v_tn. That is both the cell's expected value
-    at its own p_score and the value its records realize, so in sample
-    ``expected_value == realized_value``. ``best_expected_value`` takes the
-    better action in every cell; the difference from the chosen one is the
+    Value is linear in the confusion counts, so a group's value under the
+    policy is ``values.value_of`` of its confusion matrix. Acting on a cell
+    beats refraining exactly when its p_score is at least p*
+    (:func:`optimal_threshold`), so the best value is the value of the
+    confusion matrix at p*; the difference from the chosen one is the
     policy's expected disvalue.
     """
     if not policy.covers(population.groups):
         raise ValidationError("policy does not cover every group")
+    p_star = optimal_threshold(values)
     per_group: dict[str, GroupAssessment] = {}
     for g in population.groups:
-        threshold = policy.threshold_for(g)
-        n = acted = 0
-        chosen = best = 0.0
-        for _b, cell in curve.by_group.get(g, ()):
-            pos = cell.positives
-            neg = cell.count - pos
-            act_value = pos * values.v_tp + neg * values.v_fp
-            refrain_value = pos * values.v_fn + neg * values.v_tn
-            n += cell.count
-            if cell.p_score >= threshold:
-                acted += cell.count
-                chosen += act_value
-            else:
-                chosen += refrain_value
-            best += max(act_value, refrain_value)
+        cm = curve.confusion(g, policy.threshold_for(g))
         per_group[g] = GroupAssessment(
-            n=n,
-            acted=acted,
-            refrained=n - acted,
-            expected_value=chosen,
-            best_expected_value=best,
-            realized_value=chosen,
+            n=cm.n,
+            acted=cm.tp + cm.fp,
+            refrained=cm.tn + cm.fn,
+            expected_value=values.value_of(cm),
+            best_expected_value=values.value_of(curve.confusion(g, p_star)),
         )
     return PolicyAssessment(per_group=per_group)

@@ -7,6 +7,7 @@ local invariants.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -194,6 +195,11 @@ class ConfusionMatrix:
     def n(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
+    @property
+    def base_rate(self) -> float:
+        """Positive-outcome fraction, whatever the policy: (tp + fn) / n."""
+        return (self.tp + self.fn) / self.n
+
 
 @dataclass(frozen=True)
 class OutcomeValues:
@@ -210,6 +216,11 @@ class OutcomeValues:
     v_fn: float
 
     def __post_init__(self) -> None:
+        for name in ("v_tp", "v_fp", "v_tn", "v_fn"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(
+                    f"{name} must be finite, got {getattr(self, name)!r}"
+                )
         if not self.v_tn > self.v_fp:
             raise ValidationError(
                 f"need v_tn > v_fp, got v_tn={self.v_tn} v_fp={self.v_fp}"
@@ -219,11 +230,12 @@ class OutcomeValues:
                 f"need v_tp > v_fn, got v_tp={self.v_tp} v_fn={self.v_fn}"
             )
 
-    def value_of(self, decision: Decision, outcome: OutcomeLabel) -> float:
-        """Realized value of a (decision, outcome) pair."""
-        if decision.is_act:
-            return self.v_tp if outcome.is_positive else self.v_fp
-        return self.v_fn if outcome.is_positive else self.v_tn
+    def value_of(self, cm: ConfusionMatrix) -> float:
+        """Value of the decisions a confusion matrix counts, which is linear
+        in its four counts. The best value over a group's cells is the value
+        at p* (:func:`~fairaudit.decision.optimal_threshold`)."""
+        return (cm.tp * self.v_tp + cm.fp * self.v_fp
+                + cm.tn * self.v_tn + cm.fn * self.v_fn)
 
 
 #: Symmetric default: every correct decision worth 1, every error worth 0.

@@ -165,7 +165,7 @@ def group_metrics(
         fpr=false_positive_rate(cm),
         fnr=false_negative_rate(cm),
         ppv=positive_predictive_value(cm),
-        base_rate=base_rate(population, group),
+        base_rate=cm.base_rate,
     )
 
 

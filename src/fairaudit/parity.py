@@ -16,10 +16,8 @@ from .domain import (
     ThresholdPolicy,
     ValidationError,
 )
-from .decision import policy_expected_disvalue
 from .metrics import (
     CalibrationCurve,
-    base_rate,
     calibration_gap,
     confusion_for_group,
     false_positive_rate,
@@ -91,7 +89,8 @@ def equalize_fpr(
     whose FPR is closest to the reference's. Exact parity is often
     unattainable with discrete bins, so the residual gap is first-class
     output. ``disvalue_delta`` is the increase in total expected disvalue
-    relative to the baseline policy under ``values``.
+    relative to the baseline policy under ``values``: the baseline's value
+    minus the equalized one, read off the search's confusion matrices.
     """
     if not tolerance > 0:
         raise ValidationError("tolerance must be positive")
@@ -138,20 +137,15 @@ def equalize_fpr(
 
     fprs = {g: false_positive_rate(cm) for g, cm in chosen.items()}
     residual = max(fprs.values()) - min(fprs.values())
-    equalized = ThresholdPolicy.per_group(thresholds)
-    base_cost = policy_expected_disvalue(
-        population, baseline_policy, curve, values
-    ).total.expected_disvalue
-    eq_cost = policy_expected_disvalue(
-        population, equalized, curve, values
-    ).total.expected_disvalue
+    baseline_value = sum(values.value_of(cm) for cm in baseline.values())
+    equalized_value = sum(values.value_of(cm) for cm in chosen.values())
     return EqualizationResult(
         thresholds=thresholds,
         fprs=fprs,
         baseline_fprs=baseline_fprs,
         residual_gap=residual,
         exact=residual <= tolerance,
-        disvalue_delta=eq_cost - base_cost,
+        disvalue_delta=baseline_value - equalized_value,
         acted_baseline={g: cm.tp + cm.fp for g, cm in baseline.items()},
         acted_equalized={g: cm.tp + cm.fp for g, cm in chosen.items()},
         reference_group=reference,
@@ -175,11 +169,12 @@ def impossibility_check(
         )
     policy = ThresholdPolicy.uniform(uniform_threshold)
     gap = calibration_gap(curve, groups[0], groups[1])
-    rates = {g: base_rate(population, g) for g in groups}
+    rates: dict[str, float] = {}
     fprs: dict[str, float] = {}
     split = True
     for g in groups:
         cm = confusion_for_group(population, g, policy, curve)
+        rates[g] = cm.base_rate
         fpr = false_positive_rate(cm)
         if fpr is None:
             raise AuditError(f"group {g!r} has no negatives; FPR undefined")

@@ -8,7 +8,7 @@ zero), which is what turns 805/1795 into 44.9%.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Any, Mapping, Sequence
 
@@ -67,13 +67,7 @@ class AuditReport:
                 "kind": self.policy_kind,
                 "thresholds": dict(self.thresholds),
             },
-            "values": {
-                "v_tp": self.values.v_tp,
-                "v_fp": self.values.v_fp,
-                "v_tn": self.values.v_tn,
-                "v_fn": self.values.v_fn,
-                "defaulted": self.values_defaulted,
-            },
+            "values": {**asdict(self.values), "defaulted": self.values_defaulted},
             "groups": {
                 g: {
                     "n": m.confusion.n,
@@ -97,53 +91,17 @@ class AuditReport:
             "assessment": _assessment_dict(self.assessment),
             "notes": list(self.notes),
         }
-        if self.impossibility is not None:
-            v = self.impossibility
-            out["impossibility"] = {
-                "calibrated": v.calibrated,
-                "calibration_gap": v.calibration_gap,
-                "base_rates": dict(v.base_rates),
-                "fprs": dict(v.fprs),
-                "higher_base_rate_group": v.higher_base_rate_group,
-                "applicable": v.applicable,
-                "ordering_holds": v.ordering_holds,
-            }
-        if self.equalization is not None:
-            e = self.equalization
-            out["equalization"] = {
-                "thresholds": dict(e.thresholds),
-                "fprs": dict(e.fprs),
-                "baseline_fprs": dict(e.baseline_fprs),
-                "residual_gap": e.residual_gap,
-                "exact": e.exact,
-                "disvalue_delta": e.disvalue_delta,
-                "acted_baseline": dict(e.acted_baseline),
-                "acted_equalized": dict(e.acted_equalized),
-                "reference_group": e.reference_group,
-            }
-        if self.lottery is not None:
-            out["lottery"] = {
-                "probability": self.lottery.probability,
-                "per_group": dict(self.lottery.per_group),
-            }
-        if self.scenario is not None:
-            out["scenario"] = {
-                "name": self.scenario.name,
-                "description": self.scenario.description,
-                "checks": [dict(c) for c in self.scenario.checks],
-                "passed": self.scenario.passed,
-            }
+        for key in ("impossibility", "equalization", "lottery", "scenario"):
+            section = getattr(self, key)
+            if section is not None:
+                out[key] = asdict(section)
         return out
 
 
 def _assessment_dict(assessment: PolicyAssessment) -> dict[str, Any]:
     def one(a) -> dict[str, Any]:
         return {
-            "n": a.n,
-            "acted": a.acted,
-            "refrained": a.refrained,
-            "expected_value": a.expected_value,
-            "best_expected_value": a.best_expected_value,
+            **asdict(a),
             "expected_disvalue": a.expected_disvalue,
             "realized_value": a.realized_value,
         }
@@ -215,7 +173,7 @@ def _render_markdown(report: AuditReport) -> str:
     for g in sorted(report.calibration_cells):
         for label, cell in report.calibration_cells[g].items():
             add(
-                f"| {g} | {label} | {cell['count']:g} | {cell['positives']:g} "
+                f"| {g} | {label} | {cell['count']} | {cell['positives']} "
                 f"| {_pct(cell['p_score'])} |"
             )
     add("")

@@ -23,7 +23,6 @@ from .domain import (
 )
 from .metrics import (
     CalibrationCurve,
-    base_rate,
     calibration_curve,
     calibration_gap,
     confusion_for_group,
@@ -453,10 +452,10 @@ def scenario_figure(
         bin_label, _, group = rest.partition(":")
         index = population.bins.labels.index(bin_label)  # type: ignore[union-attr]
         return curve.p_score(group, index)
-    if kind == "base_rate":
-        return base_rate(population, rest)
 
     cm = confusion_for_group(population, rest, policy, curve)
+    if kind == "base_rate":
+        return cm.base_rate
     if kind in ("tp", "fp", "tn", "fn"):
         return float(getattr(cm, kind))
     rate = {

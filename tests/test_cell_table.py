@@ -12,6 +12,7 @@ from fairaudit import (
     BinScheme,
     OutcomeLabel,
     OutcomeValues,
+    Population,
     Record,
     ThresholdPolicy,
     build_scenario,
@@ -19,6 +20,8 @@ from fairaudit import (
     calibration_gap,
     equalize_fpr,
     group_metrics,
+    impossibility_check,
+    optimal_threshold,
     policy_expected_disvalue,
     validate_population,
 )
@@ -167,12 +170,9 @@ def test_cell_sums_match_the_per_record_reference(population, integral, data):
 def test_equalization_counts_match_the_per_record_reference(population, data):
     curve = calibration_curve(population)
     policy = draw_policy(data, population, curve)
-    cells = reference_cells(population)
-    if any(
-        all(pos == count for (g2, _b), (count, pos) in cells.items() if g2 == g)
-        for g in population.groups
-    ):
+    if has_no_negatives(population):
         return  # a group without negatives has no FPR to equalize
+    cells = reference_cells(population)
 
     def acted_and_fpr(group, threshold):
         acted = fp = negatives = 0
@@ -198,6 +198,61 @@ def test_equalization_counts_match_the_per_record_reference(population, data):
     )
 
 
+def has_no_negatives(population):
+    """True when some group is all positives, so its FPR is undefined."""
+    cells = reference_cells(population)
+    return any(
+        all(pos == count for (g2, _b), (count, pos) in cells.items() if g2 == g)
+        for g in population.groups
+    )
+
+
+@settings(deadline=None)
+@given(populations(), st.booleans(), st.data())
+def test_no_uniform_threshold_beats_p_star(population, integral, data):
+    values = data.draw(outcome_values(integral), label="values")
+    curve = calibration_curve(population)
+
+    def reference_value(threshold):
+        ref = reference_assessment(
+            population, ThresholdPolicy.uniform(threshold), values
+        )
+        return sum(r["realized"] for r in ref.values())
+
+    p_star = optimal_threshold(values)
+    at_p_star = reference_value(p_star)
+    tol = 0.0 if integral else 1e-9
+    candidates = {0.0, 1.0} | {cell.p_score for cell in curve.cells.values()}
+    assert max(reference_value(t) for t in candidates) <= at_p_star + tol
+    # The best value does not depend on the policy assessed.
+    best = policy_expected_disvalue(
+        population, ThresholdPolicy.uniform(0.5), curve, values
+    ).total.best_expected_value
+    assert best == pytest.approx(at_p_star, rel=0, abs=tol)
+
+
+@settings(deadline=None)
+@given(populations(), st.booleans(), st.data())
+def test_disvalue_delta_is_the_difference_of_the_two_policies(
+    population, integral, data
+):
+    if has_no_negatives(population):
+        return
+    curve = calibration_curve(population)
+    policy = draw_policy(data, population, curve)
+    values = data.draw(outcome_values(integral), label="values")
+    result = equalize_fpr(population, curve, policy, tolerance=1e-9, values=values)
+    equalized = ThresholdPolicy.per_group(result.thresholds)
+    costs = [
+        policy_expected_disvalue(population, p, curve, values).total.expected_disvalue
+        for p in (policy, equalized)
+    ]
+    if integral:
+        assert result.disvalue_delta == costs[1] - costs[0]
+    else:
+        assert result.disvalue_delta == pytest.approx(costs[1] - costs[0], abs=1e-9)
+
+
 def test_post_curve_quantities_never_rebin_a_record(monkeypatch):
     population, spec = build_scenario("compas_synthetic")
     policy = ThresholdPolicy.uniform(spec.threshold)
@@ -208,6 +263,7 @@ def test_post_curve_quantities_never_rebin_a_record(monkeypatch):
             calibration_gap(curve, *population.groups),
             policy_expected_disvalue(population, policy, curve, SYMMETRIC_VALUES),
             equalize_fpr(population, curve, policy, tolerance=1e-9),
+            impossibility_check(population, curve, spec.threshold),
         )
 
     expected = run(calibration_curve(population))
@@ -216,5 +272,9 @@ def test_post_curve_quantities_never_rebin_a_record(monkeypatch):
     def no_binning(self, score):
         raise AssertionError("a record was re-binned after the curve was built")
 
+    def no_record_walk(self, group):
+        raise AssertionError("records were walked after the curve was built")
+
     monkeypatch.setattr(BinScheme, "bin_of", no_binning)
+    monkeypatch.setattr(Population, "group_records", no_record_walk)
     assert run(curve) == expected

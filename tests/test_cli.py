@@ -37,9 +37,22 @@ class TestParseBins:
         assert bins.labels == ("0-0.5", "0.5-1")
 
     def test_errors(self):
-        for bad in ("5-10", "a-b=x,c-d=y", "5-1=down,1-5=up", "1-4,,"):
+        for bad in ("5-10", "a-b=x,c-d=y", "5-1=down,1-5=up", "1-4,,", "1-6,5-10"):
             with pytest.raises(ValidationError):
                 parse_bins(bad)
+
+    def test_overlap_names_the_segment(self):
+        with pytest.raises(ValidationError, match="'5-10' overlaps"):
+            parse_bins("1-6,5-10")
+
+    def test_negative_and_exponent_bounds(self):
+        assert parse_bins("-3--1,-1-2").edges == (-3.0, -1.0, 2.0)
+        assert parse_bins("0-1e-05,1e-05-1").edges == (0.0, 1e-05, 1.0)
+        assert parse_bins("-1e+2--5e1=lo,-50-0=hi").edges == (-100.0, -50.0, 0.0)
+
+    def test_gap_belongs_to_the_segment_below(self):
+        bins = parse_bins(COMPAS_BINS)
+        assert bins.label(bins.bin_of(4.5)) == "low"
 
 
 class TestParseValues:
@@ -148,6 +161,20 @@ class TestEqualizeCommand:
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["equalization"]["reference_group"] == "white"
+
+    @pytest.mark.parametrize(
+        "spec,name",
+        [("inf,0,1,0", "v_tp"), ("1,-inf,1,0", "v_fp"), ("1,0,nan,0", "v_tn")],
+    )
+    def test_non_finite_values_exit_2_naming_the_field(
+        self, compas_csv, capsys, spec, name
+    ):
+        code = main([
+            "equalize", "--input", compas_csv, "--bins", COMPAS_BINS,
+            "--values", spec, "--format", "json",
+        ])
+        assert code == EXIT_INPUT
+        assert f"{name} must be finite" in capsys.readouterr().err
 
     def test_nan_tolerance_exits_2(self, compas_csv, capsys):
         code = main([

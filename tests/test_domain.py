@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from fairaudit import (
     BinScheme,
+    ConfusionMatrix,
     OutcomeLabel,
     OutcomeValues,
     Record,
@@ -127,3 +128,21 @@ class TestOutcomeValues:
             OutcomeValues(v_tp=0, v_fp=1, v_tn=0, v_fn=1)
         with pytest.raises(ValidationError):
             OutcomeValues(v_tp=1, v_fp=0, v_tn=0, v_fn=0)
+
+    @pytest.mark.parametrize("field", ["v_tp", "v_fp", "v_tn", "v_fn"])
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_value_rejected_by_name(self, field, bad):
+        kwargs = dict(v_tp=1.0, v_fp=0.0, v_tn=1.0, v_fn=0.0)
+        kwargs[field] = bad
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            OutcomeValues(**kwargs)
+
+    def test_value_is_linear_in_the_confusion_counts(self):
+        values = OutcomeValues(v_tp=2, v_fp=-1, v_tn=3, v_fn=0)
+        cm = ConfusionMatrix(tp=5, fp=7, tn=11, fn=13)
+        assert values.value_of(cm) == 5 * 2 + 7 * -1 + 11 * 3 + 13 * 0
+
+
+class TestConfusionMatrix:
+    def test_base_rate_counts_positives_whatever_the_decision(self):
+        assert ConfusionMatrix(tp=3, fp=1, tn=4, fn=2).base_rate == 5 / 10
