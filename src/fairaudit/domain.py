@@ -70,7 +70,7 @@ class BinScheme:
     def __post_init__(self) -> None:
         if len(self.edges) < 3:
             raise ValidationError("a bin scheme needs at least 2 bins")
-        if any(b <= a for a, b in zip(self.edges, self.edges[1:])):
+        if any(not b > a for a, b in zip(self.edges, self.edges[1:])):
             raise ValidationError("bin edges must be strictly increasing")
         if self.labels is not None and len(self.labels) != self.n_bins:
             raise ValidationError(

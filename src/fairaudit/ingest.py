@@ -45,6 +45,7 @@ def ingest_csv(config: DatasetConfig) -> Population:
     if not path.is_file():
         raise IngestError(f"no such file: {config.path}")
     records: list[Record] = []
+    first_row: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -72,9 +73,16 @@ def ingest_csv(config: DatasetConfig) -> Population:
                 raise IngestError(
                     f"row {lineno}: outcome must be 0 or 1, got {raw_outcome!r}"
                 )
+            record_id = row[config.id_col]
+            first = first_row.setdefault(record_id, lineno)
+            if first != lineno:
+                raise IngestError(
+                    f"row {lineno}: duplicate id {record_id!r} "
+                    f"(first on row {first})"
+                )
             records.append(
                 Record(
-                    id=row[config.id_col],
+                    id=record_id,
                     group=row[config.group_col],
                     score=score,
                     outcome=OutcomeLabel(int(raw_outcome)),

@@ -162,6 +162,8 @@ def impossibility_check(
 
     Multi-group populations reduce to pairwise checks at the caller.
     """
+    if not calib_tolerance >= 0:
+        raise ValidationError("calibration tolerance must be nonnegative")
     groups = population.groups
     if len(groups) != 2:
         raise ValidationError(

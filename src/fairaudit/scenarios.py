@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .domain import (
     AuditError,
@@ -17,26 +17,13 @@ from .domain import (
     OutcomeLabel,
     Population,
     Record,
-    ThresholdPolicy,
     ValidationError,
     validate_population,
 )
-from .metrics import (
-    CalibrationCurve,
-    calibration_curve,
-    calibration_gap,
-    confusion_for_group,
-    false_negative_rate,
-    false_positive_rate,
-    positive_predictive_value,
-)
-from .parity import (
-    LOWER_OTHERS,
-    RAISE_OTHERS,
-    EqualizationResult,
-    equalize_fpr,
-    fair_lottery,
-)
+from .parity import LOWER_OTHERS, RAISE_OTHERS
+
+if TYPE_CHECKING:
+    from .report import AuditReport
 
 STRIDE_HEIGHT = "stride_height"
 SECTION_GRADES = "section_grades"
@@ -402,96 +389,84 @@ def build_scenario(name: str) -> tuple[Population, ScenarioSpec]:
     return builder()
 
 
-#: Check kinds read from the FPR equalization of the scenario's policy.
-_EQUALIZATION_KINDS = (
-    "equalized_threshold", "acted_baseline", "acted_equalized",
-    "equalize_residual",
-)
+def _section(report: AuditReport, name: str, label: str):
+    section = getattr(report, name)
+    if section is None:
+        raise AuditError(
+            f"check {label!r} reads the report's {name} section, which "
+            "this report does not have"
+        )
+    return section
 
 
-def scenario_figure(
-    population: Population,
-    spec: ScenarioSpec,
-    label: str,
-    curve: CalibrationCurve,
-    equalization: EqualizationResult | None,
-) -> float:
-    """Evaluate one check label against the built population, its curve
-    and, for equalization labels, the equalization of its policy."""
-    policy = ThresholdPolicy.uniform(spec.threshold)
+def _entry(table: Mapping, key: str, section: str, label: str):
+    try:
+        return table[key]
+    except KeyError:
+        raise AuditError(
+            f"check {label!r}: the report's {section} section has no {key!r}"
+        ) from None
+
+
+def scenario_figure(report: AuditReport, label: str) -> float:
+    """Read the figure one check label names off the scenario's report.
+
+    A label that reads a section or an entry the report lacks raises
+    ``AuditError`` naming it.
+    """
     kind, _, rest = label.partition(":")
 
     if kind == "calibration_gap":
-        a, b = population.groups[:2]
-        return calibration_gap(curve, a, b)
+        return report.calibration_gap
     if kind == "lottery_probability":
-        counts = {g: len(population.group_records(g)) for g in population.groups}
-        quota = int(spec.params["exclusion_quota"])
-        return fair_lottery(counts, quota).per_group[rest]
-    if kind in _EQUALIZATION_KINDS:
-        assert equalization is not None
-        if kind == "equalized_threshold":
-            return equalization.thresholds[rest]
-        if kind == "acted_baseline":
-            return float(equalization.acted_baseline[rest])
-        if kind == "acted_equalized":
-            return float(equalization.acted_equalized[rest])
-        return equalization.residual_gap
-    if kind == "equiv_threshold":
+        lottery = _section(report, "lottery", label)
+        return _entry(lottery.per_group, rest, "lottery", label)
+    if kind in ("equalized_threshold", "acted_baseline", "acted_equalized"):
+        equalization = _section(report, "equalization", label)
+        table = {
+            "equalized_threshold": equalization.thresholds,
+            "acted_baseline": equalization.acted_baseline,
+            "acted_equalized": equalization.acted_equalized,
+        }[kind]
+        return float(_entry(table, rest, "equalization", label))
+    if kind == "equalize_residual":
+        return _section(report, "equalization", label).residual_gap
+    if kind in ("p", "equiv_threshold"):
+        bin_label, _, group = rest.rpartition(":")
+        cells = _entry(report.calibration_cells, group, "calibration", label)
+        if kind == "p":
+            return _entry(cells, bin_label, "calibration", label)["p_score"]
         # Effective per-group probability threshold implied by the uniform
         # score rule: the smallest acted-bin p_score.
-        acted = [
-            cell.p_score
-            for _b, cell in curve.by_group.get(rest, ())
-            if cell.p_score >= spec.threshold
-        ]
+        threshold = report.thresholds[group]
+        acted = [c["p_score"] for c in cells.values() if c["p_score"] >= threshold]
         if not acted:
-            raise AuditError(f"group {rest!r} has no acted bins")
+            raise AuditError(f"group {group!r} has no acted bins")
         return min(acted)
-    if kind == "p":
-        bin_label, _, group = rest.partition(":")
-        index = population.bins.labels.index(bin_label)  # type: ignore[union-attr]
-        return curve.p_score(group, index)
 
-    cm = confusion_for_group(population, rest, policy, curve)
-    if kind == "base_rate":
-        return cm.base_rate
+    if kind not in ("tp", "fp", "tn", "fn", "base_rate", "fpr", "fnr", "ppv"):
+        raise AuditError(f"unknown check kind in {label!r}")
+    metrics = _entry(report.groups, rest, "groups", label)
     if kind in ("tp", "fp", "tn", "fn"):
-        return float(getattr(cm, kind))
-    rate = {
-        "fpr": false_positive_rate,
-        "fnr": false_negative_rate,
-        "ppv": positive_predictive_value,
-    }[kind](cm)
+        return float(getattr(metrics.confusion, kind))
+    rate = getattr(metrics, kind)
     if rate is None:
         raise AuditError(f"{kind} undefined for group {rest!r}")
     return rate
 
 
 def check_scenario(
-    population: Population, spec: ScenarioSpec
+    report: AuditReport, spec: ScenarioSpec
 ) -> list[tuple[Check, float, bool]]:
-    """Evaluate every check; returns (check, actual, passed) triples.
+    """Evaluate every check against the figures in ``report``; returns
+    (check, actual, passed) triples, one per check."""
+    from .report import format_percent
 
-    The curve is built once, and the equalization is run once if any check
-    reads it.
-    """
-    curve = calibration_curve(population)
-    equalization = None
-    if any(c.label.partition(":")[0] in _EQUALIZATION_KINDS for c in spec.checks):
-        equalization = equalize_fpr(
-            population, curve, ThresholdPolicy.uniform(spec.threshold),
-            tolerance=1e-9, direction=spec.equalize_direction,
-        )
     results = []
     for check in spec.checks:
-        actual = scenario_figure(
-            population, spec, check.label, curve, equalization
-        )
+        actual = scenario_figure(report, check.label)
         ok = abs(actual - check.expected) <= check.tol
         if check.rendered is not None:
-            from .report import format_percent
-
             ok = ok and format_percent(actual) == check.rendered
         results.append((check, actual, ok))
     return results

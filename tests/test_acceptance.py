@@ -16,7 +16,6 @@ from fairaudit import (
     base_rate,
     build_scenario,
     calibration_curve,
-    check_scenario,
     equalize_fpr,
     expected_values,
     fair_lottery,
@@ -26,6 +25,7 @@ from fairaudit import (
     policy_expected_disvalue,
     random_calibrated_population,
 )
+from fairaudit.cli import scenario_report
 from fairaudit.ingest import DatasetConfig, export_csv, ingest_csv
 from fairaudit.parity import RAISE_OTHERS
 from fairaudit.report import format_percent
@@ -55,8 +55,8 @@ def criterion(capfd, number, description, budget_s=None):
 
 def scenario_actuals(name):
     pop, spec = build_scenario(name)
-    results = check_scenario(pop, spec)
-    return pop, spec, {c.label: (c, actual, ok) for c, actual, ok in results}
+    checks = scenario_report(name).scenario.checks
+    return pop, spec, {c["label"]: (c, c["actual"], c["passed"]) for c in checks}
 
 
 def test_criterion_01_compas_table_reproduction(capfd):

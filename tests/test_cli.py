@@ -123,6 +123,15 @@ class TestAuditCommand:
         code = main(["audit", "--input", str(f), "--bins", COMPAS_BINS])
         assert code == EXIT_INPUT
 
+    def test_duplicate_id_exits_2_naming_both_rows(self, tmp_path, capsys):
+        f = tmp_path / "dup.csv"
+        f.write_text("id,group,score,outcome\n1,a,2.0,1\n1,b,7.0,0\n")
+        code = main(["audit", "--input", str(f), "--bins", COMPAS_BINS])
+        assert code == EXIT_INPUT
+        assert "row 3: duplicate id '1' (first on row 2)" in (
+            capsys.readouterr().err
+        )
+
     def test_nan_score_exits_2_naming_the_row(self, tmp_path, capsys):
         f = tmp_path / "nan.csv"
         f.write_text("id,group,score,outcome\nr1,a,2.0,1\nr2,b,nan,0\n")
@@ -177,12 +186,15 @@ class TestEqualizeCommand:
         assert f"{name} must be finite" in capsys.readouterr().err
 
     def test_nan_tolerance_exits_2(self, compas_csv, capsys):
-        code = main([
-            "equalize", "--input", compas_csv, "--bins", COMPAS_BINS,
-            "--tolerance", "nan",
-        ])
-        assert code == EXIT_INPUT
-        assert "tolerance must be positive" in capsys.readouterr().err
+        for command in ("equalize", "audit"):
+            for tolerance in ("nan", "-1", "0"):
+                code = main([
+                    command, "--input", compas_csv, "--bins", COMPAS_BINS,
+                    "--tolerance", tolerance,
+                ])
+                assert code == EXIT_INPUT, (command, tolerance)
+                err = capsys.readouterr().err
+                assert "tolerance must be positive" in err, (command, tolerance)
 
 
 class TestScenarioCommand:
@@ -214,8 +226,8 @@ class TestScenarioCommand:
 
         real = cli_mod.check_scenario
 
-        def sabotage(population, spec):
-            results = real(population, spec)
+        def sabotage(report, spec):
+            results = real(report, spec)
             check, actual, _ok = results[0]
             return [(check, actual, False)] + results[1:]
 
@@ -224,6 +236,19 @@ class TestScenarioCommand:
         assert code == EXIT_SPEC_FAIL
         payload = json.loads(capsys.readouterr().out)
         assert payload["scenario"]["passed"] is False
+
+    def test_check_reading_a_skipped_section_exits_2(self, monkeypatch, capsys):
+        import fairaudit.cli as cli_mod
+        from fairaudit import AuditError
+
+        def no_equalization(*args, **kwargs):
+            raise AuditError("forced")
+
+        monkeypatch.setattr(cli_mod, "equalize_fpr", no_equalization)
+        code = main(["scenario", "compas_benefit"])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "equalized_threshold:black" in err and "equalization" in err
 
     def test_unknown_scenario_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):

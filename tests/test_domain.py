@@ -47,8 +47,10 @@ class TestBinScheme:
             BinScheme(edges=(0.0, 1.0))
 
     def test_nonincreasing_edges_rejected(self):
-        with pytest.raises(ValidationError):
-            BinScheme(edges=(0.0, 1.0, 1.0))
+        nan = float("nan")
+        for edges in ((0.0, 1.0, 1.0), (nan, 1.0, 2.0), (0.0, nan, 2.0)):
+            with pytest.raises(ValidationError):
+                BinScheme(edges=edges)
 
     @given(st.floats(min_value=1.0, max_value=10.0, allow_nan=False))
     def test_every_score_in_exactly_one_bin(self, score):

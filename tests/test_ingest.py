@@ -76,6 +76,16 @@ class TestIngest:
         with pytest.raises(IngestError, match="row 3: score must be finite"):
             ingest_csv(config_for(f, ten_bins))
 
+    def test_duplicate_id_names_both_rows(self, tmp_path, ten_bins):
+        f = tmp_path / "data.csv"
+        f.write_text(
+            "id,group,score,outcome\nr1,a,2.0,1\nr2,b,3.0,0\nr1,b,4.0,0\n"
+        )
+        with pytest.raises(
+            IngestError, match=r"row 4: duplicate id 'r1' \(first on row 2\)"
+        ):
+            ingest_csv(config_for(f, ten_bins))
+
     def test_empty_file(self, tmp_path, ten_bins):
         f = tmp_path / "data.csv"
         f.write_text("id,group,score,outcome\n")

@@ -62,6 +62,15 @@ class TestImpossibilityCheck:
         assert not verdict.applicable
         assert verdict.calibration_gap == pytest.approx(0.20)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), -1.0])
+    def test_rejects_bad_calibration_tolerance(self, tolerance):
+        pop, spec = build_scenario("stride_height")
+        with pytest.raises(ValidationError, match="tolerance"):
+            impossibility_check(
+                pop, calibration_curve(pop), spec.threshold,
+                calib_tolerance=tolerance,
+            )
+
     def test_requires_exactly_two_groups(self):
         pop, _ = build_scenario("stride_height")
         only_women = [r for r in pop.records if r.group == "women"]

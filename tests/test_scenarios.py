@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from fairaudit import (
@@ -10,13 +12,16 @@ from fairaudit import (
     check_scenario,
     random_calibrated_population,
 )
+from fairaudit.cli import EXIT_OK, main, scenario_report
+from fairaudit.scenarios import Check
 
 
 class TestNamedScenarios:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_all_checks_pass(self, name):
-        pop, spec = build_scenario(name)
-        results = check_scenario(pop, spec)
+        _pop, spec = build_scenario(name)
+        results = check_scenario(scenario_report(name), spec)
+        assert len(results) == len(spec.checks)
         failures = [
             f"{c.label}: expected {c.expected}, got {actual}"
             for c, actual, ok in results
@@ -25,11 +30,13 @@ class TestNamedScenarios:
         assert not failures, "; ".join(failures)
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
-    def test_curve_and_equalization_computed_once(self, name, monkeypatch):
-        import fairaudit.scenarios as scenarios
+    def test_curve_and_equalization_computed_once(
+        self, name, monkeypatch, capsys
+    ):
+        import fairaudit.cli
+        import fairaudit.scenarios
 
-        pop, spec = build_scenario(name)
-        calls = {"curve": 0, "equalize": 0}
+        calls = {"calibration_curve": 0, "equalize_fpr": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -38,19 +45,51 @@ class TestNamedScenarios:
 
             return wrapper
 
-        monkeypatch.setattr(
-            scenarios, "calibration_curve",
-            counting("curve", scenarios.calibration_curve),
+        for module in (fairaudit.cli, fairaudit.scenarios):
+            for key in calls:
+                if hasattr(module, key):
+                    monkeypatch.setattr(
+                        module, key, counting(key, getattr(module, key))
+                    )
+        assert main(["scenario", name, "--format", "json"]) == EXIT_OK
+        assert calls == {"calibration_curve": 1, "equalize_fpr": 1}
+
+    def test_checks_read_the_report_not_a_recomputation(self):
+        report = scenario_report("stride_height")
+        _pop, spec = build_scenario("stride_height")
+        men = report.groups["men"]
+        doctored = dataclasses.replace(
+            report,
+            groups={
+                **report.groups,
+                "men": dataclasses.replace(
+                    men, confusion=dataclasses.replace(men.confusion, tp=161)
+                ),
+            },
         )
-        monkeypatch.setattr(
-            scenarios, "equalize_fpr", counting("equalize", scenarios.equalize_fpr)
+        results = {c.label: (a, ok) for c, a, ok in check_scenario(doctored, spec)}
+        assert results["tp:men"] == (161.0, False)
+        assert all(ok for label, (_a, ok) in results.items() if label != "tp:men")
+
+    @pytest.mark.parametrize(
+        "label, section",
+        [
+            ("equalized_threshold:black", "equalization"),
+            ("equalize_residual", "equalization"),
+            ("lottery_probability:black", "lottery"),
+            ("fpr:nobody", "groups"),
+            ("p:99:black", "calibration"),
+            ("equiv_threshold:nobody", "calibration"),
+        ],
+    )
+    def test_check_reading_a_missing_section_names_it(self, label, section):
+        report = dataclasses.replace(
+            scenario_report("compas_benefit"), equalization=None
         )
-        check_scenario(pop, spec)
-        reads_equalization = any(
-            c.label.partition(":")[0] in scenarios._EQUALIZATION_KINDS
-            for c in spec.checks
-        )
-        assert calls == {"curve": 1, "equalize": int(reads_equalization)}
+        _pop, spec = build_scenario("compas_benefit")
+        spec = dataclasses.replace(spec, checks=(Check(label, 0.0),))
+        with pytest.raises(AuditError, match=section):
+            check_scenario(report, spec)
 
     def test_unknown_scenario(self):
         with pytest.raises(AuditError, match="unknown scenario"):
