@@ -235,8 +235,13 @@ def _base_report(
 def _emit(report: AuditReport, args: argparse.Namespace) -> None:
     text = render_report(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise AuditError(
+                f"cannot write report to {args.out!r}: {exc.strerror or exc}"
+            ) from None
     else:
         sys.stdout.write(text)
 

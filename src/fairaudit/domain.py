@@ -6,8 +6,8 @@ local invariants.
 """
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -100,13 +100,14 @@ class BinScheme:
         Raises ValidationError for scores outside [lo, hi]. The top edge
         belongs to the last bin.
         """
-        if not (self.lo <= score <= self.hi):
+        edges = self.edges
+        if not (edges[0] <= score <= edges[-1]):
             raise ValidationError(
-                f"score {score!r} outside declared range [{self.lo}, {self.hi}]"
+                f"score {score!r} outside declared range "
+                f"[{edges[0]}, {edges[-1]}]"
             )
-        if score == self.hi:
-            return self.n_bins - 1
-        return bisect.bisect_right(self.edges, score) - 1
+        # Searching edges[:-1] puts the top edge in the last bin.
+        return bisect_right(edges, score, 0, len(edges) - 1) - 1
 
 
 def bin_of(score: float, bins: BinScheme) -> int:
@@ -157,13 +158,14 @@ def validate_population(
     """
     if not records:
         raise ValidationError("population is empty")
+    lo, hi = bins.lo, bins.hi
     for r in records:
         if not r.group:
             raise ValidationError(f"record {r.id!r} has an empty group label")
-        if not (bins.lo <= r.score <= bins.hi):
+        if not (lo <= r.score <= hi):
             raise ValidationError(
                 f"record {r.id!r}: score {r.score!r} outside declared "
-                f"range [{bins.lo}, {bins.hi}]"
+                f"range [{lo}, {hi}]"
             )
     groups = sorted({r.group for r in records})
     if len(groups) < 2:

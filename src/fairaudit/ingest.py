@@ -7,6 +7,7 @@ corrupt base rates.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 from dataclasses import dataclass
@@ -39,60 +40,103 @@ class DatasetConfig:
     outcome_col: str = "outcome"
 
 
+#: The two outcome encodings; a lookup here is also the 0/1 check.
+_OUTCOMES = {"0": OutcomeLabel.NEGATIVE, "1": OutcomeLabel.POSITIVE}
+
+
 def ingest_csv(config: DatasetConfig) -> Population:
-    """Load and validate a delimited dataset into a Population."""
+    """Load and validate a delimited dataset into a Population.
+
+    A leading byte-order mark is ignored and blank lines are skipped. Every
+    other row must have as many fields as the header. Errors name the row by
+    the file line it ends on.
+    """
     path = Path(config.path)
     if not path.is_file():
         raise IngestError(f"no such file: {config.path}")
     records: list[Record] = []
     first_row: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in (config.id_col, config.group_col, config.score_col,
-                    config.outcome_col):
-            if col not in header:
-                raise IngestError(
-                    f"missing column {col!r}; file has {header}"
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            # The last of two equal column names wins, as in csv.DictReader.
+            position = {name: i for i, name in enumerate(header)}
+            for col in (config.id_col, config.group_col, config.score_col,
+                        config.outcome_col):
+                if col not in position:
+                    raise IngestError(
+                        f"missing column {col!r}; file has {header}"
+                    )
+            id_at = position[config.id_col]
+            group_at = position[config.group_col]
+            score_at = position[config.score_col]
+            outcome_at = position[config.outcome_col]
+            width = len(header)
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise IngestError(
+                        f"row {reader.line_num}: {len(row)} fields, "
+                        f"header has {width}"
+                    )
+                raw_score = row[score_at]
+                try:
+                    score = float(raw_score)
+                except ValueError:
+                    raise IngestError(
+                        f"row {reader.line_num}: unparseable score "
+                        f"{raw_score!r}"
+                    ) from None
+                if not math.isfinite(score):
+                    raise IngestError(
+                        f"row {reader.line_num}: score must be finite, got "
+                        f"{raw_score!r}"
+                    )
+                raw_outcome = row[outcome_at].strip()
+                outcome = _OUTCOMES.get(raw_outcome)
+                if outcome is None:
+                    raise IngestError(
+                        f"row {reader.line_num}: outcome must be 0 or 1, "
+                        f"got {raw_outcome!r}"
+                    )
+                record_id = row[id_at]
+                first = first_row.setdefault(record_id, reader.line_num)
+                if first != reader.line_num:
+                    raise IngestError(
+                        f"row {reader.line_num}: duplicate id {record_id!r} "
+                        f"(first on row {first})"
+                    )
+                records.append(
+                    Record(record_id, row[group_at], score, outcome)
                 )
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                score = float(row[config.score_col])
-            except (TypeError, ValueError):
-                raise IngestError(
-                    f"row {lineno}: unparseable score "
-                    f"{row.get(config.score_col)!r}"
-                ) from None
-            if not math.isfinite(score):
-                raise IngestError(
-                    f"row {lineno}: score must be finite, got "
-                    f"{row[config.score_col]!r}"
-                )
-            raw_outcome = (row[config.outcome_col] or "").strip()
-            if raw_outcome not in ("0", "1"):
-                raise IngestError(
-                    f"row {lineno}: outcome must be 0 or 1, got {raw_outcome!r}"
-                )
-            record_id = row[config.id_col]
-            first = first_row.setdefault(record_id, lineno)
-            if first != lineno:
-                raise IngestError(
-                    f"row {lineno}: duplicate id {record_id!r} "
-                    f"(first on row {first})"
-                )
-            records.append(
-                Record(
-                    id=record_id,
-                    group=row[config.group_col],
-                    score=score,
-                    outcome=OutcomeLabel(int(raw_outcome)),
-                )
-            )
+    except UnicodeDecodeError as exc:
+        raise IngestError(
+            f"{config.path}: row {_undecodable_line(path)}: not UTF-8 "
+            f"({exc.reason})"
+        ) from None
+    except csv.Error as exc:
+        raise IngestError(
+            f"{config.path}: row {reader.line_num}: {exc}"
+        ) from None
     if not records:
         raise IngestError(f"{config.path}: no data rows")
     return validate_population(
         records, config.bins, config.action_benefits_subject
     )
+
+
+def _undecodable_line(path: Path) -> int:
+    """File line of the first byte that is not UTF-8. Lines end at LF, CR
+    or CRLF, as they do for the csv reader."""
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+    head = data
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
 
 
 def export_csv(population: Population, path: str) -> None:

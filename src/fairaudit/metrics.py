@@ -12,6 +12,7 @@ from typing import Mapping
 
 from .domain import (
     ConfusionMatrix,
+    OutcomeLabel,
     Population,
     ThresholdPolicy,
     ValidationError,
@@ -99,12 +100,17 @@ class GroupMetrics:
 
 def calibration_curve(population: Population) -> CalibrationCurve:
     """Count records and positives per (group, bin)."""
+    bin_of = population.bins.bin_of
+    positive = OutcomeLabel.POSITIVE
     counts: dict[tuple[str, int], list[int]] = {}
     for r in population.records:
-        key = (r.group, population.bins.bin_of(r.score))
-        cell = counts.setdefault(key, [0, 0])
+        key = (r.group, bin_of(r.score))
+        cell = counts.get(key)
+        if cell is None:
+            cell = counts[key] = [0, 0]
         cell[0] += 1
-        cell[1] += int(r.outcome.is_positive)
+        if r.outcome is positive:
+            cell[1] += 1
     return CalibrationCurve(
         n_bins=population.bins.n_bins,
         groups=population.groups,

@@ -1,6 +1,9 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairaudit import build_scenario
 from fairaudit.cli import (
@@ -139,6 +142,29 @@ class TestAuditCommand:
         assert code == EXIT_INPUT
         assert "row 3" in capsys.readouterr().err
 
+    def test_unreadable_file_exits_2_naming_file_and_row(
+        self, tmp_path, capsys
+    ):
+        for data in (b"r1,a\xe9,2.0,1\n",
+                     b"r1,a," + b"9" * 140_000 + b",1\n"):
+            f = tmp_path / "bad.csv"
+            f.write_bytes(b"id,group,score,outcome\n" + data)
+            code = main(["audit", "--input", str(f), "--bins", COMPAS_BINS])
+            assert code == EXIT_INPUT
+            assert f"{f}: row 2: " in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2_naming_the_path(
+        self, compas_csv, tmp_path, capsys
+    ):
+        dataset = ["--input", compas_csv, "--bins", COMPAS_BINS]
+        for argv in (["audit", *dataset], ["equalize", *dataset],
+                     ["scenario", "stride_height"]):
+            for out in (tmp_path / "no_such_dir" / "r.md", tmp_path):
+                assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+                assert f"cannot write report to '{out}'" in (
+                    capsys.readouterr().err
+                )
+
     def test_score_threshold_spec(self, compas_csv, capsys):
         code = main([
             "audit", "--input", compas_csv, "--bins", COMPAS_BINS,
@@ -253,3 +279,35 @@ class TestScenarioCommand:
     def test_unknown_scenario_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["scenario", "nonesuch"])
+
+
+#: CSV fields that stress the parser and each ingest check.
+_FIELDS = st.sampled_from(
+    ["r1", "r2", "a", "b", "", "0", "1", "2", "2.5", "7", "11", "nan", "-inf",
+     '"', '"x,y"', '"a\nb"', " 1", "\ufeff", "\xe9"]
+) | st.text(max_size=3)
+_GOOD_ROWS = st.lists(
+    st.tuples(st.text("abcdef", min_size=1, max_size=4), st.sampled_from("ab"),
+              st.sampled_from(["1", "2.5", "7", "10"]), st.sampled_from("01")),
+    min_size=2, max_size=8, unique_by=lambda row: row[0],
+).map(lambda rows: "\n".join(map(",".join, rows)))
+_ANY_ROWS = st.lists(
+    st.lists(_FIELDS, max_size=6).map(",".join), max_size=8
+).map("\n".join)
+_ROWS = _GOOD_ROWS | _ANY_ROWS | st.tuples(_GOOD_ROWS, _ANY_ROWS).map("\n".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=200),
+    _ROWS.map(lambda rows: ("id,group,score,outcome\n" + rows).encode(
+        "utf-8", "surrogatepass")),
+    _ROWS.map(lambda rows: b"\xef\xbb\xbfid,group,score,outcome\r\n"
+              + rows.encode("utf-8", "surrogatepass")),
+))
+def test_any_input_file_exits_0_or_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "fuzz.csv"
+        f.write_bytes(data)
+        code = main(["audit", "--input", str(f), "--bins", COMPAS_BINS])
+    assert code in (EXIT_OK, EXIT_INPUT)

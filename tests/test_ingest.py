@@ -1,9 +1,15 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairaudit import (
     SCENARIO_NAMES,
+    BinScheme,
+    OutcomeLabel,
+    Record,
     build_scenario,
     calibration_curve,
     group_metrics,
@@ -86,6 +92,56 @@ class TestIngest:
         ):
             ingest_csv(config_for(f, ten_bins))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("r1,a,2.0,1\nr2,b,8.0,1,extra\n", "row 3: 5 fields, header has 4"),
+            ("r1,a,2.0,1\nr2,b,8.0\n", "row 3: 3 fields, header has 4"),
+            ('r1,a,2.0,1\nr2,b,"8.0,1\nr3,b,3.0,0\n',
+             "row 4: 3 fields, header has 4"),
+        ],
+        ids=["extra", "short", "unterminated_quote"],
+    )
+    def test_field_count_must_match_header(
+        self, tmp_path, ten_bins, rows, message
+    ):
+        f = tmp_path / "data.csv"
+        f.write_text("id,group,score,outcome\n" + rows)
+        with pytest.raises(IngestError, match=message):
+            ingest_csv(config_for(f, ten_bins))
+
+    def test_blank_lines_skipped_and_rows_numbered_by_file_line(
+        self, tmp_path, ten_bins
+    ):
+        f = tmp_path / "data.csv"
+        f.write_text("id,group,score,outcome\n\nr1,a,2.0,1\n\nr2,b,7.0,0\n\n")
+        assert len(ingest_csv(config_for(f, ten_bins)).records) == 2
+        f.write_text("id,group,score,outcome\n\nr1,a,2.0,1\n\nr2,b,tall,0\n")
+        with pytest.raises(IngestError, match="row 5: unparseable score"):
+            ingest_csv(config_for(f, ten_bins))
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, ten_bins):
+        f = tmp_path / "data.csv"
+        f.write_bytes(b"\xef\xbb\xbf" + SAMPLE.encode())
+        assert ingest_csv(config_for(f, ten_bins)).groups == ("alpha", "beta")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"r1,a,2.0,1\r\nr2,\xe9,7.0,0\r\n", "row 3: not UTF-8"),
+            (b"r1,a,2.0,1\nr2,b," + b"x" * 140_000 + b",0\n",
+             "row 3: field larger than field limit"),
+        ],
+        ids=["not_utf8", "oversized_field"],
+    )
+    def test_unreadable_row_names_file_and_row(
+        self, tmp_path, ten_bins, data, message
+    ):
+        f = tmp_path / "data.csv"
+        f.write_bytes(b"id,group,score,outcome\n" + data)
+        with pytest.raises(IngestError, match=f"data.csv: {message}"):
+            ingest_csv(config_for(f, ten_bins))
+
     def test_empty_file(self, tmp_path, ten_bins):
         f = tmp_path / "data.csv"
         f.write_text("id,group,score,outcome\n")
@@ -140,6 +196,39 @@ class TestRoundTrip:
             assert group_metrics(
                 pop, g, policy, calibration_curve(pop)
             ) == group_metrics(reordered, g, policy, calibration_curve(reordered))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_export_then_ingest_is_the_identity(self, data):
+        # Ids and groups that csv must quote: commas, quotes, line breaks
+        # and non-ASCII text. NUL is left out: Python 3.10's csv rejects it.
+        text = st.text(
+            st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="\x00")
+            | st.sampled_from(',"\r\n\ufeff'),
+            max_size=6,
+        )
+        groups = data.draw(
+            st.lists(text.filter(bool), min_size=2, max_size=3, unique=True)
+        )
+        rows = data.draw(st.lists(
+            st.tuples(
+                text,
+                st.sampled_from(groups),
+                st.floats(0.0, 10.0),
+                st.sampled_from(list(OutcomeLabel)),
+            ),
+            min_size=2, max_size=12, unique_by=lambda row: row[0],
+        ).filter(lambda rows: len({row[1] for row in rows}) >= 2))
+        bins = BinScheme(edges=(0.0, 5.0, 10.0))
+        pop = validate_population([Record(*row) for row in rows], bins, False)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "pop.csv")
+            export_csv(pop, path)
+            back = ingest_csv(DatasetConfig(
+                path=path, bins=bins, action_benefits_subject=False
+            ))
+        assert back == pop
 
     def test_export_rejects_empty_path(self):
         pop, _ = build_scenario("stride_height")
