@@ -12,7 +12,6 @@ from .domain import (  # noqa: F401
     AuditError,
     BinScheme,
     ConfusionMatrix,
-    Decision,
     OutcomeLabel,
     OutcomeValues,
     Population,
@@ -20,17 +19,16 @@ from .domain import (  # noqa: F401
     SYMMETRIC_VALUES,
     ThresholdPolicy,
     ValidationError,
-    bin_of,
     validate_population,
 )
 from .metrics import (  # noqa: F401
     CalibrationCurve,
     GroupMetrics,
-    base_rate,
     calibration_curve,
     calibration_gap,
     chance_miscalibration_bound,
     confusion_for_group,
+    curve_from_counts,
     false_negative_rate,
     false_positive_rate,
     group_metrics,
@@ -39,7 +37,6 @@ from .metrics import (  # noqa: F401
 from .decision import (  # noqa: F401
     DecisionEV,
     PolicyAssessment,
-    apply_policy,
     expected_values,
     optimal_threshold,
     policy_expected_disvalue,
@@ -60,5 +57,13 @@ from .scenarios import (  # noqa: F401
     build_scenario,
     check_scenario,
     random_calibrated_population,
+    scenario_curve,
+    scenario_spec,
 )
-from .ingest import DatasetConfig, IngestError, export_csv, ingest_csv  # noqa: F401
+from .ingest import (  # noqa: F401
+    DatasetConfig,
+    IngestError,
+    export_csv,
+    ingest_csv,
+    read_population,
+)

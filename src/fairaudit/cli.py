@@ -17,13 +17,12 @@ from .domain import (
     AuditError,
     BinScheme,
     OutcomeValues,
-    Population,
     SYMMETRIC_VALUES,
     ThresholdPolicy,
     ValidationError,
 )
 from .ingest import DatasetConfig, ingest_csv
-from .metrics import CalibrationCurve, calibration_curve, calibration_gap, group_metrics
+from .metrics import CalibrationCurve, calibration_gap, group_metrics
 from .parity import (
     LOWER_OTHERS,
     RAISE_OTHERS,
@@ -37,7 +36,12 @@ from .report import (
     curve_cells_dict,
     render_report,
 )
-from .scenarios import SCENARIO_NAMES, build_scenario, check_scenario
+from .scenarios import (
+    SCENARIO_NAMES,
+    check_scenario,
+    scenario_curve,
+    scenario_spec,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -109,7 +113,6 @@ def parse_values(spec: str) -> OutcomeValues:
 
 def parse_threshold(
     spec: str | None,
-    population: Population,
     curve: CalibrationCurve,
     values: OutcomeValues,
     notes: list[str],
@@ -139,9 +142,9 @@ def parse_threshold(
             boundary = float(spec[len("score>="):])
         except ValueError:
             raise ValidationError(f"bad threshold spec {spec!r}") from None
-        first_bin = population.bins.bin_of(boundary)
+        first_bin = curve.bins.bin_of(boundary)
         thresholds: dict[str, float] = {}
-        for g in population.groups:
+        for g in curve.groups:
             cells = curve.by_group.get(g, ())
             acted = [cell.p_score for b, cell in cells if b >= first_bin]
             if not acted:
@@ -181,30 +184,26 @@ def _dataset_config(args: argparse.Namespace) -> DatasetConfig:
 
 
 def _base_report(
-    population: Population,
     curve: CalibrationCurve,
+    action_benefits_subject: bool,
     policy: ThresholdPolicy,
     values: OutcomeValues,
     values_defaulted: bool,
     tolerance: float,
     notes: list[str],
 ) -> AuditReport:
-    groups = {
-        g: group_metrics(population, g, policy, curve)
-        for g in population.groups
-    }
+    groups = {g: group_metrics(curve, g, policy) for g in curve.groups}
     gap = max(
         calibration_gap(curve, a, b)
-        for a, b in itertools.combinations(population.groups, 2)
+        for a, b in itertools.combinations(curve.groups, 2)
     )
     impossibility = None
-    if len(population.groups) == 2:
-        thresholds = policy.thresholds(population.groups)
+    if len(curve.groups) == 2:
+        thresholds = policy.thresholds(curve.groups)
         uniform = len(set(thresholds.values())) == 1
         if uniform:
             try:
                 impossibility = impossibility_check(
-                    population,
                     curve,
                     next(iter(thresholds.values())),
                     calib_tolerance=tolerance,
@@ -216,16 +215,16 @@ def _base_report(
                 "Impossibility check skipped: it applies to uniform "
                 "thresholds only."
             )
-    assessment = policy_expected_disvalue(population, policy, curve, values)
+    assessment = policy_expected_disvalue(curve, policy, values)
     return AuditReport(
-        population_benefits=population.action_benefits_subject,
+        population_benefits=action_benefits_subject,
         policy_kind="uniform" if policy.is_uniform else "per_group",
-        thresholds=policy.thresholds(population.groups),
+        thresholds=policy.thresholds(curve.groups),
         values=values,
         values_defaulted=values_defaulted,
         groups=groups,
         calibration_gap=gap,
-        calibration_cells=curve_cells_dict(population, curve),
+        calibration_cells=curve_cells_dict(curve),
         assessment=assessment,
         impossibility=impossibility,
         notes=tuple(notes),
@@ -249,11 +248,10 @@ def _emit(report: AuditReport, args: argparse.Namespace) -> None:
 def cmd_audit(args: argparse.Namespace) -> int:
     notes: list[str] = []
     values, defaulted = _resolve_values(args, notes)
-    population = ingest_csv(_dataset_config(args))
-    curve = calibration_curve(population)
-    policy = parse_threshold(args.threshold, population, curve, values, notes)
+    curve = ingest_csv(_dataset_config(args))
+    policy = parse_threshold(args.threshold, curve, values, notes)
     report = _base_report(
-        population, curve, policy, values, defaulted, args.tolerance, notes
+        curve, args.benefit, policy, values, defaulted, args.tolerance, notes
     )
     _emit(report, args)
     return EXIT_OK
@@ -262,16 +260,15 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_equalize(args: argparse.Namespace) -> int:
     notes: list[str] = []
     values, defaulted = _resolve_values(args, notes)
-    population = ingest_csv(_dataset_config(args))
-    curve = calibration_curve(population)
-    policy = parse_threshold(args.threshold, population, curve, values, notes)
+    curve = ingest_csv(_dataset_config(args))
+    policy = parse_threshold(args.threshold, curve, values, notes)
     direction = RAISE_OTHERS if args.raise_thresholds else LOWER_OTHERS
     equalization = equalize_fpr(
-        population, curve, policy, tolerance=args.tolerance,
+        curve, policy, tolerance=args.tolerance,
         direction=direction, values=values,
     )
     report = _base_report(
-        population, curve, policy, values, defaulted, args.tolerance, notes
+        curve, args.benefit, policy, values, defaulted, args.tolerance, notes
     )
     report = dataclasses.replace(report, equalization=equalization)
     _emit(report, args)
@@ -281,18 +278,19 @@ def cmd_equalize(args: argparse.Namespace) -> int:
 def scenario_report(name: str) -> AuditReport:
     """Build a named scenario's report and check its published figures
     against the numbers in that report."""
-    population, spec = build_scenario(name)
+    spec = scenario_spec(name)
     notes = list(spec.notes)
     values = SYMMETRIC_VALUES
-    curve = calibration_curve(population)
+    curve = scenario_curve(spec)
     policy = ThresholdPolicy.uniform(spec.threshold)
     report = _base_report(
-        population, curve, policy, values, True, spec.calib_tolerance, notes
+        curve, spec.action_benefits_subject, policy, values, True,
+        spec.calib_tolerance, notes,
     )
     extras: dict = {}
     try:
         extras["equalization"] = equalize_fpr(
-            population, curve, policy, tolerance=1e-9,
+            curve, policy, tolerance=1e-9,
             direction=spec.equalize_direction, values=values,
         )
     except AuditError as exc:

@@ -8,13 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .domain import (
-    Decision,
-    OutcomeValues,
-    Population,
-    ThresholdPolicy,
-    ValidationError,
-)
+from .domain import OutcomeValues, ThresholdPolicy, ValidationError
 from .metrics import CalibrationCurve
 
 
@@ -94,26 +88,9 @@ def optimal_threshold(values: OutcomeValues) -> float:
     return refrain_margin / (refrain_margin + act_margin)
 
 
-def apply_policy(
-    population: Population,
-    policy: ThresholdPolicy,
-    curve: CalibrationCurve,
-) -> tuple[Decision, ...]:
-    """Per-record decisions, parallel to ``population.records``."""
-    if not policy.covers(population.groups):
-        raise ValidationError("policy does not cover every group")
-    decisions = []
-    for r in population.records:
-        p = curve.p_score(r.group, population.bins.bin_of(r.score))
-        t = policy.threshold_for(r.group)
-        decisions.append(Decision.ACT if p >= t else Decision.REFRAIN)
-    return tuple(decisions)
-
-
 def policy_expected_disvalue(
-    population: Population,
-    policy: ThresholdPolicy,
     curve: CalibrationCurve,
+    policy: ThresholdPolicy,
     values: OutcomeValues,
 ) -> PolicyAssessment:
     """Expected and realized value of a policy, per group and in total.
@@ -125,11 +102,11 @@ def policy_expected_disvalue(
     confusion matrix at p*; the difference from the chosen one is the
     policy's expected disvalue.
     """
-    if not policy.covers(population.groups):
+    if not policy.covers(curve.groups):
         raise ValidationError("policy does not cover every group")
     p_star = optimal_threshold(values)
     per_group: dict[str, GroupAssessment] = {}
-    for g in population.groups:
+    for g in curve.groups:
         cm = curve.confusion(g, policy.threshold_for(g))
         per_group[g] = GroupAssessment(
             n=cm.n,

@@ -11,7 +11,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class AuditError(Exception):
@@ -31,18 +31,6 @@ class OutcomeLabel(Enum):
     @property
     def is_positive(self) -> bool:
         return self is OutcomeLabel.POSITIVE
-
-
-class Decision(Enum):
-    """The binary action taken about an individual: act (detain / exclude /
-    assign the grade / give the benefit) or refrain."""
-
-    REFRAIN = 0
-    ACT = 1
-
-    @property
-    def is_act(self) -> bool:
-        return self is Decision.ACT
 
 
 @dataclass(frozen=True)
@@ -110,11 +98,6 @@ class BinScheme:
         return bisect_right(edges, score, 0, len(edges) - 1) - 1
 
 
-def bin_of(score: float, bins: BinScheme) -> int:
-    """Module-level alias for :meth:`BinScheme.bin_of`."""
-    return bins.bin_of(score)
-
-
 @dataclass(frozen=True)
 class Population:
     """A validated collection of records partitioned by group.
@@ -132,18 +115,18 @@ class Population:
     def groups(self) -> tuple[str, ...]:
         return tuple(sorted({r.group for r in self.records}))
 
-    @cached_property
-    def by_group(self) -> Mapping[str, tuple[Record, ...]]:
-        out: dict[str, list[Record]] = {}
-        for r in self.records:
-            out.setdefault(r.group, []).append(r)
-        return {g: tuple(rs) for g, rs in out.items()}
 
-    def group_records(self, group: str) -> tuple[Record, ...]:
-        try:
-            return self.by_group[group]
-        except KeyError:
-            raise ValidationError(f"unknown group {group!r}") from None
+def audit_groups(labels: Iterable[str]) -> tuple[str, ...]:
+    """The distinct group labels in sorted order, the order of every report.
+
+    An audit compares groups, so fewer than two is a ValidationError.
+    """
+    groups = sorted(set(labels))
+    if len(groups) < 2:
+        raise ValidationError(
+            f"need at least 2 groups, found {len(groups)}: {groups}"
+        )
+    return tuple(groups)
 
 
 def validate_population(
@@ -156,8 +139,6 @@ def validate_population(
     Idempotent: validating the records of a valid Population returns an
     equal Population.
     """
-    if not records:
-        raise ValidationError("population is empty")
     lo, hi = bins.lo, bins.hi
     for r in records:
         if not r.group:
@@ -167,11 +148,7 @@ def validate_population(
                 f"record {r.id!r}: score {r.score!r} outside declared "
                 f"range [{lo}, {hi}]"
             )
-    groups = sorted({r.group for r in records})
-    if len(groups) < 2:
-        raise ValidationError(
-            f"need at least 2 groups, found {len(groups)}: {groups}"
-        )
+    audit_groups(r.group for r in records)
     return Population(
         records=tuple(records),
         bins=bins,
@@ -291,9 +268,3 @@ class ThresholdPolicy:
 
     def thresholds(self, groups: Sequence[str]) -> dict[str, float]:
         return {g: self.threshold_for(g) for g in groups}
-
-    def replacing(self, group: str, threshold: float) -> "ThresholdPolicy":
-        """New policy identical to this one except for one group."""
-        new = dict(self._per_group)
-        new[group] = threshold
-        return ThresholdPolicy(_uniform=self._uniform, _per_group=new)

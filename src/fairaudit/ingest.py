@@ -3,7 +3,9 @@
 Input is comma-delimited UTF-8 with a header row; outcomes are encoded 0/1
 (1 = the predicted property occurred). Ingest is fail-fast: a row that does
 not parse aborts with its row number, because silently dropping rows would
-corrupt base rates.
+corrupt base rates. One row parser runs every check; :func:`ingest_csv`
+streams its rows into the calibration curve's counts, and
+:func:`read_population` keeps them as Records.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .domain import (
     AuditError,
@@ -19,8 +22,10 @@ from .domain import (
     OutcomeLabel,
     Population,
     Record,
+    ValidationError,
     validate_population,
 )
+from .metrics import CalibrationCurve, curve_from_counts
 
 EXPORT_HEADER = ("id", "group", "score", "outcome")
 
@@ -41,76 +46,96 @@ class DatasetConfig:
 
 
 #: The two outcome encodings; a lookup here is also the 0/1 check.
-_OUTCOMES = {"0": OutcomeLabel.NEGATIVE, "1": OutcomeLabel.POSITIVE}
+_OUTCOMES = {"0": 0, "1": 1}
 
 
-def ingest_csv(config: DatasetConfig) -> Population:
-    """Load and validate a delimited dataset into a Population.
+def ingest_csv(config: DatasetConfig) -> CalibrationCurve:
+    """Stream a dataset into its calibration curve, keeping only the
+    per-(group, bin) counts. Raises IngestError naming the file line of the
+    first row that fails a check (see :func:`_rows`)."""
+    return curve_from_counts(config.bins, (
+        (group, b, positive, 1 - positive)
+        for _id, group, _score, b, positive in _rows(config)
+    ))
+
+
+def read_population(config: DatasetConfig) -> Population:
+    """Load a dataset as a Population of Records, through the same row
+    parser and checks as :func:`ingest_csv`."""
+    labels = (OutcomeLabel.NEGATIVE, OutcomeLabel.POSITIVE)
+    records = [
+        Record(record_id, group, score, labels[positive])
+        for record_id, group, score, _b, positive in _rows(config)
+    ]
+    return validate_population(
+        records, config.bins, config.action_benefits_subject
+    )
+
+
+def _rows(config: DatasetConfig) -> Iterator[tuple[str, str, float, int, int]]:
+    """Yield each data row as (id, group, score, bin index, positive 0/1).
 
     A leading byte-order mark is ignored and blank lines are skipped. Every
-    other row must have as many fields as the header. Errors name the row by
-    the file line it ends on.
+    other row must have as many fields as the header, a finite score inside
+    the bins' range, an outcome of 0 or 1, a nonempty group and an id no
+    earlier row has. Errors name the row by the file line it ends on.
     """
     path = Path(config.path)
     if not path.is_file():
         raise IngestError(f"no such file: {config.path}")
-    records: list[Record] = []
+    bin_of = config.bins.bin_of
     first_row: dict[str, int] = {}
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
-            # The last of two equal column names wins, as in csv.DictReader.
-            position = {name: i for i, name in enumerate(header)}
-            for col in (config.id_col, config.group_col, config.score_col,
-                        config.outcome_col):
-                if col not in position:
-                    raise IngestError(
-                        f"missing column {col!r}; file has {header}"
-                    )
-            id_at = position[config.id_col]
-            group_at = position[config.group_col]
-            score_at = position[config.score_col]
-            outcome_at = position[config.outcome_col]
+            id_at, group_at, score_at, outcome_at = (
+                _column(header, name)
+                for name in (config.id_col, config.group_col,
+                             config.score_col, config.outcome_col)
+            )
             width = len(header)
             for row in reader:
+                line = reader.line_num
                 if len(row) != width:
                     if not row:
                         continue
                     raise IngestError(
-                        f"row {reader.line_num}: {len(row)} fields, "
-                        f"header has {width}"
+                        f"row {line}: {len(row)} fields, header has {width}"
                     )
                 raw_score = row[score_at]
                 try:
                     score = float(raw_score)
                 except ValueError:
                     raise IngestError(
-                        f"row {reader.line_num}: unparseable score "
-                        f"{raw_score!r}"
+                        f"row {line}: unparseable score {raw_score!r}"
                     ) from None
                 if not math.isfinite(score):
                     raise IngestError(
-                        f"row {reader.line_num}: score must be finite, got "
-                        f"{raw_score!r}"
+                        f"row {line}: score must be finite, got {raw_score!r}"
                     )
                 raw_outcome = row[outcome_at].strip()
-                outcome = _OUTCOMES.get(raw_outcome)
-                if outcome is None:
+                positive = _OUTCOMES.get(raw_outcome)
+                if positive is None:
                     raise IngestError(
-                        f"row {reader.line_num}: outcome must be 0 or 1, "
+                        f"row {line}: outcome must be 0 or 1, "
                         f"got {raw_outcome!r}"
                     )
                 record_id = row[id_at]
-                first = first_row.setdefault(record_id, reader.line_num)
-                if first != reader.line_num:
+                first = first_row.setdefault(record_id, line)
+                if first != line:
                     raise IngestError(
-                        f"row {reader.line_num}: duplicate id {record_id!r} "
+                        f"row {line}: duplicate id {record_id!r} "
                         f"(first on row {first})"
                     )
-                records.append(
-                    Record(record_id, row[group_at], score, outcome)
-                )
+                group = row[group_at]
+                if not group:
+                    raise IngestError(f"row {line}: empty group label")
+                try:
+                    b = bin_of(score)
+                except ValidationError as exc:
+                    raise IngestError(f"row {line}: {exc}") from None
+                yield record_id, group, score, b, positive
     except UnicodeDecodeError as exc:
         raise IngestError(
             f"{config.path}: row {_undecodable_line(path)}: not UTF-8 "
@@ -120,11 +145,19 @@ def ingest_csv(config: DatasetConfig) -> Population:
         raise IngestError(
             f"{config.path}: row {reader.line_num}: {exc}"
         ) from None
-    if not records:
+    if not first_row:
         raise IngestError(f"{config.path}: no data rows")
-    return validate_population(
-        records, config.bins, config.action_benefits_subject
-    )
+
+
+def _column(header: list[str], name: str) -> int:
+    """Position of a column the audit reads, which the header must name
+    exactly once."""
+    count = header.count(name)
+    if count == 0:
+        raise IngestError(f"missing column {name!r}; file has {header}")
+    if count > 1:
+        raise IngestError(f"header names column {name!r} {count} times")
+    return header.index(name)
 
 
 def _undecodable_line(path: Path) -> int:
@@ -142,7 +175,7 @@ def _undecodable_line(path: Path) -> int:
 def export_csv(population: Population, path: str) -> None:
     """Write the population as id,group,score,outcome rows.
 
-    Scores are written with repr so a round trip through ingest_csv
+    Scores are written with repr so a round trip through read_population
     reproduces an equal Population.
     """
     if not path:

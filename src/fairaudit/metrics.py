@@ -8,14 +8,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .domain import (
+    BinScheme,
     ConfusionMatrix,
-    OutcomeLabel,
     Population,
     ThresholdPolicy,
     ValidationError,
+    audit_groups,
 )
 
 
@@ -38,14 +39,15 @@ class CurveCell:
 class CalibrationCurve:
     """Per-(group, bin) counts and positive fractions for one population.
 
-    Cells with no records are simply absent from ``cells``. Once a
-    population is binned, every audit quantity is a function of these
-    integer counts: confusion matrices, calibration gaps, and expected and
-    realized value (which coincide in sample, because a record's credence
-    is its own cell's positive fraction).
+    Cells with no records are simply absent from ``cells``; the others are
+    in (group, bin) order. Past ingest and binning, every audit quantity is
+    a function of these integer counts: confusion matrices, calibration
+    gaps, and expected and realized value (which coincide in sample,
+    because a record's credence is its own cell's positive fraction).
+    Build one with :func:`curve_from_counts`.
     """
 
-    n_bins: int
+    bins: BinScheme
     groups: tuple[str, ...]
     cells: Mapping[tuple[str, int], CurveCell]
 
@@ -53,7 +55,7 @@ class CalibrationCurve:
     def by_group(self) -> Mapping[str, tuple[tuple[int, CurveCell], ...]]:
         """Each group's nonempty cells as (bin index, cell), in bin order."""
         out: dict[str, list[tuple[int, CurveCell]]] = {}
-        for (g, b), cell in sorted(self.cells.items()):
+        for (g, b), cell in self.cells.items():
             out.setdefault(g, []).append((b, cell))
         return {g: tuple(cells) for g, cells in out.items()}
 
@@ -98,38 +100,53 @@ class GroupMetrics:
     base_rate: float
 
 
-def calibration_curve(population: Population) -> CalibrationCurve:
-    """Count records and positives per (group, bin)."""
-    bin_of = population.bins.bin_of
-    positive = OutcomeLabel.POSITIVE
-    counts: dict[tuple[str, int], list[int]] = {}
-    for r in population.records:
-        key = (r.group, bin_of(r.score))
-        cell = counts.get(key)
+def curve_from_counts(
+    bins: BinScheme, counts: Iterable[tuple[str, int, int, int]]
+) -> CalibrationCurve:
+    """Sum (group, bin index, positives, negatives) entries into a curve.
+
+    Every curve is built here, so group order, cell order and the
+    two-group rule (:func:`~fairaudit.domain.audit_groups`) are decided in
+    one place. Entries may repeat a cell; a cell that sums to no records
+    is left out.
+    """
+    sums: dict[tuple[str, int], list[int]] = {}
+    for group, b, positives, negatives in counts:
+        cell = sums.get((group, b))
         if cell is None:
-            cell = counts[key] = [0, 0]
-        cell[0] += 1
-        if r.outcome is positive:
-            cell[1] += 1
+            cell = sums[(group, b)] = [0, 0]
+        cell[0] += positives
+        cell[1] += negatives
+    cells = {
+        key: CurveCell(count=p + n, positives=p)
+        for key, (p, n) in sorted(sums.items())
+        if p + n
+    }
     return CalibrationCurve(
-        n_bins=population.bins.n_bins,
-        groups=population.groups,
-        cells={k: CurveCell(count=c, positives=p) for k, (c, p) in counts.items()},
+        bins=bins, groups=audit_groups(g for g, _b in cells), cells=cells
     )
 
 
+def calibration_curve(population: Population) -> CalibrationCurve:
+    """Count a population's records and positives per (group, bin)."""
+    bin_of = population.bins.bin_of
+    return curve_from_counts(population.bins, (
+        (r.group, bin_of(r.score), r.outcome.value, 1 - r.outcome.value)
+        for r in population.records
+    ))
+
+
 def confusion_for_group(
-    population: Population,
+    curve: CalibrationCurve,
     group: str,
     policy: ThresholdPolicy,
-    curve: CalibrationCurve,
 ) -> ConfusionMatrix:
     """Classify a group's records by (decision, outcome).
 
     A record is decided "act" iff the p_score of its bin is >= the group's
     threshold, so the counts aggregate over the group's curve cells.
     """
-    if group not in population.groups:
+    if group not in curve.groups:
         raise ValidationError(f"unknown group {group!r}")
     return curve.confusion(group, policy.threshold_for(group))
 
@@ -152,19 +169,12 @@ def positive_predictive_value(cm: ConfusionMatrix) -> float | None:
     return cm.tp / denom if denom else None
 
 
-def base_rate(population: Population, group: str) -> float:
-    """Positive-outcome fraction of one group."""
-    records = population.group_records(group)
-    return sum(r.outcome.is_positive for r in records) / len(records)
-
-
 def group_metrics(
-    population: Population,
+    curve: CalibrationCurve,
     group: str,
     policy: ThresholdPolicy,
-    curve: CalibrationCurve,
 ) -> GroupMetrics:
-    cm = confusion_for_group(population, group, policy, curve)
+    cm = confusion_for_group(curve, group, policy)
     return GroupMetrics(
         group=group,
         confusion=cm,

@@ -10,8 +10,6 @@ from .domain import (
     AuditError,
     ConfusionMatrix,
     OutcomeValues,
-    Population,
-    Record,
     SYMMETRIC_VALUES,
     ThresholdPolicy,
     ValidationError,
@@ -74,7 +72,6 @@ def _candidate_thresholds(
 
 
 def equalize_fpr(
-    population: Population,
     curve: CalibrationCurve,
     baseline_policy: ThresholdPolicy,
     tolerance: float,
@@ -96,10 +93,7 @@ def equalize_fpr(
         raise ValidationError("tolerance must be positive")
     if direction not in (LOWER_OTHERS, RAISE_OTHERS):
         raise ValidationError(f"unknown direction {direction!r}")
-    groups = population.groups
-    if len(groups) < 2:
-        raise ValidationError("equalization needs at least 2 groups")
-
+    groups = curve.groups
     baseline = {
         g: curve.confusion(g, baseline_policy.threshold_for(g)) for g in groups
     }
@@ -153,7 +147,6 @@ def equalize_fpr(
 
 
 def impossibility_check(
-    population: Population,
     curve: CalibrationCurve,
     uniform_threshold: float,
     calib_tolerance: float = 1e-9,
@@ -164,7 +157,7 @@ def impossibility_check(
     """
     if not calib_tolerance >= 0:
         raise ValidationError("calibration tolerance must be nonnegative")
-    groups = population.groups
+    groups = curve.groups
     if len(groups) != 2:
         raise ValidationError(
             f"impossibility check is pairwise; got {len(groups)} groups"
@@ -175,7 +168,7 @@ def impossibility_check(
     fprs: dict[str, float] = {}
     split = True
     for g in groups:
-        cm = confusion_for_group(population, g, policy, curve)
+        cm = confusion_for_group(curve, g, policy)
         rates[g] = cm.base_rate
         fpr = false_positive_rate(cm)
         if fpr is None:
@@ -206,19 +199,20 @@ def impossibility_check(
 
 
 def individual_error_risk(
-    record: Record,
-    population: Population,
     curve: CalibrationCurve,
+    group: str,
+    bin_index: int,
     policy: ThresholdPolicy,
 ) -> float:
-    """Probability that the decision applied to this record is wrong,
-    conditional on its bin's p_score: 1 - p if acted on, p if refrained.
+    """Probability that the decision applied to a member of ``group`` in
+    bin ``bin_index`` is wrong, conditional on the cell's p_score: 1 - p if
+    acted on, p if refrained.
 
     Group membership enters only through the threshold applied, so under a
-    uniform policy two records sharing a bin carry identical risk.
+    uniform policy two cells with the same p_score carry identical risk.
     """
-    p = curve.p_score(record.group, population.bins.bin_of(record.score))
-    acted = p >= policy.threshold_for(record.group)
+    p = curve.p_score(group, bin_index)
+    acted = p >= policy.threshold_for(group)
     return 1.0 - p if acted else p
 
 

@@ -14,7 +14,7 @@ from typing import Any, Mapping, Sequence
 
 from . import __version__
 from .decision import PolicyAssessment
-from .domain import OutcomeValues, Population, ThresholdPolicy
+from .domain import OutcomeValues
 from .metrics import CalibrationCurve, GroupMetrics
 from .parity import EqualizationResult, ImpossibilityVerdict, LotteryResult
 
@@ -113,11 +113,11 @@ def _assessment_dict(assessment: PolicyAssessment) -> dict[str, Any]:
 
 
 def curve_cells_dict(
-    population: Population, curve: CalibrationCurve
+    curve: CalibrationCurve,
 ) -> dict[str, dict[str, dict[str, float]]]:
     out: dict[str, dict[str, dict[str, float]]] = {}
-    for (g, b), cell in sorted(curve.cells.items()):
-        out.setdefault(g, {})[population.bins.label(b)] = {
+    for (g, b), cell in curve.cells.items():
+        out.setdefault(g, {})[curve.bins.label(b)] = {
             "count": cell.count,
             "positives": cell.positives,
             "p_score": cell.p_score,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .domain import (
     AuditError,
@@ -20,6 +20,7 @@ from .domain import (
     ValidationError,
     validate_population,
 )
+from .metrics import CalibrationCurve, curve_from_counts
 from .parity import LOWER_OTHERS, RAISE_OTHERS
 
 if TYPE_CHECKING:
@@ -56,8 +57,16 @@ class Check:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A named worked example: its fixture, declared as exact counts, and
+    the policy and published figures it is checked against."""
+
     name: str
     description: str
+    bins: BinScheme
+    #: (group, score, positives, negatives): that many records of the group
+    #: at that score. A (group, bin) cell may span several entries.
+    cells: tuple[tuple[str, float, int, int], ...]
+    action_benefits_subject: bool
     threshold: float
     calib_tolerance: float
     equalize_direction: str
@@ -91,43 +100,26 @@ def _records(
     return out
 
 
-def _build_counts(
-    bins: BinScheme,
-    cells: Iterable[tuple[str, float, int, int]],
-    benefits: bool,
-) -> Population:
-    records: list[Record] = []
-    serial: dict[str, int] = {}
-    for group, score, pos, neg in cells:
-        start = serial.get(group, 0)
-        records.extend(_records(group, score, pos, neg, f"{group}-", start))
-        serial[group] = start + pos + neg
-    return validate_population(records, bins, action_benefits_subject=benefits)
-
-
-def _stride_height() -> tuple[Population, ScenarioSpec]:
+def _stride_height() -> ScenarioSpec:
     # Published quantities: FPR women 20/100, FPR men 40/80, p_score of the
     # long-stride bin 0.80 for both sexes. Positives per bin are completed
     # with the smallest integers consistent with those constraints (high bin
     # must be 4:1 positive, and the stated tn counts fix the low-bin
     # negatives; low-bin positives of 20 and 10 make both groups 0.20 there).
-    bins = BinScheme(edges=(100.0, 160.0, 200.0), labels=("short", "long"))
-    pop = _build_counts(
-        bins,
-        [
-            ("women", 180.0, 80, 20),
-            ("women", 130.0, 20, 80),
-            ("men", 180.0, 160, 40),
-            ("men", 130.0, 10, 40),
-        ],
-        benefits=False,
-    )
-    spec = ScenarioSpec(
+    return ScenarioSpec(
         name=STRIDE_HEIGHT,
         description=(
             "Stride-length predictor of being too tall for a spelunking "
             "trip; excluding acts on the long-stride bin."
         ),
+        bins=BinScheme(edges=(100.0, 160.0, 200.0), labels=("short", "long")),
+        cells=(
+            ("women", 180.0, 80, 20),
+            ("women", 130.0, 20, 80),
+            ("men", 180.0, 160, 40),
+            ("men", 130.0, 10, 40),
+        ),
+        action_benefits_subject=False,
         threshold=0.5,
         calib_tolerance=1e-9,
         equalize_direction=RAISE_OTHERS,
@@ -147,29 +139,25 @@ def _stride_height() -> tuple[Population, ScenarioSpec]:
             Check("calibration_gap", 0.0),
         ),
     )
-    return pop, spec
 
 
-def _section_grades() -> tuple[Population, ScenarioSpec]:
+def _section_grades() -> ScenarioSpec:
     # Section 1: 10 true-B papers, 20 true-A; 10 Bs assigned, 2 false.
     # Section 2: 20 true-B papers, 10 true-A; 20 Bs assigned, 4 false.
-    bins = BinScheme(edges=(0.0, 1.0, 2.0), labels=("A", "B"))
-    pop = _build_counts(
-        bins,
-        [
-            ("section1", 1.5, 8, 2),
-            ("section1", 0.5, 2, 18),
-            ("section2", 1.5, 16, 4),
-            ("section2", 0.5, 4, 6),
-        ],
-        benefits=False,
-    )
-    spec = ScenarioSpec(
+    return ScenarioSpec(
         name=SECTION_GRADES,
         description=(
             "Fallible grader assigning B grades across two course sections "
             "with different shares of true-B papers."
         ),
+        bins=BinScheme(edges=(0.0, 1.0, 2.0), labels=("A", "B")),
+        cells=(
+            ("section1", 1.5, 8, 2),
+            ("section1", 0.5, 2, 18),
+            ("section2", 1.5, 16, 4),
+            ("section2", 0.5, 4, 6),
+        ),
+        action_benefits_subject=False,
         threshold=0.5,
         # The B (acted) bin is exactly calibrated at 0.80; the A-bin
         # fractions (0.10 vs 0.40) necessarily differ given the base rates,
@@ -189,7 +177,6 @@ def _section_grades() -> tuple[Population, ScenarioSpec]:
             Check("ppv:section2", 0.80),
         ),
     )
-    return pop, spec
 
 
 # Integer completion of the published aggregates, anchored on the exact
@@ -203,25 +190,23 @@ _COMPAS_COUNTS = {
 }
 
 
-def _compas_population(benefits: bool) -> Population:
-    bins = BinScheme(edges=(1.0, 5.0, 10.0), labels=("low", "high"))
-    cells = []
-    for group, c in _COMPAS_COUNTS.items():
-        cells.append((group, 8.0, c["tp"], c["fp"]))
-        cells.append((group, 3.0, c["fn"], c["tn"]))
-    return _build_counts(bins, cells, benefits=benefits)
-
-
-def _compas_synthetic() -> tuple[Population, ScenarioSpec]:
-    pop = _compas_population(benefits=False)
+def _compas_synthetic() -> ScenarioSpec:
     c_b, c_w = _COMPAS_COUNTS["black"], _COMPAS_COUNTS["white"]
-    spec = ScenarioSpec(
+    return ScenarioSpec(
         name=COMPAS_SYNTHETIC,
         description=(
             "Synthetic reconstruction of the ProPublica Broward County "
             "aggregates with the 1-4 / 5-10 risk binning; detaining acts on "
             "the high bin."
         ),
+        bins=BinScheme(edges=(1.0, 5.0, 10.0), labels=("low", "high")),
+        cells=tuple(
+            cell
+            for group, c in _COMPAS_COUNTS.items()
+            for cell in ((group, 8.0, c["tp"], c["fp"]),
+                         (group, 3.0, c["fn"], c["tn"]))
+        ),
+        action_benefits_subject=False,
         threshold=0.5,
         calib_tolerance=0.07,
         equalize_direction=RAISE_OTHERS,
@@ -243,30 +228,35 @@ def _compas_synthetic() -> tuple[Population, ScenarioSpec]:
             "Broward County totals may differ.",
         ),
     )
-    return pop, spec
 
 
-def _compas_benefit() -> tuple[Population, ScenarioSpec]:
+#: Integer scores 1..10, one bin each.
+_TEN_SCORES = BinScheme(
+    edges=tuple(s + 0.5 for s in range(0, 11)),
+    labels=tuple(str(s) for s in range(1, 11)),
+)
+
+
+def _compas_benefit() -> ScenarioSpec:
     # The benefit variant: act = give a cash transfer to high-risk
     # defendants. A ten-bin, bin-exact calibrated population (bin s has
     # positive fraction s/10) with the black group weighted toward high
     # scores.
-    edges = tuple(s + 0.5 for s in range(0, 11))
-    labels = tuple(str(s) for s in range(1, 11))
-    bins = BinScheme(edges=edges, labels=labels)
     cells = []
     for s in range(1, 11):
         n_black = 10 if s <= 5 else 30
         n_white = 30 if s <= 5 else 10
         cells.append(("black", float(s), n_black * s // 10, n_black - n_black * s // 10))
         cells.append(("white", float(s), n_white * s // 10, n_white - n_white * s // 10))
-    pop = _build_counts(bins, cells, benefits=True)
-    spec = ScenarioSpec(
+    return ScenarioSpec(
         name=COMPAS_BENEFIT,
         description=(
             "COMPAS + benefit: the act is giving a benefit to high-risk "
             "defendants, over a calibrated ten-bin score."
         ),
+        bins=_TEN_SCORES,
+        cells=tuple(cells),
+        action_benefits_subject=True,
         threshold=0.5,
         calib_tolerance=1e-9,
         equalize_direction=RAISE_OTHERS,
@@ -287,24 +277,20 @@ def _compas_benefit() -> tuple[Population, ScenarioSpec]:
             "receive the benefit than under the uniform baseline.",
         ),
     )
-    return pop, spec
 
 
-def _certainty_lottery() -> tuple[Population, ScenarioSpec]:
+def _certainty_lottery() -> ScenarioSpec:
     # Everyone is a known negative; the only fair procedure is an equal
     # lottery over the exclusion quota.
-    bins = BinScheme(edges=(0.0, 1.0, 2.0), labels=("low", "high"))
-    pop = _build_counts(
-        bins,
-        [("men", 0.5, 0, 50), ("women", 0.5, 0, 100)],
-        benefits=False,
-    )
-    spec = ScenarioSpec(
+    return ScenarioSpec(
         name=CERTAINTY_LOTTERY,
         description=(
             "Certainty + lottery: 50 men and 100 women, all known to be "
             "under the height limit; 30 of the 150 must be excluded."
         ),
+        bins=BinScheme(edges=(0.0, 1.0, 2.0), labels=("low", "high")),
+        cells=(("men", 0.5, 0, 50), ("women", 0.5, 0, 100)),
+        action_benefits_subject=False,
         threshold=0.5,
         calib_tolerance=1e-9,
         equalize_direction=LOWER_OTHERS,
@@ -321,34 +307,28 @@ def _certainty_lottery() -> tuple[Population, ScenarioSpec]:
             "matched.",
         ),
     )
-    return pop, spec
 
 
-def _miscalibrated_compas() -> tuple[Population, ScenarioSpec]:
+def _miscalibrated_compas() -> ScenarioSpec:
     # Score 8 corresponds to an 80% rearrest frequency for white defendants
     # but only 60% for black defendants. Detaining at score 8 and above is
     # then equivalent to calibrated scores with per-group probability
     # thresholds 0.8 (white) and 0.6 (black).
-    edges = tuple(s + 0.5 for s in range(0, 11))
-    labels = tuple(str(s) for s in range(1, 11))
-    bins = BinScheme(edges=edges, labels=labels)
-    pop = _build_counts(
-        bins,
-        [
-            ("white", 8.0, 8, 2),
-            ("white", 6.0, 4, 6),
-            ("black", 8.0, 6, 4),
-            ("black", 6.0, 4, 6),
-        ],
-        benefits=False,
-    )
-    spec = ScenarioSpec(
+    return ScenarioSpec(
         name=MISCALIBRATED_COMPAS,
         description=(
             "Miscalibrated risk score: the same nominal score carries "
             "different true rearrest frequencies by race, which implements "
             "differential probability thresholds under a uniform score rule."
         ),
+        bins=_TEN_SCORES,
+        cells=(
+            ("white", 8.0, 8, 2),
+            ("white", 6.0, 4, 6),
+            ("black", 8.0, 6, 4),
+            ("black", 6.0, 4, 6),
+        ),
+        action_benefits_subject=False,
         threshold=0.6,
         calib_tolerance=1e-9,
         equalize_direction=LOWER_OTHERS,
@@ -365,7 +345,6 @@ def _miscalibrated_compas() -> tuple[Population, ScenarioSpec]:
             "defendant's 80%: an implicit differential threshold.",
         ),
     )
-    return pop, spec
 
 
 _BUILDERS = {
@@ -378,8 +357,8 @@ _BUILDERS = {
 }
 
 
-def build_scenario(name: str) -> tuple[Population, ScenarioSpec]:
-    """Construct a named fixture population and its expected figures."""
+def scenario_spec(name: str) -> ScenarioSpec:
+    """The named scenario's fixture and expected figures."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
@@ -387,6 +366,31 @@ def build_scenario(name: str) -> tuple[Population, ScenarioSpec]:
             f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}"
         ) from None
     return builder()
+
+
+def scenario_curve(spec: ScenarioSpec) -> CalibrationCurve:
+    """The fixture's calibration curve, summed from its declared counts."""
+    bin_of = spec.bins.bin_of
+    return curve_from_counts(spec.bins, (
+        (group, bin_of(score), positives, negatives)
+        for group, score, positives, negatives in spec.cells
+    ))
+
+
+def build_scenario(name: str) -> tuple[Population, ScenarioSpec]:
+    """The named scenario's fixture as a Population of Records, with its
+    spec. Each group's record ids are numbered in declaration order."""
+    spec = scenario_spec(name)
+    records: list[Record] = []
+    serial: dict[str, int] = {}
+    for group, score, pos, neg in spec.cells:
+        start = serial.get(group, 0)
+        records.extend(_records(group, score, pos, neg, f"{group}-", start))
+        serial[group] = start + pos + neg
+    population = validate_population(
+        records, spec.bins, spec.action_benefits_subject
+    )
+    return population, spec
 
 
 def _section(report: AuditReport, name: str, label: str):

@@ -13,7 +13,6 @@ from fairaudit import (
     OutcomeValues,
     SCENARIO_NAMES,
     ThresholdPolicy,
-    base_rate,
     build_scenario,
     calibration_curve,
     equalize_fpr,
@@ -72,8 +71,8 @@ def test_criterion_01_compas_table_reproduction(capfd):
         assert ok and format_percent(fnr_w) == "47.7%"
         policy = ThresholdPolicy.uniform(spec.threshold)
         curve = calibration_curve(pop)
-        black = group_metrics(pop, "black", policy, curve)
-        white = group_metrics(pop, "white", policy, curve)
+        black = group_metrics(curve, "black", policy)
+        white = group_metrics(curve, "white", policy)
         assert black.confusion.fp == 805
         assert black.confusion.fp + black.confusion.tn == 1795
         assert white.confusion.fp == 349
@@ -99,8 +98,8 @@ def test_criterion_03_stride_height_reproduction(capfd):
         pop, spec = build_scenario("stride_height")
         policy = ThresholdPolicy.uniform(spec.threshold)
         curve = calibration_curve(pop)
-        women = group_metrics(pop, "women", policy, curve)
-        men = group_metrics(pop, "men", policy, curve)
+        women = group_metrics(curve, "women", policy)
+        men = group_metrics(curve, "men", policy)
         assert (women.confusion.fp, women.confusion.tn) == (20, 80)
         assert (men.confusion.fp, men.confusion.tn) == (40, 40)
         assert women.fpr == 0.20
@@ -155,18 +154,22 @@ def test_criterion_05_central_impossibility_property(capfd):
                 seed=case, n_per_group=n, bins=bins,
                 base_rate_a=rate_a, base_rate_b=rate_b,
             )
-            higher = "a" if base_rate(pop, "a") > base_rate(pop, "b") else "b"
-            lower = "b" if higher == "a" else "a"
-            assert base_rate(pop, higher) > base_rate(pop, lower)
             curve = calibration_curve(pop)
+            rate = {g: curve.confusion(g, 0.5).base_rate for g in ("a", "b")}
+            higher = "a" if rate["a"] > rate["b"] else "b"
+            lower = "b" if higher == "a" else "a"
+            assert rate[higher] > rate[lower]
             # Interior achievable thresholds: act on bins j..B-1 for j >= 1.
             # FPRs are computed by direct counts over the raw records.
+            records = {
+                g: [r for r in pop.records if r.group == g] for g in ("a", "b")
+            }
             for j in range(1, bins):
                 cut_bins = set(range(j, bins))
                 fprs = {}
                 for g in ("a", "b"):
                     fp = tn = 0
-                    for r in pop.group_records(g):
+                    for r in records[g]:
                         if r.outcome.is_positive:
                             continue
                         if pop.bins.bin_of(r.score) in cut_bins:
@@ -188,11 +191,11 @@ def test_criterion_06_disvalue_dominance(capfd):
             curve = calibration_curve(pop)
             baseline = ThresholdPolicy.uniform(p_star)
             base_cost = policy_expected_disvalue(
-                pop, baseline, curve, values
+                curve, baseline, values
             ).total.expected_disvalue
             for direction in ("lower_others", "raise_others"):
                 result = equalize_fpr(
-                    pop, curve, baseline, tolerance=1e-9,
+                    curve, baseline, tolerance=1e-9,
                     direction=direction, values=values,
                 )
                 eq_cost = base_cost + result.disvalue_delta
@@ -211,9 +214,11 @@ def test_criterion_07_benefit_reversal(capfd):
         curve = calibration_curve(pop)
         baseline = ThresholdPolicy.uniform(spec.threshold)
         result = equalize_fpr(
-            pop, curve, baseline, tolerance=1e-9, direction=RAISE_OTHERS
+            curve, baseline, tolerance=1e-9, direction=RAISE_OTHERS
         )
-        higher = max(pop.groups, key=lambda g: base_rate(pop, g))
+        higher = max(
+            pop.groups, key=lambda g: curve.confusion(g, 0.5).base_rate
+        )
         assert higher == "black"
         assert result.thresholds[higher] > spec.threshold
         assert result.acted_equalized[higher] < result.acted_baseline[higher]
@@ -226,10 +231,9 @@ def test_criterion_08_no_preference_invariance(capfd):
             curve = calibration_curve(pop)
             policy = ThresholdPolicy.uniform(spec.threshold)
             by_bin: dict[int, set[float]] = {}
-            for r in pop.records:
-                b = pop.bins.bin_of(r.score)
-                p = curve.p_score(r.group, b)
-                risk = individual_error_risk(r, pop, curve, policy)
+            for (g, b), cell in curve.cells.items():
+                p = cell.p_score
+                risk = individual_error_risk(curve, g, b, policy)
                 expected = 1.0 - p if p >= spec.threshold else p
                 assert risk == expected
                 # Under a uniform policy and shared p_score, risk is exactly
@@ -240,16 +244,16 @@ def test_criterion_08_no_preference_invariance(capfd):
         pop, spec = build_scenario("section_grades")
         curve = calibration_curve(pop)
         policy = ThresholdPolicy.uniform(spec.threshold)
-        b_students = [
-            r for r in pop.records
-            if curve.p_score(r.group, pop.bins.bin_of(r.score)) == 0.80
+        b_cells = [
+            (g, b) for (g, b), cell in curve.cells.items()
+            if cell.p_score == 0.80
         ]
         risks = {
-            individual_error_risk(r, pop, curve, policy) for r in b_students
+            individual_error_risk(curve, g, b, policy) for g, b in b_cells
         }
         assert len(risks) == 1
         assert next(iter(risks)) == pytest.approx(0.20)
-        assert {r.group for r in b_students} == {"section1", "section2"}
+        assert {g for g, _b in b_cells} == {"section1", "section2"}
 
 
 def test_criterion_09_lottery(capfd):
@@ -277,8 +281,8 @@ def test_criterion_10_round_trip(capfd, tmp_path):
             policy = ThresholdPolicy.uniform(spec.threshold)
             for g in pop.groups:
                 assert group_metrics(
-                    pop, g, policy, calibration_curve(pop)
-                ) == group_metrics(back, g, policy, calibration_curve(back))
+                    calibration_curve(pop), g, policy
+                ) == group_metrics(back, g, policy)
             # Permutation invariance: shuffle the rows on disk and re-ingest.
             lines = path.read_text().splitlines()
             header, rows = lines[0], lines[1:]
@@ -293,7 +297,5 @@ def test_criterion_10_round_trip(capfd, tmp_path):
             )
             for g in pop.groups:
                 assert group_metrics(
-                    pop, g, policy, calibration_curve(pop)
-                ) == group_metrics(
-                    shuffled, g, policy, calibration_curve(shuffled)
-                )
+                    calibration_curve(pop), g, policy
+                ) == group_metrics(shuffled, g, policy)

@@ -12,7 +12,6 @@ from fairaudit import (
     BinScheme,
     OutcomeLabel,
     OutcomeValues,
-    Population,
     Record,
     ThresholdPolicy,
     build_scenario,
@@ -144,10 +143,10 @@ def test_cell_sums_match_the_per_record_reference(population, integral, data):
     policy = draw_policy(data, population, curve)
     values = data.draw(outcome_values(integral), label="values")
     ref = reference_assessment(population, policy, values)
-    assessment = policy_expected_disvalue(population, policy, curve, values)
+    assessment = policy_expected_disvalue(curve, policy, values)
 
     for g in population.groups:
-        cm = group_metrics(population, g, policy, curve).confusion
+        cm = group_metrics(curve, g, policy).confusion
         r = ref[g]
         assert (cm.tp, cm.fp, cm.tn, cm.fn) == (r["tp"], r["fp"], r["tn"], r["fn"])
         a = assessment.per_group[g]
@@ -161,7 +160,7 @@ def test_cell_sums_match_the_per_record_reference(population, integral, data):
         total = assessment.total
         assert total.expected_value == total.realized_value
 
-    report = _base_report(population, curve, policy, values, False, 1e-9, [])
+    report = _base_report(curve, False, policy, values, False, 1e-9, [])
     assert report.calibration_gap == reference_gap(population)
 
 
@@ -185,7 +184,7 @@ def test_equalization_counts_match_the_per_record_reference(population, data):
                 fp += count - pos
         return acted, fp / negatives
 
-    result = equalize_fpr(population, curve, policy, tolerance=1e-9)
+    result = equalize_fpr(curve, policy, tolerance=1e-9)
     for g in population.groups:
         acted, _ = acted_and_fpr(g, policy.threshold_for(g))
         assert result.acted_baseline[g] == acted
@@ -226,7 +225,7 @@ def test_no_uniform_threshold_beats_p_star(population, integral, data):
     assert max(reference_value(t) for t in candidates) <= at_p_star + tol
     # The best value does not depend on the policy assessed.
     best = policy_expected_disvalue(
-        population, ThresholdPolicy.uniform(0.5), curve, values
+        curve, ThresholdPolicy.uniform(0.5), values
     ).total.best_expected_value
     assert best == pytest.approx(at_p_star, rel=0, abs=tol)
 
@@ -241,10 +240,10 @@ def test_disvalue_delta_is_the_difference_of_the_two_policies(
     curve = calibration_curve(population)
     policy = draw_policy(data, population, curve)
     values = data.draw(outcome_values(integral), label="values")
-    result = equalize_fpr(population, curve, policy, tolerance=1e-9, values=values)
+    result = equalize_fpr(curve, policy, tolerance=1e-9, values=values)
     equalized = ThresholdPolicy.per_group(result.thresholds)
     costs = [
-        policy_expected_disvalue(population, p, curve, values).total.expected_disvalue
+        policy_expected_disvalue(curve, p, values).total.expected_disvalue
         for p in (policy, equalized)
     ]
     if integral:
@@ -259,11 +258,11 @@ def test_post_curve_quantities_never_rebin_a_record(monkeypatch):
 
     def run(curve):
         return (
-            [group_metrics(population, g, policy, curve) for g in population.groups],
-            calibration_gap(curve, *population.groups),
-            policy_expected_disvalue(population, policy, curve, SYMMETRIC_VALUES),
-            equalize_fpr(population, curve, policy, tolerance=1e-9),
-            impossibility_check(population, curve, spec.threshold),
+            [group_metrics(curve, g, policy) for g in curve.groups],
+            calibration_gap(curve, *curve.groups),
+            policy_expected_disvalue(curve, policy, SYMMETRIC_VALUES),
+            equalize_fpr(curve, policy, tolerance=1e-9),
+            impossibility_check(curve, spec.threshold),
         )
 
     expected = run(calibration_curve(population))
@@ -272,9 +271,5 @@ def test_post_curve_quantities_never_rebin_a_record(monkeypatch):
     def no_binning(self, score):
         raise AssertionError("a record was re-binned after the curve was built")
 
-    def no_record_walk(self, group):
-        raise AssertionError("records were walked after the curve was built")
-
     monkeypatch.setattr(BinScheme, "bin_of", no_binning)
-    monkeypatch.setattr(Population, "group_records", no_record_walk)
     assert run(curve) == expected

@@ -135,6 +135,19 @@ class TestAuditCommand:
             capsys.readouterr().err
         )
 
+    def test_used_column_named_twice_exits_2_naming_it(self, tmp_path, capsys):
+        f = tmp_path / "twice.csv"
+        f.write_text(
+            "id,group,score,outcome,score\n1,a,2.0,1,9.0\n2,b,7.0,0,3.0\n"
+        )
+        code = main(["audit", "--input", str(f), "--bins", COMPAS_BINS])
+        assert code == EXIT_INPUT
+        assert "header names column 'score' 2 times" in capsys.readouterr().err
+        # A column the audit does not read may repeat.
+        f.write_text("id,group,score,outcome,note,note\n"
+                     "1,a,2.0,1,x,y\n2,b,7.0,0,x,y\n")
+        assert main(["audit", "--input", str(f), "--bins", COMPAS_BINS]) == EXIT_OK
+
     def test_nan_score_exits_2_naming_the_row(self, tmp_path, capsys):
         f = tmp_path / "nan.csv"
         f.write_text("id,group,score,outcome\nr1,a,2.0,1\nr2,b,nan,0\n")
@@ -174,6 +187,20 @@ class TestAuditCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["policy"]["kind"] == "per_group"
         assert payload["groups"]["black"]["fp"] == 805
+
+
+def test_commands_build_no_record_or_population(compas_csv, monkeypatch):
+    from fairaudit.domain import Population, Record
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built on the CLI path")
+
+    monkeypatch.setattr(Record, "__init__", forbidden)
+    monkeypatch.setattr(Population, "__init__", forbidden)
+    dataset = ["--input", compas_csv, "--bins", COMPAS_BINS]
+    for argv in (["audit", *dataset], ["equalize", *dataset],
+                 ["scenario", "compas_synthetic"]):
+        assert main([*argv, "--format", "json"]) == EXIT_OK, argv
 
 
 class TestEqualizeCommand:
@@ -310,4 +337,28 @@ def test_any_input_file_exits_0_or_2(data):
         f = Path(tmp) / "fuzz.csv"
         f.write_bytes(data)
         code = main(["audit", "--input", str(f), "--bins", COMPAS_BINS])
+    assert code in (EXIT_OK, EXIT_INPUT)
+
+
+#: Bin bounds that stress the spec parser: signs, exponents, non-numbers and
+#: the extremes of float.
+_BOUNDS = st.sampled_from(
+    ["0", "1", "4", "5", "10", "-1", "1e-05", "2.5", "1e308", "nan", "inf",
+     "-inf", "", "x", " "]
+) | st.floats().map(repr)
+_SEGMENTS = st.tuples(
+    _BOUNDS, st.sampled_from(["-", "--", ""]), _BOUNDS,
+    st.sampled_from(["", "=low", "=", "=a=b", "=,"]),
+).map("".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_SEGMENTS, max_size=5).map(",".join) | st.text(max_size=12),
+       st.sampled_from(["audit", "equalize"]))
+def test_any_bin_spec_exits_0_or_2(spec, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "four.csv"
+        f.write_text("id,group,score,outcome\n"
+                     "1,a,2.0,1\n2,a,7.0,0\n3,b,4.0,0\n4,b,8.0,1\n")
+        code = main([command, "--input", str(f), f"--bins={spec}"])
     assert code in (EXIT_OK, EXIT_INPUT)

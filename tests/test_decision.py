@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairaudit import (
-    Decision,
     OutcomeValues,
     ThresholdPolicy,
-    apply_policy,
     build_scenario,
     calibration_curve,
+    confusion_for_group,
     expected_values,
     optimal_threshold,
     policy_expected_disvalue,
@@ -119,19 +118,23 @@ class TestOptimalThreshold:
 
 
 class TestApplyPolicy:
+    """A policy acts on every record of a cell whose p_score is at least
+    the group's threshold, so its decisions are read off confusion counts."""
+
     def test_stride_uniform_half_acts_on_high_bin(self):
         pop, _ = build_scenario("stride_height")
         curve = calibration_curve(pop)
-        decisions = apply_policy(pop, ThresholdPolicy.uniform(0.5), curve)
-        for record, decision in zip(pop.records, decisions):
-            expected = record.score >= 160.0
-            assert decision.is_act == expected
+        for g in pop.groups:
+            cm = confusion_for_group(curve, g, ThresholdPolicy.uniform(0.5))
+            acted = sum(r.score >= 160.0 for r in pop.records if r.group == g)
+            assert (cm.tp + cm.fp, cm.tn + cm.fn) == (acted, cm.n - acted)
 
     def test_zero_threshold_acts_on_everyone(self):
         pop, _ = build_scenario("stride_height")
         curve = calibration_curve(pop)
-        decisions = apply_policy(pop, ThresholdPolicy.uniform(0.0), curve)
-        assert all(d.is_act for d in decisions)
+        for g in pop.groups:
+            cm = confusion_for_group(curve, g, ThresholdPolicy.uniform(0.0))
+            assert cm.tn + cm.fn == 0
 
     def test_differential_thresholds_split_equal_p_scores(self):
         # Equalization-style per-group thresholds: white detained at the
@@ -139,11 +142,10 @@ class TestApplyPolicy:
         pop, _ = build_scenario("compas_synthetic")
         curve = calibration_curve(pop)
         policy = ThresholdPolicy.per_group({"white": 0.5, "black": 0.9})
-        decisions = apply_policy(pop, policy, curve)
-        acted = {g: 0 for g in pop.groups}
-        for r, d in zip(pop.records, decisions):
-            if d.is_act:
-                acted[r.group] += 1
+        acted = {}
+        for g in pop.groups:
+            cm = confusion_for_group(curve, g, policy)
+            acted[g] = cm.tp + cm.fp
         assert acted["white"] > 0
         assert acted["black"] == 0
 
@@ -151,7 +153,8 @@ class TestApplyPolicy:
         pop, _ = build_scenario("compas_synthetic")
         curve = calibration_curve(pop)
         policy = ThresholdPolicy.uniform(0.5)
-        assert apply_policy(pop, policy, curve) == apply_policy(pop, policy, curve)
+        decide = lambda: [confusion_for_group(curve, g, policy) for g in pop.groups]
+        assert decide() == decide()
 
 
 class TestPolicyExpectedDisvalue:
@@ -165,7 +168,7 @@ class TestPolicyExpectedDisvalue:
         curve = calibration_curve(pop)
         values = OutcomeValues(v_tp=1, v_fp=0, v_tn=1, v_fn=0)
         assessment = policy_expected_disvalue(
-            pop, ThresholdPolicy.uniform(0.5), curve, values
+            curve, ThresholdPolicy.uniform(0.5), values
         )
         assert assessment.total.realized_value == len(pop.records) * values.v_tn
         assert assessment.total.expected_disvalue == 0.0
@@ -174,7 +177,7 @@ class TestPolicyExpectedDisvalue:
         pop, _ = build_scenario("compas_synthetic")
         curve = calibration_curve(pop)
         a = policy_expected_disvalue(
-            pop, ThresholdPolicy.uniform(0.5), curve, OutcomeValues(1, 0, 1, 0)
+            curve, ThresholdPolicy.uniform(0.5), OutcomeValues(1, 0, 1, 0)
         )
         total = a.total
         assert total.n == sum(g.n for g in a.per_group.values())
@@ -190,7 +193,7 @@ class TestPolicyExpectedDisvalue:
         values = OutcomeValues(1, 0, 1, 0)
         p_star = optimal_threshold(values)
         best = policy_expected_disvalue(
-            pop, ThresholdPolicy.uniform(p_star), curve, values
+            curve, ThresholdPolicy.uniform(p_star), values
         ).total.expected_disvalue
         candidates = {i / 100 for i in range(101)}
         candidates.update(
@@ -200,6 +203,6 @@ class TestPolicyExpectedDisvalue:
         )
         for t in sorted(candidates):
             cost = policy_expected_disvalue(
-                pop, ThresholdPolicy.uniform(t), curve, values
+                curve, ThresholdPolicy.uniform(t), values
             ).total.expected_disvalue
             assert cost >= best - 1e-9

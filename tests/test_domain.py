@@ -9,7 +9,6 @@ from fairaudit import (
     Record,
     ThresholdPolicy,
     ValidationError,
-    bin_of,
     validate_population,
 )
 
@@ -23,24 +22,24 @@ def rec(i, group, score, positive=False):
 
 class TestBinScheme:
     def test_compas_low_high_boundary(self):
-        assert COMPAS_BINS.label(bin_of(4, COMPAS_BINS)) == "low"
-        assert COMPAS_BINS.label(bin_of(5, COMPAS_BINS)) == "high"
+        assert COMPAS_BINS.label(COMPAS_BINS.bin_of(4)) == "low"
+        assert COMPAS_BINS.label(COMPAS_BINS.bin_of(5)) == "high"
 
     def test_range_minimum_in_first_bin(self):
-        assert bin_of(1, COMPAS_BINS) == 0
+        assert COMPAS_BINS.bin_of(1) == 0
 
     def test_top_edge_belongs_to_last_bin(self):
-        assert bin_of(10, COMPAS_BINS) == 1
+        assert COMPAS_BINS.bin_of(10) == 1
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
-            bin_of(11, COMPAS_BINS)
+            COMPAS_BINS.bin_of(11)
         with pytest.raises(ValidationError):
-            bin_of(0.5, COMPAS_BINS)
+            COMPAS_BINS.bin_of(0.5)
 
     def test_nan_rejected(self):
         with pytest.raises(ValidationError, match="outside declared range"):
-            bin_of(float("nan"), COMPAS_BINS)
+            COMPAS_BINS.bin_of(float("nan"))
 
     def test_needs_two_bins(self):
         with pytest.raises(ValidationError):

@@ -16,7 +16,13 @@ from fairaudit import (
     ThresholdPolicy,
     validate_population,
 )
-from fairaudit.ingest import DatasetConfig, IngestError, export_csv, ingest_csv
+from fairaudit.ingest import (
+    DatasetConfig,
+    IngestError,
+    export_csv,
+    ingest_csv,
+    read_population,
+)
 
 SAMPLE = """id,group,score,outcome
 r1,alpha,2.0,1
@@ -43,7 +49,7 @@ class TestIngest:
     def test_smoke(self, tmp_path, ten_bins):
         f = tmp_path / "data.csv"
         f.write_text(SAMPLE)
-        pop = ingest_csv(config_for(f, ten_bins))
+        pop = read_population(config_for(f, ten_bins))
         assert pop.groups == ("alpha", "beta")
         assert len(pop.records) == 4
         assert pop.records[0].outcome.is_positive
@@ -115,7 +121,7 @@ class TestIngest:
     ):
         f = tmp_path / "data.csv"
         f.write_text("id,group,score,outcome\n\nr1,a,2.0,1\n\nr2,b,7.0,0\n\n")
-        assert len(ingest_csv(config_for(f, ten_bins)).records) == 2
+        assert len(read_population(config_for(f, ten_bins)).records) == 2
         f.write_text("id,group,score,outcome\n\nr1,a,2.0,1\n\nr2,b,tall,0\n")
         with pytest.raises(IngestError, match="row 5: unparseable score"):
             ingest_csv(config_for(f, ten_bins))
@@ -140,6 +146,23 @@ class TestIngest:
         f = tmp_path / "data.csv"
         f.write_bytes(b"id,group,score,outcome\n" + data)
         with pytest.raises(IngestError, match=f"data.csv: {message}"):
+            ingest_csv(config_for(f, ten_bins))
+
+    def test_score_out_of_range_names_row(self, tmp_path, ten_bins):
+        f = tmp_path / "data.csv"
+        f.write_text(
+            "id,group,score,outcome\nr1,a,2.0,1\nr2,b,7.0,0\nr3,b,11,0\n"
+        )
+        with pytest.raises(
+            IngestError,
+            match=r"^row 4: score 11\.0 outside declared range \[0\.0, 10\.0\]$",
+        ):
+            ingest_csv(config_for(f, ten_bins))
+
+    def test_empty_group_names_row(self, tmp_path, ten_bins):
+        f = tmp_path / "data.csv"
+        f.write_text("id,group,score,outcome\nr1,a,2.0,1\nr2,,7.0,0\n")
+        with pytest.raises(IngestError, match="^row 3: empty group label$"):
             ingest_csv(config_for(f, ten_bins))
 
     def test_empty_file(self, tmp_path, ten_bins):
@@ -170,7 +193,7 @@ class TestRoundTrip:
         pop, spec = build_scenario(name)
         path = tmp_path / f"{name}.csv"
         export_csv(pop, str(path))
-        back = ingest_csv(
+        back = read_population(
             DatasetConfig(
                 path=str(path),
                 bins=pop.bins,
@@ -180,8 +203,8 @@ class TestRoundTrip:
         assert back.records == pop.records
         policy = ThresholdPolicy.uniform(spec.threshold)
         for g in pop.groups:
-            before = group_metrics(pop, g, policy, calibration_curve(pop))
-            after = group_metrics(back, g, policy, calibration_curve(back))
+            before = group_metrics(calibration_curve(pop), g, policy)
+            after = group_metrics(calibration_curve(back), g, policy)
             assert before == after
 
     def test_metrics_invariant_under_row_permutation(self, tmp_path):
@@ -194,8 +217,8 @@ class TestRoundTrip:
         policy = ThresholdPolicy.uniform(spec.threshold)
         for g in pop.groups:
             assert group_metrics(
-                pop, g, policy, calibration_curve(pop)
-            ) == group_metrics(reordered, g, policy, calibration_curve(reordered))
+                calibration_curve(pop), g, policy
+            ) == group_metrics(calibration_curve(reordered), g, policy)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -225,10 +248,14 @@ class TestRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             path = str(Path(tmp) / "pop.csv")
             export_csv(pop, path)
-            back = ingest_csv(DatasetConfig(
+            config = DatasetConfig(
                 path=path, bins=bins, action_benefits_subject=False
-            ))
+            )
+            back = read_population(config)
+            curve = ingest_csv(config)
         assert back == pop
+        # The streaming sink counts exactly the rows the Record sink keeps.
+        assert curve == calibration_curve(back)
 
     def test_export_rejects_empty_path(self):
         pop, _ = build_scenario("stride_height")

@@ -20,8 +20,8 @@ def direct_fpr(population, group, threshold):
     """Oracle: count fp and tn straight off the records."""
     curve = calibration_curve(population)
     fp = tn = 0
-    for r in population.group_records(group):
-        if r.outcome.is_positive:
+    for r in population.records:
+        if r.group != group or r.outcome.is_positive:
             continue
         p = curve.p_score(group, population.bins.bin_of(r.score))
         if p >= threshold:
@@ -35,7 +35,7 @@ class TestImpossibilityCheck:
     def test_stride_ordering(self):
         pop, spec = build_scenario("stride_height")
         curve = calibration_curve(pop)
-        verdict = impossibility_check(pop, curve, spec.threshold)
+        verdict = impossibility_check(curve, spec.threshold)
         assert verdict.calibrated
         assert verdict.higher_base_rate_group == "men"
         assert verdict.applicable
@@ -47,7 +47,7 @@ class TestImpossibilityCheck:
         pop, spec = build_scenario("section_grades")
         curve = calibration_curve(pop)
         verdict = impossibility_check(
-            pop, curve, spec.threshold, calib_tolerance=spec.calib_tolerance
+            curve, spec.threshold, calib_tolerance=spec.calib_tolerance
         )
         assert verdict.applicable
         assert verdict.ordering_holds
@@ -57,7 +57,7 @@ class TestImpossibilityCheck:
     def test_miscalibrated_population_not_applicable(self):
         pop, spec = build_scenario("miscalibrated_compas")
         curve = calibration_curve(pop)
-        verdict = impossibility_check(pop, curve, spec.threshold)
+        verdict = impossibility_check(curve, spec.threshold)
         assert not verdict.calibrated
         assert not verdict.applicable
         assert verdict.calibration_gap == pytest.approx(0.20)
@@ -67,7 +67,7 @@ class TestImpossibilityCheck:
         pop, spec = build_scenario("stride_height")
         with pytest.raises(ValidationError, match="tolerance"):
             impossibility_check(
-                pop, calibration_curve(pop), spec.threshold,
+                calibration_curve(pop), spec.threshold,
                 calib_tolerance=tolerance,
             )
 
@@ -83,7 +83,7 @@ class TestImpossibilityCheck:
         pop, spec = build_scenario("compas_synthetic")
         curve = calibration_curve(pop)
         verdict = impossibility_check(
-            pop, curve, spec.threshold, calib_tolerance=spec.calib_tolerance
+            curve, spec.threshold, calib_tolerance=spec.calib_tolerance
         )
         for g in pop.groups:
             assert verdict.fprs[g] == pytest.approx(
@@ -96,7 +96,6 @@ class TestEqualizeFpr:
         pop, spec = build_scenario("stride_height")
         curve = calibration_curve(pop)
         result = equalize_fpr(
-            pop,
             curve,
             ThresholdPolicy.uniform(spec.threshold),
             tolerance=1e-9,
@@ -115,7 +114,6 @@ class TestEqualizeFpr:
         pop, spec = build_scenario("compas_benefit")
         curve = calibration_curve(pop)
         result = equalize_fpr(
-            pop,
             curve,
             ThresholdPolicy.uniform(spec.threshold),
             tolerance=1e-9,
@@ -153,7 +151,7 @@ class TestEqualizeFpr:
         )
         curve = calibration_curve(clone)
         result = equalize_fpr(
-            clone, curve, ThresholdPolicy.uniform(0.5), tolerance=1e-9
+            curve, ThresholdPolicy.uniform(0.5), tolerance=1e-9
         )
         assert result.thresholds == {"black": 0.5, "black2": 0.5}
         assert result.residual_gap == 0.0
@@ -164,7 +162,6 @@ class TestEqualizeFpr:
         pop, spec = build_scenario("compas_benefit")
         curve = calibration_curve(pop)
         result = equalize_fpr(
-            pop,
             curve,
             ThresholdPolicy.uniform(spec.threshold),
             tolerance=1e-9,
@@ -194,20 +191,19 @@ class TestEqualizeFpr:
         pop = validate_population(records, bins, action_benefits_subject=False)
         curve = calibration_curve(pop)
         with pytest.raises(AuditError, match="no negatives"):
-            equalize_fpr(pop, curve, ThresholdPolicy.uniform(0.5), tolerance=1e-9)
+            equalize_fpr(curve, ThresholdPolicy.uniform(0.5), tolerance=1e-9)
 
     def test_rejects_bad_arguments(self):
         pop, _ = build_scenario("stride_height")
         curve = calibration_curve(pop)
         with pytest.raises(ValidationError):
-            equalize_fpr(pop, curve, ThresholdPolicy.uniform(0.5), tolerance=0.0)
+            equalize_fpr(curve, ThresholdPolicy.uniform(0.5), tolerance=0.0)
         with pytest.raises(ValidationError):
             equalize_fpr(
-                pop, curve, ThresholdPolicy.uniform(0.5), tolerance=float("nan")
+                curve, ThresholdPolicy.uniform(0.5), tolerance=float("nan")
             )
         with pytest.raises(ValidationError):
             equalize_fpr(
-                pop,
                 curve,
                 ThresholdPolicy.uniform(0.5),
                 tolerance=1e-9,
@@ -223,9 +219,9 @@ class TestIndividualErrorRisk:
         tall_man = next(
             r for r in pop.records if r.group == "men" and r.score >= 160
         )
-        assert individual_error_risk(tall_man, pop, curve, policy) == pytest.approx(
-            0.20
-        )
+        assert individual_error_risk(
+            curve, tall_man.group, pop.bins.bin_of(tall_man.score), policy
+        ) == pytest.approx(0.20)
 
     def test_group_invariance_under_uniform_policy(self):
         pop, spec = build_scenario("stride_height")
@@ -238,7 +234,7 @@ class TestIndividualErrorRisk:
             for g in pop.groups
         }
         risks = {
-            g: individual_error_risk(r, pop, curve, policy)
+            g: individual_error_risk(curve, g, pop.bins.bin_of(r.score), policy)
             for g, r in tall.items()
         }
         assert risks["men"] == risks["women"]
@@ -251,7 +247,7 @@ class TestIndividualErrorRisk:
             r for r in pop.records if r.group == "women" and r.score < 160
         )
         assert individual_error_risk(
-            short_woman, pop, curve, policy
+            curve, short_woman.group, pop.bins.bin_of(short_woman.score), policy
         ) == pytest.approx(0.20)
 
 

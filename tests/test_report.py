@@ -8,7 +8,7 @@ from fairaudit.report import render_report
 def test_markdown_prints_large_counts_as_integers():
     population, spec = build_scenario("compas_synthetic")
     report = _base_report(
-        population, calibration_curve(population),
+        calibration_curve(population), population.action_benefits_subject,
         ThresholdPolicy.uniform(spec.threshold), SYMMETRIC_VALUES, True, 1e-9, [],
     )
     cells = {"black": {"high": {"count": 1_234_567, "positives": 1_000_000,

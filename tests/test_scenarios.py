@@ -5,12 +5,13 @@ import pytest
 from fairaudit import (
     AuditError,
     SCENARIO_NAMES,
-    base_rate,
     build_scenario,
     calibration_curve,
     calibration_gap,
     check_scenario,
     random_calibrated_population,
+    scenario_curve,
+    scenario_spec,
 )
 from fairaudit.cli import EXIT_OK, main, scenario_report
 from fairaudit.scenarios import Check
@@ -34,9 +35,11 @@ class TestNamedScenarios:
         self, name, monkeypatch, capsys
     ):
         import fairaudit.cli
+        import fairaudit.ingest
+        import fairaudit.metrics
         import fairaudit.scenarios
 
-        calls = {"calibration_curve": 0, "equalize_fpr": 0}
+        calls = {"curve_from_counts": 0, "equalize_fpr": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -45,14 +48,21 @@ class TestNamedScenarios:
 
             return wrapper
 
-        for module in (fairaudit.cli, fairaudit.scenarios):
+        modules = (fairaudit.cli, fairaudit.ingest, fairaudit.metrics,
+                   fairaudit.scenarios)
+        for module in modules:
             for key in calls:
                 if hasattr(module, key):
                     monkeypatch.setattr(
                         module, key, counting(key, getattr(module, key))
                     )
         assert main(["scenario", name, "--format", "json"]) == EXIT_OK
-        assert calls == {"calibration_curve": 1, "equalize_fpr": 1}
+        assert calls == {"curve_from_counts": 1, "equalize_fpr": 1}
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_direct_curve_equals_the_binned_population(self, name):
+        population, spec = build_scenario(name)
+        assert scenario_curve(scenario_spec(name)) == calibration_curve(population)
 
     def test_checks_read_the_report_not_a_recomputation(self):
         report = scenario_report("stride_height")
@@ -131,8 +141,9 @@ class TestRandomCalibratedPopulation:
         pop = random_calibrated_population(
             seed=seed, n_per_group=n, bins=4, base_rate_a=0.55, base_rate_b=0.35
         )
-        assert abs(base_rate(pop, "a") - 0.55) <= 1.0 / n
-        assert abs(base_rate(pop, "b") - 0.35) <= 1.0 / n
+        curve = calibration_curve(pop)
+        assert abs(curve.confusion("a", 0.5).base_rate - 0.55) <= 1.0 / n
+        assert abs(curve.confusion("b", 0.5).base_rate - 0.35) <= 1.0 / n
 
     def test_bin_positive_fractions_are_exact(self):
         bins = 3
