@@ -23,16 +23,10 @@ from .domain import (  # noqa: F401
 )
 from .metrics import (  # noqa: F401
     CalibrationCurve,
-    GroupMetrics,
     calibration_curve,
     calibration_gap,
     chance_miscalibration_bound,
-    confusion_for_group,
     curve_from_counts,
-    false_negative_rate,
-    false_positive_rate,
-    group_metrics,
-    positive_predictive_value,
 )
 from .decision import (  # noqa: F401
     DecisionEV,

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import math
 import sys
 from typing import Sequence
@@ -22,7 +21,7 @@ from .domain import (
     ValidationError,
 )
 from .ingest import DatasetConfig, ingest_csv
-from .metrics import CalibrationCurve, calibration_gap, group_metrics
+from .metrics import CalibrationCurve, calibration_gap
 from .parity import (
     LOWER_OTHERS,
     RAISE_OTHERS,
@@ -192,11 +191,9 @@ def _base_report(
     tolerance: float,
     notes: list[str],
 ) -> AuditReport:
-    groups = {g: group_metrics(curve, g, policy) for g in curve.groups}
-    gap = max(
-        calibration_gap(curve, a, b)
-        for a, b in itertools.combinations(curve.groups, 2)
-    )
+    groups = {
+        g: curve.confusion(g, policy.threshold_for(g)) for g in curve.groups
+    }
     impossibility = None
     if len(curve.groups) == 2:
         thresholds = policy.thresholds(curve.groups)
@@ -223,7 +220,7 @@ def _base_report(
         values=values,
         values_defaulted=values_defaulted,
         groups=groups,
-        calibration_gap=gap,
+        calibration_gap=calibration_gap(curve, *curve.groups),
         calibration_cells=curve_cells_dict(curve),
         assessment=assessment,
         impossibility=impossibility,
@@ -296,7 +293,7 @@ def scenario_report(name: str) -> AuditReport:
     except AuditError as exc:
         notes.append(f"Equalization skipped: {exc}")
     if "exclusion_quota" in spec.params:
-        counts = {g: m.confusion.n for g, m in report.groups.items()}
+        counts = {g: cm.n for g, cm in report.groups.items()}
         extras["lottery"] = fair_lottery(
             counts, int(spec.params["exclusion_quota"])
         )

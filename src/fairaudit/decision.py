@@ -110,8 +110,8 @@ def policy_expected_disvalue(
         cm = curve.confusion(g, policy.threshold_for(g))
         per_group[g] = GroupAssessment(
             n=cm.n,
-            acted=cm.tp + cm.fp,
-            refrained=cm.tn + cm.fn,
+            acted=cm.acted,
+            refrained=cm.n - cm.acted,
             expected_value=values.value_of(cm),
             best_expected_value=values.value_of(curve.confusion(g, p_star)),
         )

@@ -158,7 +158,13 @@ def validate_population(
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Four-outcome counts for one group under one policy."""
+    """Four-outcome counts for one group under one policy, and the rates
+    formed from them.
+
+    A rate with an empty denominator is ``None``, never 0.0 or NaN: in small
+    fixtures an outcome class can be genuinely absent and that is
+    information, not an error.
+    """
 
     tp: int
     fp: int
@@ -175,9 +181,30 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.tn + self.fn
 
     @property
+    def acted(self) -> int:
+        return self.tp + self.fp
+
+    @property
     def base_rate(self) -> float:
         """Positive-outcome fraction, whatever the policy: (tp + fn) / n."""
         return (self.tp + self.fn) / self.n
+
+    @property
+    def fpr(self) -> float | None:
+        """fp / (fp + tn); None when the group has no negatives."""
+        denom = self.fp + self.tn
+        return self.fp / denom if denom else None
+
+    @property
+    def fnr(self) -> float | None:
+        """fn / (fn + tp); None when the group has no positives."""
+        denom = self.fn + self.tp
+        return self.fn / denom if denom else None
+
+    @property
+    def ppv(self) -> float | None:
+        """tp / (tp + fp); None when nothing was acted on."""
+        return self.tp / self.acted if self.acted else None
 
 
 @dataclass(frozen=True)

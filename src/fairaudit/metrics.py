@@ -1,11 +1,9 @@
-"""Group-level confusion matrices, error rates, calibration curves.
-
-Rates with an empty denominator are ``None``, never 0.0 or NaN: in small
-fixtures an outcome class can be genuinely absent and that is information,
-not an error.
+"""Calibration curves: per-(group, bin) counts, each group's threshold
+sweep of confusion matrices, and calibration gaps.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -14,7 +12,6 @@ from .domain import (
     BinScheme,
     ConfusionMatrix,
     Population,
-    ThresholdPolicy,
     ValidationError,
     audit_groups,
 )
@@ -73,31 +70,52 @@ class CalibrationCurve:
     def nonempty_bins(self, group: str) -> tuple[int, ...]:
         return tuple(b for b, _cell in self.by_group.get(group, ()))
 
+    @cached_property
+    def _sweeps(
+        self,
+    ) -> Mapping[str, tuple[tuple[float, ...], tuple[ConfusionMatrix, ...]]]:
+        """Each group's threshold sweep: its distinct p_scores in ascending
+        order, and for each the confusion matrix of acting on every cell at
+        or above it, followed by the act-on-nothing matrix."""
+        sweeps = {}
+        for g, cells in self.by_group.items():
+            # p_score -> [positives, negatives] summed over the cells at it
+            at: dict[float, list[int]] = {}
+            for _b, cell in cells:
+                sums = at.setdefault(cell.p_score, [0, 0])
+                sums[0] += cell.positives
+                sums[1] += cell.count - cell.positives
+            cuts = sorted(at)
+            # (tp, fp) when acting on the top 0, 1, ..., len(cuts) cut points
+            acted = [(0, 0)]
+            for p_score in reversed(cuts):
+                tp, fp = acted[-1]
+                acted.append((tp + at[p_score][0], fp + at[p_score][1]))
+            pos, neg = acted[-1]
+            sweeps[g] = (tuple(cuts), tuple(
+                ConfusionMatrix(tp=tp, fp=fp, tn=neg - fp, fn=pos - tp)
+                for tp, fp in reversed(acted)
+            ))
+        return sweeps
+
+    def cut_points(self, group: str) -> tuple[float, ...]:
+        """The distinct p_scores of a group's cells, ascending: the only
+        thresholds at which its acted set changes."""
+        return self._sweep(group)[0]
+
     def confusion(self, group: str, threshold: float) -> ConfusionMatrix:
         """Counts of one group's records by (decision, outcome) when every
-        cell with p_score >= ``threshold`` is acted on."""
-        tp = fp = tn = fn = 0
-        for _b, cell in self.by_group.get(group, ()):
-            negatives = cell.count - cell.positives
-            if cell.p_score >= threshold:
-                tp += cell.positives
-                fp += negatives
-            else:
-                fn += cell.positives
-                tn += negatives
-        return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
+        cell with p_score >= ``threshold`` is acted on (ties act)."""
+        cuts, matrices = self._sweep(group)
+        return matrices[bisect_left(cuts, threshold)]
 
-
-@dataclass(frozen=True)
-class GroupMetrics:
-    """The audit quantities for one group under one policy."""
-
-    group: str
-    confusion: ConfusionMatrix
-    fpr: float | None
-    fnr: float | None
-    ppv: float | None
-    base_rate: float
+    def _sweep(
+        self, group: str
+    ) -> tuple[tuple[float, ...], tuple[ConfusionMatrix, ...]]:
+        try:
+            return self._sweeps[group]
+        except KeyError:
+            raise ValidationError(f"unknown group {group!r}") from None
 
 
 def curve_from_counts(
@@ -136,74 +154,25 @@ def calibration_curve(population: Population) -> CalibrationCurve:
     ))
 
 
-def confusion_for_group(
-    curve: CalibrationCurve,
-    group: str,
-    policy: ThresholdPolicy,
-) -> ConfusionMatrix:
-    """Classify a group's records by (decision, outcome).
+def calibration_gap(curve: CalibrationCurve, *groups: str) -> float:
+    """Worst-case p_score spread within one bin among ``groups``.
 
-    A record is decided "act" iff the p_score of its bin is >= the group's
-    threshold, so the counts aggregate over the group's curve cells.
+    Per bin, max - min of the p_scores of the named groups nonempty in it;
+    the largest of those over all bins. For two groups this is the largest
+    |p_score difference| over the bins both populate, and for more it
+    equals the largest pairwise gap. 0.0 when no two groups share a bin.
     """
-    if group not in curve.groups:
-        raise ValidationError(f"unknown group {group!r}")
-    return curve.confusion(group, policy.threshold_for(group))
-
-
-def false_positive_rate(cm: ConfusionMatrix) -> float | None:
-    """fp / (fp + tn); None when the group has no negatives."""
-    denom = cm.fp + cm.tn
-    return cm.fp / denom if denom else None
-
-
-def false_negative_rate(cm: ConfusionMatrix) -> float | None:
-    """fn / (fn + tp); None when the group has no positives."""
-    denom = cm.fn + cm.tp
-    return cm.fn / denom if denom else None
-
-
-def positive_predictive_value(cm: ConfusionMatrix) -> float | None:
-    """tp / (tp + fp); None when nothing was acted on."""
-    denom = cm.tp + cm.fp
-    return cm.tp / denom if denom else None
-
-
-def group_metrics(
-    curve: CalibrationCurve,
-    group: str,
-    policy: ThresholdPolicy,
-) -> GroupMetrics:
-    cm = confusion_for_group(curve, group, policy)
-    return GroupMetrics(
-        group=group,
-        confusion=cm,
-        fpr=false_positive_rate(cm),
-        fnr=false_negative_rate(cm),
-        ppv=positive_predictive_value(cm),
-        base_rate=cm.base_rate,
-    )
-
-
-def calibration_gap(
-    curve: CalibrationCurve, group_a: str, group_b: str
-) -> float:
-    """Worst-case |p_score difference| over bins nonempty in both groups.
-
-    0.0 when the groups share no bin.
-    """
-    for g in (group_a, group_b):
+    for g in groups:
         if g not in curve.groups:
             raise ValidationError(f"unknown group {g!r}")
-    cells_b = dict(curve.by_group.get(group_b, ()))
-    return max(
-        (
-            abs(cell.p_score - cells_b[b].p_score)
-            for b, cell in curve.by_group.get(group_a, ())
-            if b in cells_b
-        ),
-        default=0.0,
-    )
+    named = set(groups)
+    spread: dict[int, tuple[float, float]] = {}
+    for (g, b), cell in curve.cells.items():
+        if g in named:
+            p = cell.p_score
+            lo, hi = spread.get(b, (p, p))
+            spread[b] = (min(lo, p), max(hi, p))
+    return max((hi - lo for lo, hi in spread.values()), default=0.0)
 
 
 def chance_miscalibration_bound(n: int, p: float, gap: float) -> float:

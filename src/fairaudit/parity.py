@@ -14,12 +14,7 @@ from .domain import (
     ThresholdPolicy,
     ValidationError,
 )
-from .metrics import (
-    CalibrationCurve,
-    calibration_gap,
-    confusion_for_group,
-    false_positive_rate,
-)
+from .metrics import CalibrationCurve, calibration_gap
 
 #: Hold the highest-FPR group fixed, lower the other groups' thresholds.
 LOWER_OTHERS = "lower_others"
@@ -60,17 +55,6 @@ class ImpossibilityVerdict:
     ordering_holds: bool
 
 
-def _candidate_thresholds(
-    curve: CalibrationCurve, group: str, baseline: float
-) -> list[float]:
-    # FPR is a step function of the threshold; only bin p_scores (plus the
-    # extremes and the baseline itself) can change the acted set. 1.0 plays
-    # the role of "never act" unless some bin has p_score exactly 1.
-    cands = {0.0, 1.0, baseline}
-    cands.update(cell.p_score for _b, cell in curve.by_group.get(group, ()))
-    return sorted(cands)
-
-
 def equalize_fpr(
     curve: CalibrationCurve,
     baseline_policy: ThresholdPolicy,
@@ -99,7 +83,7 @@ def equalize_fpr(
     }
     baseline_fprs: dict[str, float] = {}
     for g, cm in baseline.items():
-        fpr = false_positive_rate(cm)
+        fpr = cm.fpr
         if fpr is None:
             raise AuditError(
                 f"group {g!r} has no negatives; its FPR is undefined and "
@@ -119,17 +103,20 @@ def equalize_fpr(
             thresholds[g], chosen[g] = t0, baseline[g]
             continue
         best: tuple[float, float, float] | None = None
-        for t in _candidate_thresholds(curve, g, t0):
+        # FPR is a step function of the threshold; only the group's cut
+        # points (plus the extremes and the baseline itself) can change the
+        # acted set. 1.0 plays the role of "never act" unless some cell has
+        # p_score exactly 1.
+        for t in sorted({0.0, 1.0, t0, *curve.cut_points(g)}):
             cm = curve.confusion(g, t)
-            fpr = false_positive_rate(cm)
-            assert fpr is not None  # group has negatives, checked above
+            # The group has negatives (checked above), so fpr is defined.
             # Prefer the smallest gap; break ties toward the baseline
             # threshold so an already-equal group is left untouched.
-            key = (abs(fpr - target), abs(t - t0), t)
+            key = (abs(cm.fpr - target), abs(t - t0), t)
             if best is None or key < best:
                 best, thresholds[g], chosen[g] = key, t, cm
 
-    fprs = {g: false_positive_rate(cm) for g, cm in chosen.items()}
+    fprs = {g: cm.fpr for g, cm in chosen.items()}
     residual = max(fprs.values()) - min(fprs.values())
     baseline_value = sum(values.value_of(cm) for cm in baseline.values())
     equalized_value = sum(values.value_of(cm) for cm in chosen.values())
@@ -140,8 +127,8 @@ def equalize_fpr(
         residual_gap=residual,
         exact=residual <= tolerance,
         disvalue_delta=baseline_value - equalized_value,
-        acted_baseline={g: cm.tp + cm.fp for g, cm in baseline.items()},
-        acted_equalized={g: cm.tp + cm.fp for g, cm in chosen.items()},
+        acted_baseline={g: cm.acted for g, cm in baseline.items()},
+        acted_equalized={g: cm.acted for g, cm in chosen.items()},
         reference_group=reference,
     )
 
@@ -163,20 +150,20 @@ def impossibility_check(
             f"impossibility check is pairwise; got {len(groups)} groups"
         )
     policy = ThresholdPolicy.uniform(uniform_threshold)
-    gap = calibration_gap(curve, groups[0], groups[1])
+    gap = calibration_gap(curve, *groups)
     rates: dict[str, float] = {}
     fprs: dict[str, float] = {}
     split = True
     for g in groups:
-        cm = confusion_for_group(curve, g, policy)
+        cm = curve.confusion(g, policy.threshold_for(g))
         rates[g] = cm.base_rate
-        fpr = false_positive_rate(cm)
+        fpr = cm.fpr
         if fpr is None:
             raise AuditError(f"group {g!r} has no negatives; FPR undefined")
         fprs[g] = fpr
         # The ordering claim needs the threshold to act on some bin and
         # refrain on some bin, with negatives observable.
-        if cm.tp + cm.fp == 0 or cm.tn + cm.fn == 0 or cm.tn == 0:
+        if cm.acted == 0 or cm.acted == cm.n or cm.tn == 0:
             split = False
 
     calibrated = gap <= calib_tolerance

@@ -14,8 +14,8 @@ from typing import Any, Mapping, Sequence
 
 from . import __version__
 from .decision import PolicyAssessment
-from .domain import OutcomeValues
-from .metrics import CalibrationCurve, GroupMetrics
+from .domain import ConfusionMatrix, OutcomeValues
+from .metrics import CalibrationCurve
 from .parity import EqualizationResult, ImpossibilityVerdict, LotteryResult
 
 REPORT_VERSION = 1
@@ -48,7 +48,7 @@ class AuditReport:
     thresholds: Mapping[str, float]
     values: OutcomeValues
     values_defaulted: bool
-    groups: Mapping[str, GroupMetrics]
+    groups: Mapping[str, ConfusionMatrix]
     calibration_gap: float
     calibration_cells: Mapping[str, Mapping[str, Mapping[str, float]]]
     assessment: PolicyAssessment
@@ -70,17 +70,13 @@ class AuditReport:
             "values": {**asdict(self.values), "defaulted": self.values_defaulted},
             "groups": {
                 g: {
-                    "n": m.confusion.n,
-                    "tp": m.confusion.tp,
-                    "fp": m.confusion.fp,
-                    "tn": m.confusion.tn,
-                    "fn": m.confusion.fn,
-                    "base_rate": m.base_rate,
-                    "fpr": m.fpr,
-                    "fnr": m.fnr,
-                    "ppv": m.ppv,
+                    key: getattr(cm, key)
+                    for key in (
+                        "n", "tp", "fp", "tn", "fn",
+                        "base_rate", "fpr", "fnr", "ppv",
+                    )
                 }
-                for g, m in self.groups.items()
+                for g, cm in self.groups.items()
             },
             "calibration": {
                 "gap": self.calibration_gap,
@@ -157,11 +153,10 @@ def _render_markdown(report: AuditReport) -> str:
     add("| group | n | base rate | FPR | FNR | PPV | TP | FP | TN | FN |")
     add("|---|---|---|---|---|---|---|---|---|---|")
     for g in sorted(report.groups):
-        m = report.groups[g]
-        c = m.confusion
+        c = report.groups[g]
         add(
-            f"| {g} | {c.n} | {_pct(m.base_rate)} | {_pct(m.fpr)} | "
-            f"{_pct(m.fnr)} | {_pct(m.ppv)} | {c.tp} | {c.fp} | {c.tn} | {c.fn} |"
+            f"| {g} | {c.n} | {_pct(c.base_rate)} | {_pct(c.fpr)} | "
+            f"{_pct(c.fnr)} | {_pct(c.ppv)} | {c.tp} | {c.fp} | {c.tn} | {c.fn} |"
         )
     add("")
     add("## Calibration")

@@ -450,13 +450,10 @@ def scenario_figure(report: AuditReport, label: str) -> float:
 
     if kind not in ("tp", "fp", "tn", "fn", "base_rate", "fpr", "fnr", "ppv"):
         raise AuditError(f"unknown check kind in {label!r}")
-    metrics = _entry(report.groups, rest, "groups", label)
-    if kind in ("tp", "fp", "tn", "fn"):
-        return float(getattr(metrics.confusion, kind))
-    rate = getattr(metrics, kind)
-    if rate is None:
+    figure = getattr(_entry(report.groups, rest, "groups", label), kind)
+    if figure is None:
         raise AuditError(f"{kind} undefined for group {rest!r}")
-    return rate
+    return float(figure)
 
 
 def check_scenario(

@@ -18,7 +18,6 @@ from fairaudit import (
     equalize_fpr,
     expected_values,
     fair_lottery,
-    group_metrics,
     individual_error_risk,
     optimal_threshold,
     policy_expected_disvalue,
@@ -71,12 +70,12 @@ def test_criterion_01_compas_table_reproduction(capfd):
         assert ok and format_percent(fnr_w) == "47.7%"
         policy = ThresholdPolicy.uniform(spec.threshold)
         curve = calibration_curve(pop)
-        black = group_metrics(curve, "black", policy)
-        white = group_metrics(curve, "white", policy)
-        assert black.confusion.fp == 805
-        assert black.confusion.fp + black.confusion.tn == 1795
-        assert white.confusion.fp == 349
-        assert white.confusion.fp + white.confusion.tn == 1488
+        black = curve.confusion("black", policy.threshold_for("black"))
+        white = curve.confusion("white", policy.threshold_for("white"))
+        assert black.fp == 805
+        assert black.fp + black.tn == 1795
+        assert white.fp == 349
+        assert white.fp + white.tn == 1488
         assert abs(black.base_rate - 0.51) <= 0.005
         assert abs(white.base_rate - 0.39) <= 0.005
 
@@ -98,10 +97,10 @@ def test_criterion_03_stride_height_reproduction(capfd):
         pop, spec = build_scenario("stride_height")
         policy = ThresholdPolicy.uniform(spec.threshold)
         curve = calibration_curve(pop)
-        women = group_metrics(curve, "women", policy)
-        men = group_metrics(curve, "men", policy)
-        assert (women.confusion.fp, women.confusion.tn) == (20, 80)
-        assert (men.confusion.fp, men.confusion.tn) == (40, 40)
+        women = curve.confusion("women", policy.threshold_for("women"))
+        men = curve.confusion("men", policy.threshold_for("men"))
+        assert (women.fp, women.tn) == (20, 80)
+        assert (men.fp, men.tn) == (40, 40)
         assert women.fpr == 0.20
         assert men.fpr == 0.50
 
@@ -160,23 +159,21 @@ def test_criterion_05_central_impossibility_property(capfd):
             lower = "b" if higher == "a" else "a"
             assert rate[higher] > rate[lower]
             # Interior achievable thresholds: act on bins j..B-1 for j >= 1.
-            # FPRs are computed by direct counts over the raw records.
-            records = {
-                g: [r for r in pop.records if r.group == g] for g in ("a", "b")
+            # FPRs are computed by direct counts over the raw records: each
+            # group's negatives are binned once, then counted per cut.
+            negative_bins = {
+                g: [
+                    pop.bins.bin_of(r.score)
+                    for r in pop.records
+                    if r.group == g and not r.outcome.is_positive
+                ]
+                for g in ("a", "b")
             }
             for j in range(1, bins):
-                cut_bins = set(range(j, bins))
                 fprs = {}
-                for g in ("a", "b"):
-                    fp = tn = 0
-                    for r in records[g]:
-                        if r.outcome.is_positive:
-                            continue
-                        if pop.bins.bin_of(r.score) in cut_bins:
-                            fp += 1
-                        else:
-                            tn += 1
-                    fprs[g] = fp / (fp + tn)
+                for g, negatives in negative_bins.items():
+                    fp = sum(b >= j for b in negatives)
+                    fprs[g] = fp / len(negatives)
                 if not fprs[higher] > fprs[lower]:
                     counterexamples.append((case, j, fprs))
         assert not counterexamples, counterexamples[:5]
@@ -279,10 +276,10 @@ def test_criterion_10_round_trip(capfd, tmp_path):
                 )
             )
             policy = ThresholdPolicy.uniform(spec.threshold)
+            curve = calibration_curve(pop)
             for g in pop.groups:
-                assert group_metrics(
-                    calibration_curve(pop), g, policy
-                ) == group_metrics(back, g, policy)
+                t = policy.threshold_for(g)
+                assert curve.confusion(g, t) == back.confusion(g, t)
             # Permutation invariance: shuffle the rows on disk and re-ingest.
             lines = path.read_text().splitlines()
             header, rows = lines[0], lines[1:]
@@ -296,6 +293,5 @@ def test_criterion_10_round_trip(capfd, tmp_path):
                 )
             )
             for g in pop.groups:
-                assert group_metrics(
-                    calibration_curve(pop), g, policy
-                ) == group_metrics(shuffled, g, policy)
+                t = policy.threshold_for(g)
+                assert curve.confusion(g, t) == shuffled.confusion(g, t)

@@ -17,14 +17,15 @@ from fairaudit import (
     build_scenario,
     calibration_curve,
     calibration_gap,
+    curve_from_counts,
     equalize_fpr,
-    group_metrics,
     impossibility_check,
     optimal_threshold,
     policy_expected_disvalue,
     validate_population,
 )
 from fairaudit.cli import _base_report
+from fairaudit.metrics import CurveCell
 
 
 @st.composite
@@ -146,7 +147,7 @@ def test_cell_sums_match_the_per_record_reference(population, integral, data):
     assessment = policy_expected_disvalue(curve, policy, values)
 
     for g in population.groups:
-        cm = group_metrics(curve, g, policy).confusion
+        cm = curve.confusion(g, policy.threshold_for(g))
         r = ref[g]
         assert (cm.tp, cm.fp, cm.tn, cm.fn) == (r["tp"], r["fp"], r["tn"], r["fn"])
         a = assessment.per_group[g]
@@ -162,6 +163,18 @@ def test_cell_sums_match_the_per_record_reference(population, integral, data):
 
     report = _base_report(curve, False, policy, values, False, 1e-9, [])
     assert report.calibration_gap == reference_gap(population)
+
+
+@settings(deadline=None)
+@given(populations())
+def test_calibration_gap_of_many_groups_is_the_largest_pairwise_gap(population):
+    curve = calibration_curve(population)
+    for size in range(2, len(curve.groups) + 1):
+        for subset in itertools.combinations(curve.groups, size):
+            assert calibration_gap(curve, *subset) == max(
+                calibration_gap(curve, a, b)
+                for a, b in itertools.combinations(subset, 2)
+            )
 
 
 @settings(deadline=None)
@@ -258,7 +271,7 @@ def test_post_curve_quantities_never_rebin_a_record(monkeypatch):
 
     def run(curve):
         return (
-            [group_metrics(curve, g, policy) for g in curve.groups],
+            [curve.confusion(g, policy.threshold_for(g)) for g in curve.groups],
             calibration_gap(curve, *curve.groups),
             policy_expected_disvalue(curve, policy, SYMMETRIC_VALUES),
             equalize_fpr(curve, policy, tolerance=1e-9),
@@ -273,3 +286,28 @@ def test_post_curve_quantities_never_rebin_a_record(monkeypatch):
 
     monkeypatch.setattr(BinScheme, "bin_of", no_binning)
     assert run(curve) == expected
+
+
+def test_post_curve_work_reads_each_cell_a_few_times(monkeypatch):
+    # 16 groups x 50 bins: a per-candidate walk over a group's cells would
+    # read each cell's p_score about 50 times in the equalization search.
+    counts = [
+        (f"g{g:02d}", b, (3 * g + 7 * b) % 11, (5 * g + 2 * b) % 9 + 1)
+        for g in range(16)
+        for b in range(50)
+        if (g + b) % 7
+    ]
+    curve = curve_from_counts(BinScheme(edges=tuple(range(51))), counts)
+    policy = ThresholdPolicy.uniform(0.5)
+    reads = 0
+    p_score = CurveCell.p_score.fget
+
+    def counted(cell):
+        nonlocal reads
+        reads += 1
+        return p_score(cell)
+
+    monkeypatch.setattr(CurveCell, "p_score", property(counted))
+    equalize_fpr(curve, policy, tolerance=1e-9)
+    _base_report(curve, False, policy, SYMMETRIC_VALUES, False, 1e-9, [])
+    assert reads <= 4 * len(curve.cells)

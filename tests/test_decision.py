@@ -8,7 +8,6 @@ from fairaudit import (
     ThresholdPolicy,
     build_scenario,
     calibration_curve,
-    confusion_for_group,
     expected_values,
     optimal_threshold,
     policy_expected_disvalue,
@@ -125,7 +124,7 @@ class TestApplyPolicy:
         pop, _ = build_scenario("stride_height")
         curve = calibration_curve(pop)
         for g in pop.groups:
-            cm = confusion_for_group(curve, g, ThresholdPolicy.uniform(0.5))
+            cm = curve.confusion(g, 0.5)
             acted = sum(r.score >= 160.0 for r in pop.records if r.group == g)
             assert (cm.tp + cm.fp, cm.tn + cm.fn) == (acted, cm.n - acted)
 
@@ -133,7 +132,7 @@ class TestApplyPolicy:
         pop, _ = build_scenario("stride_height")
         curve = calibration_curve(pop)
         for g in pop.groups:
-            cm = confusion_for_group(curve, g, ThresholdPolicy.uniform(0.0))
+            cm = curve.confusion(g, 0.0)
             assert cm.tn + cm.fn == 0
 
     def test_differential_thresholds_split_equal_p_scores(self):
@@ -144,7 +143,7 @@ class TestApplyPolicy:
         policy = ThresholdPolicy.per_group({"white": 0.5, "black": 0.9})
         acted = {}
         for g in pop.groups:
-            cm = confusion_for_group(curve, g, policy)
+            cm = curve.confusion(g, policy.threshold_for(g))
             acted[g] = cm.tp + cm.fp
         assert acted["white"] > 0
         assert acted["black"] == 0
@@ -153,7 +152,9 @@ class TestApplyPolicy:
         pop, _ = build_scenario("compas_synthetic")
         curve = calibration_curve(pop)
         policy = ThresholdPolicy.uniform(0.5)
-        decide = lambda: [confusion_for_group(curve, g, policy) for g in pop.groups]
+        decide = lambda: [
+            curve.confusion(g, policy.threshold_for(g)) for g in pop.groups
+        ]
         assert decide() == decide()
 
 

@@ -5,25 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from fairaudit import (
     ConfusionMatrix,
-    ThresholdPolicy,
     build_scenario,
     calibration_curve,
     calibration_gap,
     chance_miscalibration_bound,
-    confusion_for_group,
-    false_negative_rate,
-    false_positive_rate,
-    positive_predictive_value,
 )
 from fairaudit.domain import ValidationError
 
 
 def base_rate(population, group):
     """A group's positive fraction, read off its curve's confusion counts."""
-    cm = confusion_for_group(
-        calibration_curve(population), group, ThresholdPolicy.uniform(0.5)
-    )
-    return cm.base_rate
+    return calibration_curve(population).confusion(group, 0.5).base_rate
 
 
 def binomial_two_sided_tail(n: int, p: float, gap: float) -> float:
@@ -37,33 +29,33 @@ def binomial_two_sided_tail(n: int, p: float, gap: float) -> float:
 
 class TestRates:
     def test_fpr_stride_women(self):
-        assert false_positive_rate(ConfusionMatrix(tp=0, fp=20, tn=80, fn=0)) == 0.20
+        assert ConfusionMatrix(tp=0, fp=20, tn=80, fn=0).fpr == 0.20
 
     def test_fpr_compas_black(self):
-        fpr = false_positive_rate(ConfusionMatrix(tp=0, fp=805, tn=990, fn=0))
+        fpr = ConfusionMatrix(tp=0, fp=805, tn=990, fn=0).fpr
         assert fpr == pytest.approx(805 / 1795)
 
     def test_fpr_undefined_on_empty_denominator(self):
-        assert false_positive_rate(ConfusionMatrix(tp=3, fp=0, tn=0, fn=1)) is None
+        assert ConfusionMatrix(tp=3, fp=0, tn=0, fn=1).fpr is None
 
     def test_fnr_no_misses(self):
-        assert false_negative_rate(ConfusionMatrix(tp=5, fp=0, tn=0, fn=0)) == 0.0
+        assert ConfusionMatrix(tp=5, fp=0, tn=0, fn=0).fnr == 0.0
 
     def test_fnr_undefined(self):
-        assert false_negative_rate(ConfusionMatrix(tp=0, fp=2, tn=2, fn=0)) is None
+        assert ConfusionMatrix(tp=0, fp=2, tn=2, fn=0).fnr is None
 
     def test_ppv_section2(self):
-        assert positive_predictive_value(ConfusionMatrix(16, 4, 0, 0)) == 0.80
+        assert ConfusionMatrix(16, 4, 0, 0).ppv == 0.80
 
     def test_ppv_direct_ratio(self):
-        assert positive_predictive_value(ConfusionMatrix(7, 3, 0, 0)) == 0.70
+        assert ConfusionMatrix(7, 3, 0, 0).ppv == 0.70
 
     def test_ppv_undefined(self):
-        assert positive_predictive_value(ConfusionMatrix(0, 0, 5, 5)) is None
+        assert ConfusionMatrix(0, 0, 5, 5).ppv is None
 
     def test_fpr_complement_identity(self):
         cm = ConfusionMatrix(tp=11, fp=7, tn=13, fn=2)
-        assert false_positive_rate(cm) + cm.tn / (cm.fp + cm.tn) == 1.0
+        assert cm.fpr + cm.tn / (cm.fp + cm.tn) == 1.0
 
     @given(
         st.integers(min_value=0, max_value=500),
@@ -73,11 +65,7 @@ class TestRates:
     )
     def test_defined_rates_stay_in_unit_interval(self, tp, fp, tn, fn):
         cm = ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
-        for rate in (
-            false_positive_rate(cm),
-            false_negative_rate(cm),
-            positive_predictive_value(cm),
-        ):
+        for rate in (cm.fpr, cm.fnr, cm.ppv):
             if rate is not None:
                 assert 0.0 <= rate <= 1.0
 
@@ -86,19 +74,19 @@ class TestConfusionForGroup:
     def test_section2_b_policy(self):
         pop, _ = build_scenario("section_grades")
         curve = calibration_curve(pop)
-        cm = confusion_for_group(curve, "section2", ThresholdPolicy.uniform(0.5))
+        cm = curve.confusion("section2", 0.5)
         assert (cm.tp, cm.fp, cm.tn, cm.fn) == (16, 4, 6, 4)
 
     def test_stride_men_high_bin_policy(self):
         pop, _ = build_scenario("stride_height")
         curve = calibration_curve(pop)
-        cm = confusion_for_group(curve, "men", ThresholdPolicy.uniform(0.5))
+        cm = curve.confusion("men", 0.5)
         assert (cm.tp, cm.fp, cm.tn, cm.fn) == (160, 40, 40, 10)
 
     def test_never_act_policy(self):
         pop, _ = build_scenario("stride_height")
         curve = calibration_curve(pop)
-        cm = confusion_for_group(curve, "men", ThresholdPolicy.uniform(1.0))
+        cm = curve.confusion("men", 1.0)
         assert cm.tp == 0 and cm.fp == 0
         assert cm.n == 250
 
@@ -106,14 +94,14 @@ class TestConfusionForGroup:
         pop, _ = build_scenario("stride_height")
         curve = calibration_curve(pop)
         with pytest.raises(ValidationError):
-            confusion_for_group(curve, "nobody", ThresholdPolicy.uniform(0.5))
+            curve.confusion("nobody", 0.5)
 
     @pytest.mark.parametrize("threshold", [0.0, 0.1, 0.2, 0.5, 0.8, 0.9, 1.0])
     def test_counts_partition_group(self, threshold):
         pop, _ = build_scenario("compas_synthetic")
         curve = calibration_curve(pop)
         for g in pop.groups:
-            cm = confusion_for_group(curve, g, ThresholdPolicy.uniform(threshold))
+            cm = curve.confusion(g, threshold)
             assert cm.n == sum(r.group == g for r in pop.records)
 
 

@@ -72,9 +72,7 @@ class TestNamedScenarios:
             report,
             groups={
                 **report.groups,
-                "men": dataclasses.replace(
-                    men, confusion=dataclasses.replace(men.confusion, tp=161)
-                ),
+                "men": dataclasses.replace(men, tp=161),
             },
         )
         results = {c.label: (a, ok) for c, a, ok in check_scenario(doctored, spec)}
