@@ -12,18 +12,13 @@ from .domain import (  # noqa: F401
     AuditError,
     BinScheme,
     ConfusionMatrix,
-    OutcomeLabel,
     OutcomeValues,
-    Population,
-    Record,
     SYMMETRIC_VALUES,
     ThresholdPolicy,
     ValidationError,
-    validate_population,
 )
 from .metrics import (  # noqa: F401
     CalibrationCurve,
-    calibration_curve,
     calibration_gap,
     chance_miscalibration_bound,
     curve_from_counts,
@@ -48,16 +43,13 @@ from .parity import (  # noqa: F401
 from .scenarios import (  # noqa: F401
     SCENARIO_NAMES,
     ScenarioSpec,
-    build_scenario,
+    calibrated_cells,
     check_scenario,
-    random_calibrated_population,
     scenario_curve,
     scenario_spec,
 )
 from .ingest import (  # noqa: F401
     DatasetConfig,
     IngestError,
-    export_csv,
     ingest_csv,
-    read_population,
 )

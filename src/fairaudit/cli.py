@@ -174,7 +174,6 @@ def _dataset_config(args: argparse.Namespace) -> DatasetConfig:
     return DatasetConfig(
         path=args.input,
         bins=parse_bins(args.bins),
-        action_benefits_subject=args.benefit,
         id_col=args.id_col,
         group_col=args.group_col,
         score_col=args.score_col,
@@ -278,7 +277,7 @@ def scenario_report(name: str) -> AuditReport:
     spec = scenario_spec(name)
     notes = list(spec.notes)
     values = SYMMETRIC_VALUES
-    curve = scenario_curve(spec)
+    curve = scenario_curve(spec.bins, spec.cells)
     policy = ThresholdPolicy.uniform(spec.threshold)
     report = _base_report(
         curve, spec.action_benefits_subject, policy, values, True,

@@ -1,17 +1,15 @@
-"""Core data types: records, populations, bin schemes, policies, outcome values.
+"""Core data types: bin schemes, confusion matrices, outcome values and
+threshold policies.
 
-Everything here is an immutable value object. Construction-time validation
-lives in :func:`validate_population`; the dataclasses themselves only enforce
-local invariants.
+Everything here is an immutable value object that enforces its own
+invariants at construction.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class AuditError(Exception):
@@ -19,28 +17,7 @@ class AuditError(Exception):
 
 
 class ValidationError(AuditError):
-    """A population, bin scheme, or policy violates a structural invariant."""
-
-
-class OutcomeLabel(Enum):
-    """True binary outcome: does the individual have the predicted property?"""
-
-    NEGATIVE = 0
-    POSITIVE = 1
-
-    @property
-    def is_positive(self) -> bool:
-        return self is OutcomeLabel.POSITIVE
-
-
-@dataclass(frozen=True)
-class Record:
-    """One scored individual."""
-
-    id: str
-    group: str
-    score: float
-    outcome: OutcomeLabel
+    """A dataset, bin scheme, or policy violates a structural invariant."""
 
 
 @dataclass(frozen=True)
@@ -49,7 +26,8 @@ class BinScheme:
     intervals [lo, hi); the last bin is closed on top.
 
     ``edges`` has length ``n_bins + 1``. ``labels``, when given, has one
-    label per bin.
+    label per bin. Reports key a group's cells by bin label, so no two bins
+    may share one.
     """
 
     edges: tuple[float, ...]
@@ -64,6 +42,11 @@ class BinScheme:
             raise ValidationError(
                 f"expected {self.n_bins} bin labels, got {len(self.labels)}"
             )
+        seen: set[str] = set()
+        for label in map(self.label, range(self.n_bins)):
+            if label in seen:
+                raise ValidationError(f"bin label {label!r} names two bins")
+            seen.add(label)
 
     @property
     def n_bins(self) -> int:
@@ -96,64 +79,6 @@ class BinScheme:
             )
         # Searching edges[:-1] puts the top edge in the last bin.
         return bisect_right(edges, score, 0, len(edges) - 1) - 1
-
-
-@dataclass(frozen=True)
-class Population:
-    """A validated collection of records partitioned by group.
-
-    ``action_benefits_subject`` records whether acting helps the subject
-    (cash transfer) or harms them (detention). It never changes any
-    arithmetic, only report narrative, but must be set explicitly.
-    """
-
-    records: tuple[Record, ...]
-    bins: BinScheme
-    action_benefits_subject: bool
-
-    @cached_property
-    def groups(self) -> tuple[str, ...]:
-        return tuple(sorted({r.group for r in self.records}))
-
-
-def audit_groups(labels: Iterable[str]) -> tuple[str, ...]:
-    """The distinct group labels in sorted order, the order of every report.
-
-    An audit compares groups, so fewer than two is a ValidationError.
-    """
-    groups = sorted(set(labels))
-    if len(groups) < 2:
-        raise ValidationError(
-            f"need at least 2 groups, found {len(groups)}: {groups}"
-        )
-    return tuple(groups)
-
-
-def validate_population(
-    records: Sequence[Record],
-    bins: BinScheme,
-    action_benefits_subject: bool,
-) -> Population:
-    """Check all Population invariants and return the immutable Population.
-
-    Idempotent: validating the records of a valid Population returns an
-    equal Population.
-    """
-    lo, hi = bins.lo, bins.hi
-    for r in records:
-        if not r.group:
-            raise ValidationError(f"record {r.id!r} has an empty group label")
-        if not (lo <= r.score <= hi):
-            raise ValidationError(
-                f"record {r.id!r}: score {r.score!r} outside declared "
-                f"range [{lo}, {hi}]"
-            )
-    audit_groups(r.group for r in records)
-    return Population(
-        records=tuple(records),
-        bins=bins,
-        action_benefits_subject=action_benefits_subject,
-    )
 
 
 @dataclass(frozen=True)

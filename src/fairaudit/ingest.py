@@ -1,11 +1,10 @@
-"""CSV ingestion and export for scored-population datasets.
+"""CSV ingestion of scored-population datasets.
 
 Input is comma-delimited UTF-8 with a header row; outcomes are encoded 0/1
 (1 = the predicted property occurred). Ingest is fail-fast: a row that does
 not parse aborts with its row number, because silently dropping rows would
-corrupt base rates. One row parser runs every check; :func:`ingest_csv`
-streams its rows into the calibration curve's counts, and
-:func:`read_population` keeps them as Records.
+corrupt base rates. One row parser runs every check, and
+:func:`ingest_csv` streams its rows into the calibration curve's counts.
 """
 from __future__ import annotations
 
@@ -16,18 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .domain import (
-    AuditError,
-    BinScheme,
-    OutcomeLabel,
-    Population,
-    Record,
-    ValidationError,
-    validate_population,
-)
+from .domain import AuditError, BinScheme, ValidationError
 from .metrics import CalibrationCurve, curve_from_counts
-
-EXPORT_HEADER = ("id", "group", "score", "outcome")
 
 
 class IngestError(AuditError):
@@ -38,7 +27,6 @@ class IngestError(AuditError):
 class DatasetConfig:
     path: str
     bins: BinScheme
-    action_benefits_subject: bool
     id_col: str = "id"
     group_col: str = "group"
     score_col: str = "score"
@@ -55,25 +43,12 @@ def ingest_csv(config: DatasetConfig) -> CalibrationCurve:
     first row that fails a check (see :func:`_rows`)."""
     return curve_from_counts(config.bins, (
         (group, b, positive, 1 - positive)
-        for _id, group, _score, b, positive in _rows(config)
+        for group, b, positive in _rows(config)
     ))
 
 
-def read_population(config: DatasetConfig) -> Population:
-    """Load a dataset as a Population of Records, through the same row
-    parser and checks as :func:`ingest_csv`."""
-    labels = (OutcomeLabel.NEGATIVE, OutcomeLabel.POSITIVE)
-    records = [
-        Record(record_id, group, score, labels[positive])
-        for record_id, group, score, _b, positive in _rows(config)
-    ]
-    return validate_population(
-        records, config.bins, config.action_benefits_subject
-    )
-
-
-def _rows(config: DatasetConfig) -> Iterator[tuple[str, str, float, int, int]]:
-    """Yield each data row as (id, group, score, bin index, positive 0/1).
+def _rows(config: DatasetConfig) -> Iterator[tuple[str, int, int]]:
+    """Yield each data row as (group, bin index, positive 0/1).
 
     A leading byte-order mark is ignored and blank lines are skipped. Every
     other row must have as many fields as the header, a finite score inside
@@ -84,7 +59,10 @@ def _rows(config: DatasetConfig) -> Iterator[tuple[str, str, float, int, int]]:
     if not path.is_file():
         raise IngestError(f"no such file: {config.path}")
     bin_of = config.bins.bin_of
-    first_row: dict[str, int] = {}
+    # The ids seen so far, as the keys of a dict: below 50,000 entries
+    # CPython's set quadruples its table and takes more memory than a
+    # dict's compact keys. A row's line is looked up again only on error.
+    ids: dict[str, None] = {}
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -122,12 +100,12 @@ def _rows(config: DatasetConfig) -> Iterator[tuple[str, str, float, int, int]]:
                         f"got {raw_outcome!r}"
                     )
                 record_id = row[id_at]
-                first = first_row.setdefault(record_id, line)
-                if first != line:
+                if record_id in ids:
                     raise IngestError(
-                        f"row {line}: duplicate id {record_id!r} "
-                        f"(first on row {first})"
+                        f"row {line}: duplicate id {record_id!r} (first on "
+                        f"row {_first_row_with_id(path, id_at, record_id)})"
                     )
+                ids[record_id] = None
                 group = row[group_at]
                 if not group:
                     raise IngestError(f"row {line}: empty group label")
@@ -135,7 +113,7 @@ def _rows(config: DatasetConfig) -> Iterator[tuple[str, str, float, int, int]]:
                     b = bin_of(score)
                 except ValidationError as exc:
                     raise IngestError(f"row {line}: {exc}") from None
-                yield record_id, group, score, b, positive
+                yield group, b, positive
     except UnicodeDecodeError as exc:
         raise IngestError(
             f"{config.path}: row {_undecodable_line(path)}: not UTF-8 "
@@ -145,7 +123,7 @@ def _rows(config: DatasetConfig) -> Iterator[tuple[str, str, float, int, int]]:
         raise IngestError(
             f"{config.path}: row {reader.line_num}: {exc}"
         ) from None
-    if not first_row:
+    if not ids:
         raise IngestError(f"{config.path}: no data rows")
 
 
@@ -160,6 +138,19 @@ def _column(header: list[str], name: str) -> int:
     return header.index(name)
 
 
+def _first_row_with_id(path: Path, id_at: int, record_id: str) -> int:
+    """File line of the first row whose id is ``record_id``. The duplicate-id
+    check keeps ids but not their lines, so its error path reads the file
+    again; every row before the duplicate has already passed the checks."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if row and row[id_at] == record_id:
+                return reader.line_num
+    raise IngestError(f"{path}: id {record_id!r} vanished on re-reading")
+
+
 def _undecodable_line(path: Path) -> int:
     """File line of the first byte that is not UTF-8. Lines end at LF, CR
     or CRLF, as they do for the csv reader."""
@@ -170,23 +161,3 @@ def _undecodable_line(path: Path) -> int:
     except UnicodeDecodeError as exc:
         head = data[:exc.start]
     return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-
-
-def export_csv(population: Population, path: str) -> None:
-    """Write the population as id,group,score,outcome rows.
-
-    Scores are written with repr so a round trip through read_population
-    reproduces an equal Population.
-    """
-    if not path:
-        raise IngestError("empty export path")
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(EXPORT_HEADER)
-            for r in population.records:
-                writer.writerow(
-                    (r.id, r.group, repr(r.score), int(r.outcome.is_positive))
-                )
-    except OSError as exc:
-        raise IngestError(f"cannot write {path!r}: {exc}") from exc

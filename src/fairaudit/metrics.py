@@ -11,9 +11,7 @@ from typing import Iterable, Mapping
 from .domain import (
     BinScheme,
     ConfusionMatrix,
-    Population,
     ValidationError,
-    audit_groups,
 )
 
 
@@ -123,10 +121,10 @@ def curve_from_counts(
 ) -> CalibrationCurve:
     """Sum (group, bin index, positives, negatives) entries into a curve.
 
-    Every curve is built here, so group order, cell order and the
-    two-group rule (:func:`~fairaudit.domain.audit_groups`) are decided in
-    one place. Entries may repeat a cell; a cell that sums to no records
-    is left out.
+    Every curve is built here, so group order (sorted, the order of every
+    report), cell order and the two-group rule are decided in one place:
+    an audit compares groups, so fewer than two is a ValidationError.
+    Entries may repeat a cell; a cell that sums to no records is left out.
     """
     sums: dict[tuple[str, int], list[int]] = {}
     for group, b, positives, negatives in counts:
@@ -140,18 +138,12 @@ def curve_from_counts(
         for key, (p, n) in sorted(sums.items())
         if p + n
     }
-    return CalibrationCurve(
-        bins=bins, groups=audit_groups(g for g, _b in cells), cells=cells
-    )
-
-
-def calibration_curve(population: Population) -> CalibrationCurve:
-    """Count a population's records and positives per (group, bin)."""
-    bin_of = population.bins.bin_of
-    return curve_from_counts(population.bins, (
-        (r.group, bin_of(r.score), r.outcome.value, 1 - r.outcome.value)
-        for r in population.records
-    ))
+    groups = list(dict.fromkeys(g for g, _b in cells))
+    if len(groups) < 2:
+        raise ValidationError(
+            f"need at least 2 groups, found {len(groups)}: {groups}"
+        )
+    return CalibrationCurve(bins=bins, groups=tuple(groups), cells=cells)
 
 
 def calibration_gap(curve: CalibrationCurve, *groups: str) -> float:

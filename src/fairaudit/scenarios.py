@@ -1,25 +1,16 @@
-"""Deterministic fixture populations reproducing the worked examples, plus a
-seeded generator of bin-exact calibrated two-group populations.
+"""Deterministic fixtures reproducing the worked examples, plus a generator
+of bin-exact calibrated two-group datasets.
 
-Fixtures are built from exact integer counts, never from sampling: their
+Both are declared as exact integer counts, never sampled: the fixtures'
 published statistics are bookkeeping identities and must reproduce exactly.
 """
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .domain import (
-    AuditError,
-    BinScheme,
-    OutcomeLabel,
-    Population,
-    Record,
-    ValidationError,
-    validate_population,
-)
+from .domain import AuditError, BinScheme, ValidationError
 from .metrics import CalibrationCurve, curve_from_counts
 from .parity import LOWER_OTHERS, RAISE_OTHERS
 
@@ -55,6 +46,11 @@ class Check:
     rendered: str | None = None
 
 
+#: (group, score, positives, negatives): that many records of the group at
+#: that score. A (group, bin) cell may span several entries.
+Entry = tuple[str, float, int, int]
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A named worked example: its fixture, declared as exact counts, and
@@ -63,9 +59,7 @@ class ScenarioSpec:
     name: str
     description: str
     bins: BinScheme
-    #: (group, score, positives, negatives): that many records of the group
-    #: at that score. A (group, bin) cell may span several entries.
-    cells: tuple[tuple[str, float, int, int], ...]
+    cells: tuple[Entry, ...]
     action_benefits_subject: bool
     threshold: float
     calib_tolerance: float
@@ -73,31 +67,6 @@ class ScenarioSpec:
     checks: tuple[Check, ...]
     params: Mapping[str, float] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
-
-
-def _records(
-    group: str,
-    score: float,
-    positives: int,
-    negatives: int,
-    prefix: str,
-    start: int = 0,
-) -> list[Record]:
-    out = []
-    for i in range(positives):
-        out.append(
-            Record(f"{prefix}{start + i:05d}", group, score, OutcomeLabel.POSITIVE)
-        )
-    for i in range(negatives):
-        out.append(
-            Record(
-                f"{prefix}{start + positives + i:05d}",
-                group,
-                score,
-                OutcomeLabel.NEGATIVE,
-            )
-        )
-    return out
 
 
 def _stride_height() -> ScenarioSpec:
@@ -368,29 +337,16 @@ def scenario_spec(name: str) -> ScenarioSpec:
     return builder()
 
 
-def scenario_curve(spec: ScenarioSpec) -> CalibrationCurve:
-    """The fixture's calibration curve, summed from its declared counts."""
-    bin_of = spec.bins.bin_of
-    return curve_from_counts(spec.bins, (
+def scenario_curve(
+    bins: BinScheme, cells: Iterable[Entry]
+) -> CalibrationCurve:
+    """The calibration curve of declared counts: each entry's score is
+    binned once and its records summed into that cell."""
+    bin_of = bins.bin_of
+    return curve_from_counts(bins, (
         (group, bin_of(score), positives, negatives)
-        for group, score, positives, negatives in spec.cells
+        for group, score, positives, negatives in cells
     ))
-
-
-def build_scenario(name: str) -> tuple[Population, ScenarioSpec]:
-    """The named scenario's fixture as a Population of Records, with its
-    spec. Each group's record ids are numbered in declaration order."""
-    spec = scenario_spec(name)
-    records: list[Record] = []
-    serial: dict[str, int] = {}
-    for group, score, pos, neg in spec.cells:
-        start = serial.get(group, 0)
-        records.extend(_records(group, score, pos, neg, f"{group}-", start))
-        serial[group] = start + pos + neg
-    population = validate_population(
-        records, spec.bins, spec.action_benefits_subject
-    )
-    return population, spec
 
 
 def _section(report: AuditReport, name: str, label: str):
@@ -473,22 +429,21 @@ def check_scenario(
     return results
 
 
-def random_calibrated_population(
-    seed: int,
+def calibrated_cells(
     n_per_group: int,
     bins: int,
     base_rate_a: float,
     base_rate_b: float,
-) -> Population:
-    """Two-group population, bin-exact calibrated, with requested base rates.
+) -> tuple[BinScheme, tuple[Entry, ...]]:
+    """Two-group dataset, bin-exact calibrated, with requested base rates:
+    ``bins`` equal-width bins over [0, 1] and one entry per (group, bin).
 
     Bin j of B carries positive fraction j/(B+1) in both groups, exactly:
-    records are laid down in units of B+1 records containing j positives.
+    each cell holds whole units of B+1 records containing j positives.
     Group bin weights follow an exponential tilt solved to match each base
     rate, so the higher-base-rate group's score distribution dominates the
     lower's in likelihood ratio. Requested base rates are hit within
-    1/n_per_group; deterministic in the seed, which only shuffles record
-    order.
+    1/n_per_group.
     """
     B = bins
     d = B + 1
@@ -504,21 +459,15 @@ def random_calibrated_population(
         raise ValidationError("n_per_group too small to populate every bin")
 
     scheme = BinScheme(edges=tuple(j / B for j in range(B + 1)))
-    rng = random.Random(seed)
-    records: list[Record] = []
+    cells: list[Entry] = []
     for group, rate in (("a", base_rate_a), ("b", base_rate_b)):
         if not 0.0 < rate < 1.0:
             raise ValidationError(f"base rate {rate!r} outside (0, 1)")
         target = round(rate * n_per_group)
         weights = _tilted_weights(units, target, B)
-        serial = 0
         for j, u in enumerate(weights, start=1):
-            score = (j - 0.5) / B
-            recs = _records(group, score, j * u, (d - j) * u, f"{group}-", serial)
-            serial += d * u
-            records.extend(recs)
-    rng.shuffle(records)
-    return validate_population(records, scheme, action_benefits_subject=False)
+            cells.append((group, (j - 0.5) / B, j * u, (d - j) * u))
+    return scheme, tuple(cells)
 
 
 def _tilted_weights(units: int, positives: int, B: int) -> list[int]:

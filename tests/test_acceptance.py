@@ -9,22 +9,23 @@ from contextlib import contextmanager
 
 import pytest
 
+from conftest import records, write_csv
 from fairaudit import (
     OutcomeValues,
     SCENARIO_NAMES,
     ThresholdPolicy,
-    build_scenario,
-    calibration_curve,
+    calibrated_cells,
     equalize_fpr,
     expected_values,
     fair_lottery,
     individual_error_risk,
     optimal_threshold,
     policy_expected_disvalue,
-    random_calibrated_population,
+    scenario_curve,
+    scenario_spec,
 )
 from fairaudit.cli import scenario_report
-from fairaudit.ingest import DatasetConfig, export_csv, ingest_csv
+from fairaudit.ingest import DatasetConfig, ingest_csv
 from fairaudit.parity import RAISE_OTHERS
 from fairaudit.report import format_percent
 
@@ -52,14 +53,14 @@ def criterion(capfd, number, description, budget_s=None):
 
 
 def scenario_actuals(name):
-    pop, spec = build_scenario(name)
+    spec = scenario_spec(name)
     checks = scenario_report(name).scenario.checks
-    return pop, spec, {c["label"]: (c, c["actual"], c["passed"]) for c in checks}
+    return spec, {c["label"]: (c, c["actual"], c["passed"]) for c in checks}
 
 
 def test_criterion_01_compas_table_reproduction(capfd):
     with criterion(capfd, 1, "recidivism table rendering and count anchors", 1.0):
-        pop, spec, actuals = scenario_actuals("compas_synthetic")
+        spec, actuals = scenario_actuals("compas_synthetic")
         check, fpr_b, ok = actuals["fpr:black"]
         assert ok and format_percent(fpr_b) == "44.9%"
         check, fpr_w, ok = actuals["fpr:white"]
@@ -69,7 +70,7 @@ def test_criterion_01_compas_table_reproduction(capfd):
         check, fnr_w, ok = actuals["fnr:white"]
         assert ok and format_percent(fnr_w) == "47.7%"
         policy = ThresholdPolicy.uniform(spec.threshold)
-        curve = calibration_curve(pop)
+        curve = scenario_curve(spec.bins, spec.cells)
         black = curve.confusion("black", policy.threshold_for("black"))
         white = curve.confusion("white", policy.threshold_for("white"))
         assert black.fp == 805
@@ -82,7 +83,7 @@ def test_criterion_01_compas_table_reproduction(capfd):
 
 def test_criterion_02_section_grades_reproduction(capfd):
     with criterion(capfd, 2, "two-section grade prediction, exact bookkeeping", 1.0):
-        pop, spec, actuals = scenario_actuals("section_grades")
+        spec, actuals = scenario_actuals("section_grades")
         assert actuals["fpr:section1"][1] == 0.10
         assert actuals["fpr:section2"][1] == 0.40
         assert actuals["p:B:section1"][1] == 0.80
@@ -94,9 +95,9 @@ def test_criterion_02_section_grades_reproduction(capfd):
 
 def test_criterion_03_stride_height_reproduction(capfd):
     with criterion(capfd, 3, "stride-length height prediction, exact rates", 1.0):
-        pop, spec = build_scenario("stride_height")
+        spec = scenario_spec("stride_height")
         policy = ThresholdPolicy.uniform(spec.threshold)
-        curve = calibration_curve(pop)
+        curve = scenario_curve(spec.bins, spec.cells)
         women = curve.confusion("women", policy.threshold_for("women"))
         men = curve.confusion("men", policy.threshold_for("men"))
         assert (women.fp, women.tn) == (20, 80)
@@ -149,11 +150,10 @@ def test_criterion_05_central_impossibility_property(capfd):
             hi = bins / unit
             rate_a = rng.uniform(lo + 0.15, hi - 0.02)
             rate_b = rng.uniform(lo + 0.02, rate_a - 0.10)
-            pop = random_calibrated_population(
-                seed=case, n_per_group=n, bins=bins,
-                base_rate_a=rate_a, base_rate_b=rate_b,
+            scheme, cells = calibrated_cells(
+                n_per_group=n, bins=bins, base_rate_a=rate_a, base_rate_b=rate_b,
             )
-            curve = calibration_curve(pop)
+            curve = scenario_curve(scheme, cells)
             rate = {g: curve.confusion(g, 0.5).base_rate for g in ("a", "b")}
             higher = "a" if rate["a"] > rate["b"] else "b"
             lower = "b" if higher == "a" else "a"
@@ -161,14 +161,10 @@ def test_criterion_05_central_impossibility_property(capfd):
             # Interior achievable thresholds: act on bins j..B-1 for j >= 1.
             # FPRs are computed by direct counts over the raw records: each
             # group's negatives are binned once, then counted per cut.
-            negative_bins = {
-                g: [
-                    pop.bins.bin_of(r.score)
-                    for r in pop.records
-                    if r.group == g and not r.outcome.is_positive
-                ]
-                for g in ("a", "b")
-            }
+            negative_bins = {"a": [], "b": []}
+            for g, score, positive in records(cells):
+                if not positive:
+                    negative_bins[g].append(scheme.bin_of(score))
             for j in range(1, bins):
                 fprs = {}
                 for g, negatives in negative_bins.items():
@@ -184,8 +180,8 @@ def test_criterion_06_disvalue_dominance(capfd):
         values = OutcomeValues(1, 0, 1, 0)
         p_star = optimal_threshold(values)
         for name in ("stride_height", "compas_synthetic"):
-            pop, spec = build_scenario(name)
-            curve = calibration_curve(pop)
+            spec = scenario_spec(name)
+            curve = scenario_curve(spec.bins, spec.cells)
             baseline = ThresholdPolicy.uniform(p_star)
             base_cost = policy_expected_disvalue(
                 curve, baseline, values
@@ -198,7 +194,7 @@ def test_criterion_06_disvalue_dominance(capfd):
                 eq_cost = base_cost + result.disvalue_delta
                 assert eq_cost >= base_cost - 1e-12, (name, direction)
                 moved = any(
-                    result.thresholds[g] != p_star for g in pop.groups
+                    result.thresholds[g] != p_star for g in curve.groups
                 )
                 if moved:
                     assert eq_cost > base_cost, (name, direction, result)
@@ -206,15 +202,15 @@ def test_criterion_06_disvalue_dominance(capfd):
 
 def test_criterion_07_benefit_reversal(capfd):
     with criterion(capfd, 7, "benefit case: higher threshold, fewer benefits", 1.0):
-        pop, spec = build_scenario("compas_benefit")
-        assert pop.action_benefits_subject
-        curve = calibration_curve(pop)
+        spec = scenario_spec("compas_benefit")
+        assert spec.action_benefits_subject
+        curve = scenario_curve(spec.bins, spec.cells)
         baseline = ThresholdPolicy.uniform(spec.threshold)
         result = equalize_fpr(
             curve, baseline, tolerance=1e-9, direction=RAISE_OTHERS
         )
         higher = max(
-            pop.groups, key=lambda g: curve.confusion(g, 0.5).base_rate
+            curve.groups, key=lambda g: curve.confusion(g, 0.5).base_rate
         )
         assert higher == "black"
         assert result.thresholds[higher] > spec.threshold
@@ -224,8 +220,8 @@ def test_criterion_07_benefit_reversal(capfd):
 def test_criterion_08_no_preference_invariance(capfd):
     with criterion(capfd, 8, "individual error risk is group-blind per bin", 1.0):
         for name in SCENARIO_NAMES:
-            pop, spec = build_scenario(name)
-            curve = calibration_curve(pop)
+            spec = scenario_spec(name)
+            curve = scenario_curve(spec.bins, spec.cells)
             policy = ThresholdPolicy.uniform(spec.threshold)
             by_bin: dict[int, set[float]] = {}
             for (g, b), cell in curve.cells.items():
@@ -238,8 +234,8 @@ def test_criterion_08_no_preference_invariance(capfd):
                 by_bin.setdefault(b, set()).add((round(p, 12), risk))
         # The named grade case: a B-predicted student under threshold 0.5
         # with p_score 0.80 carries a 20% chance of being a false B.
-        pop, spec = build_scenario("section_grades")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("section_grades")
+        curve = scenario_curve(spec.bins, spec.cells)
         policy = ThresholdPolicy.uniform(spec.threshold)
         b_cells = [
             (g, b) for (g, b), cell in curve.cells.items()
@@ -258,26 +254,20 @@ def test_criterion_09_lottery(capfd):
         result = fair_lottery({"men": 50, "women": 100}, exclusion_quota=30)
         assert result.probability == 0.20
         assert result.per_group == {"men": 0.20, "women": 0.20}
-        pop, spec, actuals = scenario_actuals("certainty_lottery")
+        spec, actuals = scenario_actuals("certainty_lottery")
         assert all(ok for _c, _a, ok in actuals.values())
 
 
 def test_criterion_10_round_trip(capfd, tmp_path):
     with criterion(capfd, 10, "CSV round trip preserves every group metric", 5.0):
         for name in SCENARIO_NAMES:
-            pop, spec = build_scenario(name)
+            spec = scenario_spec(name)
             path = tmp_path / f"{name}.csv"
-            export_csv(pop, str(path))
-            back = ingest_csv(
-                DatasetConfig(
-                    path=str(path),
-                    bins=pop.bins,
-                    action_benefits_subject=pop.action_benefits_subject,
-                )
-            )
+            write_csv(path, spec.cells)
+            back = ingest_csv(DatasetConfig(path=str(path), bins=spec.bins))
             policy = ThresholdPolicy.uniform(spec.threshold)
-            curve = calibration_curve(pop)
-            for g in pop.groups:
+            curve = scenario_curve(spec.bins, spec.cells)
+            for g in curve.groups:
                 t = policy.threshold_for(g)
                 assert curve.confusion(g, t) == back.confusion(g, t)
             # Permutation invariance: shuffle the rows on disk and re-ingest.
@@ -285,13 +275,7 @@ def test_criterion_10_round_trip(capfd, tmp_path):
             header, rows = lines[0], lines[1:]
             random.Random(7).shuffle(rows)
             path.write_text("\n".join([header] + rows) + "\n")
-            shuffled = ingest_csv(
-                DatasetConfig(
-                    path=str(path),
-                    bins=pop.bins,
-                    action_benefits_subject=pop.action_benefits_subject,
-                )
-            )
-            for g in pop.groups:
+            shuffled = ingest_csv(DatasetConfig(path=str(path), bins=spec.bins))
+            for g in curve.groups:
                 t = policy.threshold_for(g)
                 assert curve.confusion(g, t) == shuffled.confusion(g, t)

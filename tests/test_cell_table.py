@@ -1,37 +1,40 @@
 """Every post-ingest audit quantity is read off the calibration curve's
 per-(group, bin) counts. These tests hold that path to a per-record
 reference loop and pin that nothing re-bins a record once the curve exists.
+
+The drawn datasets are plain records, (group, score, positive) tuples; the
+curve under test is summed from one entry per record, and the references
+bin and walk the records themselves.
 """
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import entries_of, tally
 from fairaudit import (
     SYMMETRIC_VALUES,
     BinScheme,
-    OutcomeLabel,
     OutcomeValues,
-    Record,
     ThresholdPolicy,
-    build_scenario,
-    calibration_curve,
     calibration_gap,
     curve_from_counts,
     equalize_fpr,
     impossibility_check,
     optimal_threshold,
     policy_expected_disvalue,
-    validate_population,
+    scenario_curve,
+    scenario_spec,
 )
 from fairaudit.cli import _base_report
 from fairaudit.metrics import CurveCell
 
 
 @st.composite
-def populations(draw):
-    """2-4 groups, 2-5 bins of random integer widths, scores on a half-unit
-    grid so that records land on bin edges as well as inside bins."""
+def datasets(draw):
+    """(bins, records): 2-4 groups, 2-5 bins of random integer widths,
+    scores on a half-unit grid so that records land on bin edges as well as
+    inside bins."""
     n_groups = draw(st.integers(min_value=2, max_value=4))
     lo = draw(st.integers(min_value=-3, max_value=3))
     widths = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
@@ -45,17 +48,20 @@ def populations(draw):
         min_size=n_groups,
         max_size=40,
     ))
-    records = [
-        Record(
-            id=str(i),
-            # The first n_groups records name every group at least once.
-            group=f"g{i if i < n_groups else g}",
-            score=edges[0] + step / 2,
-            outcome=OutcomeLabel(int(positive)),
-        )
+    return bins, [
+        # The first n_groups records name every group at least once.
+        (f"g{i if i < n_groups else g}", edges[0] + step / 2, positive)
         for i, (g, step, positive) in enumerate(rows)
     ]
-    return validate_population(records, bins, action_benefits_subject=False)
+
+
+def curve_of(dataset):
+    bins, records = dataset
+    return scenario_curve(bins, entries_of(records))
+
+
+def groups_of(dataset):
+    return sorted({group for group, _score, _positive in dataset[1]})
 
 
 @st.composite
@@ -72,52 +78,44 @@ def outcome_values(draw, integral):
     )
 
 
-def reference_cells(population):
-    """(group, bin) -> [count, positives], tallied record by record."""
-    cells = {}
-    for r in population.records:
-        cell = cells.setdefault((r.group, population.bins.bin_of(r.score)), [0, 0])
-        cell[0] += 1
-        cell[1] += int(r.outcome.is_positive)
-    return cells
-
-
-def reference_assessment(population, policy, values):
+def reference_assessment(dataset, policy, values):
     """Per-group confusion counts and value sums, one record at a time."""
-    cells = reference_cells(population)
+    bins, records = dataset
+    cells = tally(*dataset)
     out = {
         g: dict(tp=0, fp=0, tn=0, fn=0, acted=0, expected=0.0, best=0.0, realized=0.0)
-        for g in population.groups
+        for g in groups_of(dataset)
     }
-    for r in population.records:
-        count, positives = cells[(r.group, population.bins.bin_of(r.score))]
+    for group, score, positive in records:
+        count, positives = cells[(group, bins.bin_of(score))]
         p = positives / count
-        act = p >= policy.threshold_for(r.group)
+        act = p >= policy.threshold_for(group)
         ev_act = p * values.v_tp + (1 - p) * values.v_fp
         ev_refrain = (1 - p) * values.v_tn + p * values.v_fn
-        slot = out[r.group]
-        key = ("t" if act == r.outcome.is_positive else "f") + ("p" if act else "n")
+        slot = out[group]
+        key = ("t" if act == positive else "f") + ("p" if act else "n")
         slot[key] += 1
         slot["acted"] += int(act)
         slot["expected"] += ev_act if act else ev_refrain
         slot["best"] += max(ev_act, ev_refrain)
         if act:
-            slot["realized"] += values.v_tp if r.outcome.is_positive else values.v_fp
+            slot["realized"] += values.v_tp if positive else values.v_fp
         else:
-            slot["realized"] += values.v_fn if r.outcome.is_positive else values.v_tn
+            slot["realized"] += values.v_fn if positive else values.v_tn
     return out
 
 
-def reference_gap(population):
+def reference_gap(dataset):
     """Max |p_score difference| over all G^2 ordered group pairs and the
     bins they share; 0.0 when no pair shares a bin."""
-    cells = reference_cells(population)
+    cells = tally(*dataset)
     p = {key: pos / count for key, (count, pos) in cells.items()}
+    groups = groups_of(dataset)
     return max(
         (
             abs(p[(a, b)] - p[(c, b)])
-            for a in population.groups
-            for c in population.groups
+            for a in groups
+            for c in groups
             for (g, b) in p
             if g == a and (c, b) in p
         ),
@@ -125,7 +123,7 @@ def reference_gap(population):
     )
 
 
-def draw_policy(data, population, curve):
+def draw_policy(data, dataset, curve):
     """A uniform or per-group policy whose thresholds are either arbitrary
     or exactly some cell's p_score, so ties at the threshold occur."""
     ties = sorted({cell.p_score for cell in curve.cells.values()})
@@ -133,20 +131,20 @@ def draw_policy(data, population, curve):
     if data.draw(st.booleans(), label="uniform"):
         return ThresholdPolicy.uniform(data.draw(threshold, label="threshold"))
     return ThresholdPolicy.per_group(
-        {g: data.draw(threshold, label=f"threshold {g}") for g in population.groups}
+        {g: data.draw(threshold, label=f"threshold {g}") for g in groups_of(dataset)}
     )
 
 
 @settings(deadline=None)
-@given(populations(), st.booleans(), st.data())
-def test_cell_sums_match_the_per_record_reference(population, integral, data):
-    curve = calibration_curve(population)
-    policy = draw_policy(data, population, curve)
+@given(datasets(), st.booleans(), st.data())
+def test_cell_sums_match_the_per_record_reference(dataset, integral, data):
+    curve = curve_of(dataset)
+    policy = draw_policy(data, dataset, curve)
     values = data.draw(outcome_values(integral), label="values")
-    ref = reference_assessment(population, policy, values)
+    ref = reference_assessment(dataset, policy, values)
     assessment = policy_expected_disvalue(curve, policy, values)
 
-    for g in population.groups:
+    for g in groups_of(dataset):
         cm = curve.confusion(g, policy.threshold_for(g))
         r = ref[g]
         assert (cm.tp, cm.fp, cm.tn, cm.fn) == (r["tp"], r["fp"], r["tn"], r["fn"])
@@ -162,13 +160,13 @@ def test_cell_sums_match_the_per_record_reference(population, integral, data):
         assert total.expected_value == total.realized_value
 
     report = _base_report(curve, False, policy, values, False, 1e-9, [])
-    assert report.calibration_gap == reference_gap(population)
+    assert report.calibration_gap == reference_gap(dataset)
 
 
 @settings(deadline=None)
-@given(populations())
-def test_calibration_gap_of_many_groups_is_the_largest_pairwise_gap(population):
-    curve = calibration_curve(population)
+@given(datasets())
+def test_calibration_gap_of_many_groups_is_the_largest_pairwise_gap(dataset):
+    curve = curve_of(dataset)
     for size in range(2, len(curve.groups) + 1):
         for subset in itertools.combinations(curve.groups, size):
             assert calibration_gap(curve, *subset) == max(
@@ -178,13 +176,13 @@ def test_calibration_gap_of_many_groups_is_the_largest_pairwise_gap(population):
 
 
 @settings(deadline=None)
-@given(populations(), st.data())
-def test_equalization_counts_match_the_per_record_reference(population, data):
-    curve = calibration_curve(population)
-    policy = draw_policy(data, population, curve)
-    if has_no_negatives(population):
+@given(datasets(), st.data())
+def test_equalization_counts_match_the_per_record_reference(dataset, data):
+    curve = curve_of(dataset)
+    policy = draw_policy(data, dataset, curve)
+    if has_no_negatives(dataset):
         return  # a group without negatives has no FPR to equalize
-    cells = reference_cells(population)
+    cells = tally(*dataset)
 
     def acted_and_fpr(group, threshold):
         acted = fp = negatives = 0
@@ -198,36 +196,35 @@ def test_equalization_counts_match_the_per_record_reference(population, data):
         return acted, fp / negatives
 
     result = equalize_fpr(curve, policy, tolerance=1e-9)
-    for g in population.groups:
+    groups = groups_of(dataset)
+    for g in groups:
         acted, _ = acted_and_fpr(g, policy.threshold_for(g))
         assert result.acted_baseline[g] == acted
         acted, fpr = acted_and_fpr(g, result.thresholds[g])
         assert (result.acted_equalized[g], result.fprs[g]) == (acted, fpr)
     assert result.residual_gap == max(
-        abs(result.fprs[a] - result.fprs[b])
-        for a in population.groups
-        for b in population.groups
+        abs(result.fprs[a] - result.fprs[b]) for a in groups for b in groups
     )
 
 
-def has_no_negatives(population):
+def has_no_negatives(dataset):
     """True when some group is all positives, so its FPR is undefined."""
-    cells = reference_cells(population)
+    cells = tally(*dataset)
     return any(
         all(pos == count for (g2, _b), (count, pos) in cells.items() if g2 == g)
-        for g in population.groups
+        for g in groups_of(dataset)
     )
 
 
 @settings(deadline=None)
-@given(populations(), st.booleans(), st.data())
-def test_no_uniform_threshold_beats_p_star(population, integral, data):
+@given(datasets(), st.booleans(), st.data())
+def test_no_uniform_threshold_beats_p_star(dataset, integral, data):
     values = data.draw(outcome_values(integral), label="values")
-    curve = calibration_curve(population)
+    curve = curve_of(dataset)
 
     def reference_value(threshold):
         ref = reference_assessment(
-            population, ThresholdPolicy.uniform(threshold), values
+            dataset, ThresholdPolicy.uniform(threshold), values
         )
         return sum(r["realized"] for r in ref.values())
 
@@ -244,14 +241,14 @@ def test_no_uniform_threshold_beats_p_star(population, integral, data):
 
 
 @settings(deadline=None)
-@given(populations(), st.booleans(), st.data())
+@given(datasets(), st.booleans(), st.data())
 def test_disvalue_delta_is_the_difference_of_the_two_policies(
-    population, integral, data
+    dataset, integral, data
 ):
-    if has_no_negatives(population):
+    if has_no_negatives(dataset):
         return
-    curve = calibration_curve(population)
-    policy = draw_policy(data, population, curve)
+    curve = curve_of(dataset)
+    policy = draw_policy(data, dataset, curve)
     values = data.draw(outcome_values(integral), label="values")
     result = equalize_fpr(curve, policy, tolerance=1e-9, values=values)
     equalized = ThresholdPolicy.per_group(result.thresholds)
@@ -266,7 +263,7 @@ def test_disvalue_delta_is_the_difference_of_the_two_policies(
 
 
 def test_post_curve_quantities_never_rebin_a_record(monkeypatch):
-    population, spec = build_scenario("compas_synthetic")
+    spec = scenario_spec("compas_synthetic")
     policy = ThresholdPolicy.uniform(spec.threshold)
 
     def run(curve):
@@ -278,8 +275,8 @@ def test_post_curve_quantities_never_rebin_a_record(monkeypatch):
             impossibility_check(curve, spec.threshold),
         )
 
-    expected = run(calibration_curve(population))
-    curve = calibration_curve(population)
+    expected = run(scenario_curve(spec.bins, spec.cells))
+    curve = scenario_curve(spec.bins, spec.cells)
 
     def no_binning(self, score):
         raise AssertionError("a record was re-binned after the curve was built")

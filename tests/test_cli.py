@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairaudit import build_scenario
+from conftest import write_csv
+from fairaudit import scenario_spec
 from fairaudit.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -15,15 +16,13 @@ from fairaudit.cli import (
     parse_values,
 )
 from fairaudit.domain import ValidationError
-from fairaudit.ingest import export_csv
 
 
 @pytest.fixture
 def compas_csv(tmp_path):
-    pop, _ = build_scenario("compas_synthetic")
-    path = tmp_path / "compas.csv"
-    export_csv(pop, str(path))
-    return str(path)
+    return write_csv(
+        tmp_path / "compas.csv", scenario_spec("compas_synthetic").cells
+    )
 
 
 COMPAS_BINS = "1-4=low,5-10=high"
@@ -40,7 +39,8 @@ class TestParseBins:
         assert bins.labels == ("0-0.5", "0.5-1")
 
     def test_errors(self):
-        for bad in ("5-10", "a-b=x,c-d=y", "5-1=down,1-5=up", "1-4,,", "1-6,5-10"):
+        for bad in ("5-10", "a-b=x,c-d=y", "5-1=down,1-5=up", "1-4,,", "1-6,5-10",
+                    "0-5=x,5-10=x"):
             with pytest.raises(ValidationError):
                 parse_bins(bad)
 
@@ -126,6 +126,17 @@ class TestAuditCommand:
         code = main(["audit", "--input", str(f), "--bins", COMPAS_BINS])
         assert code == EXIT_INPUT
 
+    def test_repeated_bin_label_exits_2_naming_it(self, tmp_path, capsys):
+        # Cells are reported by bin label, so a shared label would merge
+        # two bins' rows into one.
+        f = tmp_path / "two.csv"
+        f.write_text("id,group,score,outcome\n"
+                     "1,a,2.0,1\n2,a,7.0,0\n3,a,8.0,1\n4,b,3.0,0\n")
+        for command in ("audit", "equalize"):
+            code = main([command, "--input", str(f), "--bins", "0-5=x,5-10=x"])
+            assert code == EXIT_INPUT
+            assert "bin label 'x' names two bins" in capsys.readouterr().err
+
     def test_duplicate_id_exits_2_naming_both_rows(self, tmp_path, capsys):
         f = tmp_path / "dup.csv"
         f.write_text("id,group,score,outcome\n1,a,2.0,1\n1,b,7.0,0\n")
@@ -190,13 +201,20 @@ class TestAuditCommand:
 
 
 def test_commands_build_no_record_or_population(compas_csv, monkeypatch):
-    from fairaudit.domain import Population, Record
+    # Rows and fixture entries stream into the cell sums: no command holds
+    # a collection of records, only the per-(group, bin) counts.
+    import inspect
 
-    def forbidden(self, *args, **kwargs):
-        raise AssertionError(f"{type(self).__name__} built on the CLI path")
+    import fairaudit.ingest
+    import fairaudit.scenarios
 
-    monkeypatch.setattr(Record, "__init__", forbidden)
-    monkeypatch.setattr(Population, "__init__", forbidden)
+    def streamed_only(bins, counts):
+        assert inspect.isgenerator(counts), type(counts)
+        return build(bins, counts)
+
+    build = fairaudit.ingest.curve_from_counts
+    for module in (fairaudit.ingest, fairaudit.scenarios):
+        monkeypatch.setattr(module, "curve_from_counts", streamed_only)
     dataset = ["--input", compas_csv, "--bins", COMPAS_BINS]
     for argv in (["audit", *dataset], ["equalize", *dataset],
                  ["scenario", "compas_synthetic"]):

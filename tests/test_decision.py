@@ -3,14 +3,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import records
 from fairaudit import (
     OutcomeValues,
     ThresholdPolicy,
-    build_scenario,
-    calibration_curve,
     expected_values,
     optimal_threshold,
     policy_expected_disvalue,
+    scenario_curve,
+    scenario_spec,
 )
 from fairaudit.domain import ValidationError
 
@@ -121,39 +122,42 @@ class TestApplyPolicy:
     the group's threshold, so its decisions are read off confusion counts."""
 
     def test_stride_uniform_half_acts_on_high_bin(self):
-        pop, _ = build_scenario("stride_height")
-        curve = calibration_curve(pop)
-        for g in pop.groups:
+        spec = scenario_spec("stride_height")
+        curve = scenario_curve(spec.bins, spec.cells)
+        for g in curve.groups:
             cm = curve.confusion(g, 0.5)
-            acted = sum(r.score >= 160.0 for r in pop.records if r.group == g)
+            acted = sum(
+                score >= 160.0 for group, score, _ in records(spec.cells)
+                if group == g
+            )
             assert (cm.tp + cm.fp, cm.tn + cm.fn) == (acted, cm.n - acted)
 
     def test_zero_threshold_acts_on_everyone(self):
-        pop, _ = build_scenario("stride_height")
-        curve = calibration_curve(pop)
-        for g in pop.groups:
+        spec = scenario_spec("stride_height")
+        curve = scenario_curve(spec.bins, spec.cells)
+        for g in curve.groups:
             cm = curve.confusion(g, 0.0)
             assert cm.tn + cm.fn == 0
 
     def test_differential_thresholds_split_equal_p_scores(self):
         # Equalization-style per-group thresholds: white detained at the
         # high bin while black defendants with the same p_score band are not.
-        pop, _ = build_scenario("compas_synthetic")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("compas_synthetic")
+        curve = scenario_curve(spec.bins, spec.cells)
         policy = ThresholdPolicy.per_group({"white": 0.5, "black": 0.9})
         acted = {}
-        for g in pop.groups:
+        for g in curve.groups:
             cm = curve.confusion(g, policy.threshold_for(g))
             acted[g] = cm.tp + cm.fp
         assert acted["white"] > 0
         assert acted["black"] == 0
 
     def test_deterministic_and_idempotent(self):
-        pop, _ = build_scenario("compas_synthetic")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("compas_synthetic")
+        curve = scenario_curve(spec.bins, spec.cells)
         policy = ThresholdPolicy.uniform(0.5)
         decide = lambda: [
-            curve.confusion(g, policy.threshold_for(g)) for g in pop.groups
+            curve.confusion(g, policy.threshold_for(g)) for g in curve.groups
         ]
         assert decide() == decide()
 
@@ -165,18 +169,18 @@ class TestPolicyExpectedDisvalue:
         assert ev.ev_act == pytest.approx(0.8 * 1 + 0.2 * -1)
 
     def test_never_act_on_all_negative_population_is_perfect(self):
-        pop, _ = build_scenario("certainty_lottery")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("certainty_lottery")
+        curve = scenario_curve(spec.bins, spec.cells)
         values = OutcomeValues(v_tp=1, v_fp=0, v_tn=1, v_fn=0)
         assessment = policy_expected_disvalue(
             curve, ThresholdPolicy.uniform(0.5), values
         )
-        assert assessment.total.realized_value == len(pop.records) * values.v_tn
+        assert assessment.total.realized_value == len(records(spec.cells)) * values.v_tn
         assert assessment.total.expected_disvalue == 0.0
 
     def test_totals_are_group_sums(self):
-        pop, _ = build_scenario("compas_synthetic")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("compas_synthetic")
+        curve = scenario_curve(spec.bins, spec.cells)
         a = policy_expected_disvalue(
             curve, ThresholdPolicy.uniform(0.5), OutcomeValues(1, 0, 1, 0)
         )
@@ -189,8 +193,8 @@ class TestPolicyExpectedDisvalue:
     @pytest.mark.parametrize("scenario", ["stride_height", "compas_synthetic"])
     def test_uniform_p_star_minimizes_expected_disvalue(self, scenario):
         # Exhaustive threshold sweep: no uniform threshold beats p*.
-        pop, _ = build_scenario(scenario)
-        curve = calibration_curve(pop)
+        spec = scenario_spec(scenario)
+        curve = scenario_curve(spec.bins, spec.cells)
         values = OutcomeValues(1, 0, 1, 0)
         p_star = optimal_threshold(values)
         best = policy_expected_disvalue(
@@ -199,7 +203,7 @@ class TestPolicyExpectedDisvalue:
         candidates = {i / 100 for i in range(101)}
         candidates.update(
             curve.p_score(g, b)
-            for g in pop.groups
+            for g in curve.groups
             for b in curve.nonempty_bins(g)
         )
         for t in sorted(candidates):

@@ -4,20 +4,13 @@ from hypothesis import given, strategies as st
 from fairaudit import (
     BinScheme,
     ConfusionMatrix,
-    OutcomeLabel,
     OutcomeValues,
-    Record,
     ThresholdPolicy,
     ValidationError,
-    validate_population,
+    curve_from_counts,
 )
 
 COMPAS_BINS = BinScheme(edges=(1.0, 5.0, 10.0), labels=("low", "high"))
-
-
-def rec(i, group, score, positive=False):
-    label = OutcomeLabel.POSITIVE if positive else OutcomeLabel.NEGATIVE
-    return Record(str(i), group, score, label)
 
 
 class TestBinScheme:
@@ -65,43 +58,27 @@ class TestBinScheme:
 
 
 class TestValidatePopulation:
+    """The structural checks on a whole dataset, which every curve passes:
+    curve_from_counts holds the two-group rule. The per-row checks (empty
+    group, out-of-range or nan score) are ingest's, tested in test_ingest."""
+
     def test_minimal_passing_input(self):
-        records = [rec(1, "a", 2), rec(2, "a", 7), rec(3, "b", 9, True)]
-        pop = validate_population(records, COMPAS_BINS, False)
-        assert pop.groups == ("a", "b")
-        assert len(pop.records) == 3
-
-    def test_score_out_of_range_names_record(self):
-        records = [rec(1, "a", 2), rec("bad", "b", 11)]
-        with pytest.raises(ValidationError, match="bad"):
-            validate_population(records, COMPAS_BINS, False)
-
-    def test_nan_score_names_record(self):
-        records = [rec(1, "a", 2), rec("bad", "b", float("nan"))]
-        with pytest.raises(ValidationError, match="bad"):
-            validate_population(records, COMPAS_BINS, False)
+        curve = curve_from_counts(
+            COMPAS_BINS, [("a", 0, 0, 1), ("a", 1, 0, 1), ("b", 1, 1, 0)]
+        )
+        assert curve.groups == ("a", "b")
+        assert sum(cell.count for cell in curve.cells.values()) == 3
 
     def test_single_group_rejected(self):
-        records = [rec(1, "a", 2), rec(2, "a", 7)]
-        with pytest.raises(ValidationError, match="2 groups"):
-            validate_population(records, COMPAS_BINS, False)
+        # A group whose entries sum to no records is no group.
+        for counts in ([("a", 0, 0, 1), ("a", 1, 0, 1)],
+                       [("a", 0, 0, 1), ("b", 1, 0, 0)]):
+            with pytest.raises(ValidationError, match="need at least 2 groups"):
+                curve_from_counts(COMPAS_BINS, counts)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            validate_population([], COMPAS_BINS, False)
-
-    def test_empty_group_label_rejected(self):
-        records = [rec(1, "", 2), rec(2, "b", 7)]
-        with pytest.raises(ValidationError):
-            validate_population(records, COMPAS_BINS, False)
-
-    def test_idempotent(self):
-        records = [rec(1, "a", 2), rec(2, "b", 7)]
-        pop = validate_population(records, COMPAS_BINS, True)
-        again = validate_population(
-            pop.records, pop.bins, pop.action_benefits_subject
-        )
-        assert again == pop
+        with pytest.raises(ValidationError, match="need at least 2 groups"):
+            curve_from_counts(COMPAS_BINS, [])
 
 
 class TestPolicy:

@@ -16,16 +16,16 @@ import tempfile
 
 import pytest
 
-from fairaudit import SCENARIO_NAMES, random_calibrated_population
+from conftest import write_csv
+from fairaudit import SCENARIO_NAMES, calibrated_cells
 from fairaudit.cli import EXIT_OK, main
-from fairaudit.ingest import export_csv
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-#: Ten bins of width 0.1 over [0, 1], matching random_calibrated_population.
+#: Ten bins of width 0.1 over [0, 1], matching calibrated_cells.
 TENTHS = ",".join(f"{j / 10:g}-{(j + 1) / 10:g}" for j in range(10))
 
-#: (case name, argv without --format; "{csv}" stands for the seeded CSV).
+#: (case name, argv without --format; "{csv}" stands for the generated CSV).
 CASES = [
     (f"scenario_{name}", ["scenario", name]) for name in SCENARIO_NAMES
 ] + [
@@ -43,14 +43,12 @@ CASES = [
 FORMATS = ("md", "json")
 
 
-def write_csv(directory: pathlib.Path) -> str:
-    """The seeded two-group, ten-bin CSV the dataset cases read."""
-    population = random_calibrated_population(
-        seed=7, n_per_group=1100, bins=10, base_rate_a=0.3, base_rate_b=0.55
+def dataset_csv(directory: pathlib.Path) -> str:
+    """The calibrated two-group, ten-bin CSV the dataset cases read."""
+    _bins, cells = calibrated_cells(
+        n_per_group=1100, bins=10, base_rate_a=0.3, base_rate_b=0.55
     )
-    path = directory / "seeded.csv"
-    export_csv(population, str(path))
-    return str(path)
+    return write_csv(directory / "calibrated.csv", cells)
 
 
 def run_case(argv, fmt, csv_path):
@@ -64,7 +62,7 @@ def run_case(argv, fmt, csv_path):
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
 def test_cli_output_matches_golden(name, argv, fmt, tmp_path):
-    code, out = run_case(argv, fmt, write_csv(tmp_path))
+    code, out = run_case(argv, fmt, dataset_csv(tmp_path))
     assert code == EXIT_OK
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
@@ -72,7 +70,7 @@ def test_cli_output_matches_golden(name, argv, fmt, tmp_path):
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        csv_path = write_csv(pathlib.Path(tmp))
+        csv_path = dataset_csv(pathlib.Path(tmp))
         for name, argv in CASES:
             for fmt in FORMATS:
                 code, out = run_case(argv, fmt, csv_path)

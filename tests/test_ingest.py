@@ -1,27 +1,19 @@
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import cell_counts, entries_of, records, tally, write_csv
 from fairaudit import (
     SCENARIO_NAMES,
     BinScheme,
-    OutcomeLabel,
-    Record,
-    build_scenario,
-    calibration_curve,
-    ThresholdPolicy,
-    validate_population,
+    scenario_curve,
+    scenario_spec,
 )
-from fairaudit.ingest import (
-    DatasetConfig,
-    IngestError,
-    export_csv,
-    ingest_csv,
-    read_population,
-)
+from fairaudit.ingest import DatasetConfig, IngestError, ingest_csv
 
 SAMPLE = """id,group,score,outcome
 r1,alpha,2.0,1
@@ -32,9 +24,7 @@ r4,beta,9.0,0
 
 
 def config_for(path, bins):
-    return DatasetConfig(
-        path=str(path), bins=bins, action_benefits_subject=False
-    )
+    return DatasetConfig(path=str(path), bins=bins)
 
 
 @pytest.fixture
@@ -48,10 +38,12 @@ class TestIngest:
     def test_smoke(self, tmp_path, ten_bins):
         f = tmp_path / "data.csv"
         f.write_text(SAMPLE)
-        pop = read_population(config_for(f, ten_bins))
-        assert pop.groups == ("alpha", "beta")
-        assert len(pop.records) == 4
-        assert pop.records[0].outcome.is_positive
+        curve = ingest_csv(config_for(f, ten_bins))
+        assert curve.groups == ("alpha", "beta")
+        assert cell_counts(curve) == {
+            ("alpha", 0): (1, 1), ("alpha", 1): (1, 0),
+            ("beta", 0): (1, 1), ("beta", 1): (1, 0),
+        }
 
     def test_missing_file(self, ten_bins):
         with pytest.raises(IngestError, match="no such file"):
@@ -89,13 +81,42 @@ class TestIngest:
 
     def test_duplicate_id_names_both_rows(self, tmp_path, ten_bins):
         f = tmp_path / "data.csv"
-        f.write_text(
-            "id,group,score,outcome\nr1,a,2.0,1\nr2,b,3.0,0\nr1,b,4.0,0\n"
-        )
-        with pytest.raises(
-            IngestError, match=r"row 4: duplicate id 'r1' \(first on row 2\)"
+        for text, message in (
+            ("id,group,score,outcome\nr1,a,2.0,1\nr2,b,3.0,0\nr1,b,4.0,0\n",
+             r"row 4: duplicate id 'r1' \(first on row 2\)"),
+            # The first row is found by reading the file again, which counts
+            # a byte-order mark, blank lines and quoted line breaks as the
+            # first pass does.
+            ('\ufeffid,group,score,outcome\n\nr0,"a\nb",1.0,0\nr1,a,2.0,1\n'
+             "\nr1,b,4.0,0\n",
+             r"row 7: duplicate id 'r1' \(first on row 5\)"),
         ):
-            ingest_csv(config_for(f, ten_bins))
+            f.write_text(text, encoding="utf-8")
+            with pytest.raises(IngestError, match=message):
+                ingest_csv(config_for(f, ten_bins))
+
+    def test_duplicate_id_check_holds_only_the_ids(self, tmp_path, ten_bins):
+        # Ingest's memory beyond the cell counts is the ids the duplicate
+        # check has seen, as a dict's keys; it keeps no line per id.
+        n = 20_000
+        f = tmp_path / "data.csv"
+        f.write_text("id,group,score,outcome\n" + "".join(
+            f"{i},{'ab'[i % 2]},{i % 10},{i % 2}\n" for i in range(n)
+        ))
+        config = config_for(f, ten_bins)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ingest_csv(config)
+            ingest_peak = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            ids = dict.fromkeys(str(i) for i in range(n))
+            ids_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(ids) == n
+        assert ingest_peak < 1.1 * ids_peak, (ingest_peak, ids_peak)
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -120,7 +141,9 @@ class TestIngest:
     ):
         f = tmp_path / "data.csv"
         f.write_text("id,group,score,outcome\n\nr1,a,2.0,1\n\nr2,b,7.0,0\n\n")
-        assert len(read_population(config_for(f, ten_bins)).records) == 2
+        assert cell_counts(ingest_csv(config_for(f, ten_bins))) == {
+            ("a", 0): (1, 1), ("b", 1): (1, 0),
+        }
         f.write_text("id,group,score,outcome\n\nr1,a,2.0,1\n\nr2,b,tall,0\n")
         with pytest.raises(IngestError, match="row 5: unparseable score"):
             ingest_csv(config_for(f, ten_bins))
@@ -176,56 +199,36 @@ class TestIngest:
         cfg = DatasetConfig(
             path=str(f),
             bins=ten_bins,
-            action_benefits_subject=False,
             id_col="pid",
             group_col="race",
             score_col="decile",
             outcome_col="recid",
         )
-        pop = ingest_csv(cfg)
-        assert pop.groups == ("a", "b")
+        assert ingest_csv(cfg).groups == ("a", "b")
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_metrics_survive_export_and_reingest(self, tmp_path, name):
-        pop, spec = build_scenario(name)
-        path = tmp_path / f"{name}.csv"
-        export_csv(pop, str(path))
-        back = read_population(
-            DatasetConfig(
-                path=str(path),
-                bins=pop.bins,
-                action_benefits_subject=pop.action_benefits_subject,
-            )
-        )
-        assert back.records == pop.records
-        policy = ThresholdPolicy.uniform(spec.threshold)
-        for g in pop.groups:
-            t = policy.threshold_for(g)
-            before = calibration_curve(pop).confusion(g, t)
-            after = calibration_curve(back).confusion(g, t)
-            assert before == after
+        spec = scenario_spec(name)
+        path = write_csv(tmp_path / f"{name}.csv", spec.cells)
+        back = ingest_csv(DatasetConfig(path=path, bins=spec.bins))
+        assert back == scenario_curve(spec.bins, spec.cells)
 
     def test_metrics_invariant_under_row_permutation(self, tmp_path):
-        pop, spec = build_scenario("compas_synthetic")
-        shuffled = list(pop.records)
+        spec = scenario_spec("compas_synthetic")
+        shuffled = records(spec.cells)
         random.Random(13).shuffle(shuffled)
-        reordered = validate_population(
-            shuffled, pop.bins, pop.action_benefits_subject
-        )
-        policy = ThresholdPolicy.uniform(spec.threshold)
-        for g in pop.groups:
-            t = policy.threshold_for(g)
-            before = calibration_curve(pop).confusion(g, t)
-            after = calibration_curve(reordered).confusion(g, t)
-            assert before == after
+        path = write_csv(tmp_path / "shuffled.csv", entries_of(shuffled))
+        back = ingest_csv(DatasetConfig(path=path, bins=spec.bins))
+        assert back == scenario_curve(spec.bins, spec.cells)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_export_then_ingest_is_the_identity(self, data):
-        # Ids and groups that csv must quote: commas, quotes, line breaks
-        # and non-ASCII text. NUL is left out: Python 3.10's csv rejects it.
+        # Groups, and so ids, that csv must quote: commas, quotes, line
+        # breaks and non-ASCII text. NUL is left out: Python 3.10's csv
+        # rejects it.
         text = st.text(
             st.characters(blacklist_categories=("Cs",),
                           blacklist_characters="\x00")
@@ -236,29 +239,13 @@ class TestRoundTrip:
             st.lists(text.filter(bool), min_size=2, max_size=3, unique=True)
         )
         rows = data.draw(st.lists(
-            st.tuples(
-                text,
-                st.sampled_from(groups),
-                st.floats(0.0, 10.0),
-                st.sampled_from(list(OutcomeLabel)),
-            ),
-            min_size=2, max_size=12, unique_by=lambda row: row[0],
-        ).filter(lambda rows: len({row[1] for row in rows}) >= 2))
+            st.tuples(st.sampled_from(groups), st.floats(0.0, 10.0),
+                      st.booleans()),
+            min_size=2, max_size=12,
+        ).filter(lambda rows: len({row[0] for row in rows}) >= 2))
         bins = BinScheme(edges=(0.0, 5.0, 10.0))
-        pop = validate_population([Record(*row) for row in rows], bins, False)
         with tempfile.TemporaryDirectory() as tmp:
-            path = str(Path(tmp) / "pop.csv")
-            export_csv(pop, path)
-            config = DatasetConfig(
-                path=path, bins=bins, action_benefits_subject=False
-            )
-            back = read_population(config)
-            curve = ingest_csv(config)
-        assert back == pop
-        # The streaming sink counts exactly the rows the Record sink keeps.
-        assert curve == calibration_curve(back)
-
-    def test_export_rejects_empty_path(self):
-        pop, _ = build_scenario("stride_height")
-        with pytest.raises(IngestError):
-            export_csv(pop, "")
+            path = write_csv(Path(tmp) / "rows.csv", entries_of(rows))
+            curve = ingest_csv(DatasetConfig(path=path, bins=bins))
+        assert curve.groups == tuple(sorted({row[0] for row in rows}))
+        assert cell_counts(curve) == tally(bins, rows)

@@ -3,19 +3,22 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import records
 from fairaudit import (
     ConfusionMatrix,
-    build_scenario,
-    calibration_curve,
     calibration_gap,
     chance_miscalibration_bound,
+    scenario_curve,
+    scenario_spec,
 )
 from fairaudit.domain import ValidationError
 
 
-def base_rate(population, group):
-    """A group's positive fraction, read off its curve's confusion counts."""
-    return calibration_curve(population).confusion(group, 0.5).base_rate
+def base_rate(name, group):
+    """A group's positive fraction in a named fixture, read off its curve's
+    confusion counts."""
+    spec = scenario_spec(name)
+    return scenario_curve(spec.bins, spec.cells).confusion(group, 0.5).base_rate
 
 
 def binomial_two_sided_tail(n: int, p: float, gap: float) -> float:
@@ -72,79 +75,82 @@ class TestRates:
 
 class TestConfusionForGroup:
     def test_section2_b_policy(self):
-        pop, _ = build_scenario("section_grades")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("section_grades")
+        curve = scenario_curve(spec.bins, spec.cells)
         cm = curve.confusion("section2", 0.5)
         assert (cm.tp, cm.fp, cm.tn, cm.fn) == (16, 4, 6, 4)
 
     def test_stride_men_high_bin_policy(self):
-        pop, _ = build_scenario("stride_height")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("stride_height")
+        curve = scenario_curve(spec.bins, spec.cells)
         cm = curve.confusion("men", 0.5)
         assert (cm.tp, cm.fp, cm.tn, cm.fn) == (160, 40, 40, 10)
 
     def test_never_act_policy(self):
-        pop, _ = build_scenario("stride_height")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("stride_height")
+        curve = scenario_curve(spec.bins, spec.cells)
         cm = curve.confusion("men", 1.0)
         assert cm.tp == 0 and cm.fp == 0
         assert cm.n == 250
 
     def test_unknown_group(self):
-        pop, _ = build_scenario("stride_height")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("stride_height")
+        curve = scenario_curve(spec.bins, spec.cells)
         with pytest.raises(ValidationError):
             curve.confusion("nobody", 0.5)
 
     @pytest.mark.parametrize("threshold", [0.0, 0.1, 0.2, 0.5, 0.8, 0.9, 1.0])
     def test_counts_partition_group(self, threshold):
-        pop, _ = build_scenario("compas_synthetic")
-        curve = calibration_curve(pop)
-        for g in pop.groups:
+        spec = scenario_spec("compas_synthetic")
+        curve = scenario_curve(spec.bins, spec.cells)
+        for g in curve.groups:
             cm = curve.confusion(g, threshold)
-            assert cm.n == sum(r.group == g for r in pop.records)
+            assert cm.n == sum(
+                group == g for group, _score, _ in records(spec.cells)
+            )
 
 
 class TestBaseRate:
     def test_compas_base_rates(self):
-        pop, _ = build_scenario("compas_synthetic")
-        assert base_rate(pop, "black") == pytest.approx(0.51, abs=0.005)
-        assert base_rate(pop, "white") == pytest.approx(0.39, abs=0.005)
+        assert base_rate("compas_synthetic", "black") == pytest.approx(
+            0.51, abs=0.005
+        )
+        assert base_rate("compas_synthetic", "white") == pytest.approx(
+            0.39, abs=0.005
+        )
 
     def test_all_negative_group(self):
-        pop, _ = build_scenario("certainty_lottery")
-        assert base_rate(pop, "men") == 0.0
+        assert base_rate("certainty_lottery", "men") == 0.0
 
     def test_unknown_group(self):
-        pop, _ = build_scenario("certainty_lottery")
         with pytest.raises(ValidationError):
-            base_rate(pop, "children")
+            base_rate("certainty_lottery", "children")
 
 
 class TestCalibrationCurve:
     def test_stride_high_bin_calibrated_at_080(self):
-        pop, _ = build_scenario("stride_height")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("stride_height")
+        curve = scenario_curve(spec.bins, spec.cells)
         assert curve.p_score("men", 1) == 0.80
         assert curve.p_score("women", 1) == 0.80
 
     def test_section_grades_b_bin(self):
-        pop, _ = build_scenario("section_grades")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("section_grades")
+        curve = scenario_curve(spec.bins, spec.cells)
         assert curve.p_score("section1", 1) == 0.80
         assert curve.p_score("section2", 1) == 0.80
 
     def test_single_bin_degenerates_to_base_rate(self):
         # All certainty_lottery records sit in one bin.
-        pop, _ = build_scenario("certainty_lottery")
-        curve = calibration_curve(pop)
-        for g in pop.groups:
+        spec = scenario_spec("certainty_lottery")
+        curve = scenario_curve(spec.bins, spec.cells)
+        for g in curve.groups:
             assert curve.nonempty_bins(g) == (0,)
-            assert curve.p_score(g, 0) == base_rate(pop, g)
+            assert curve.p_score(g, 0) == base_rate("certainty_lottery", g)
 
     def test_empty_cells_absent_not_zero(self):
-        pop, _ = build_scenario("miscalibrated_compas")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("miscalibrated_compas")
+        curve = scenario_curve(spec.bins, spec.cells)
         assert curve.cell("white", 0) is None
         with pytest.raises(ValidationError):
             curve.p_score("white", 0)
@@ -152,23 +158,23 @@ class TestCalibrationCurve:
 
 class TestCalibrationGap:
     def test_miscalibrated_bin8(self):
-        pop, _ = build_scenario("miscalibrated_compas")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("miscalibrated_compas")
+        curve = scenario_curve(spec.bins, spec.cells)
         assert calibration_gap(curve, "white", "black") == pytest.approx(0.20)
 
     def test_identity_is_zero(self):
-        pop, _ = build_scenario("compas_synthetic")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("compas_synthetic")
+        curve = scenario_curve(spec.bins, spec.cells)
         assert calibration_gap(curve, "black", "black") == 0.0
 
     def test_stride_is_bin_exact(self):
-        pop, _ = build_scenario("stride_height")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("stride_height")
+        curve = scenario_curve(spec.bins, spec.cells)
         assert calibration_gap(curve, "men", "women") == 0.0
 
     def test_symmetry(self):
-        pop, _ = build_scenario("miscalibrated_compas")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("miscalibrated_compas")
+        curve = scenario_curve(spec.bins, spec.cells)
         assert calibration_gap(curve, "white", "black") == calibration_gap(
             curve, "black", "white"
         )

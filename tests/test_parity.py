@@ -1,29 +1,29 @@
 import pytest
 
+from conftest import records
 from fairaudit import (
     AuditError,
-    OutcomeLabel,
-    Record,
+    BinScheme,
     ThresholdPolicy,
-    build_scenario,
-    calibration_curve,
     equalize_fpr,
     fair_lottery,
     impossibility_check,
     individual_error_risk,
+    scenario_curve,
+    scenario_spec,
 )
 from fairaudit.domain import ValidationError
 from fairaudit.parity import LOWER_OTHERS, RAISE_OTHERS
 
 
-def direct_fpr(population, group, threshold):
-    """Oracle: count fp and tn straight off the records."""
-    curve = calibration_curve(population)
+def direct_fpr(spec, group, threshold):
+    """Oracle: count fp and tn straight off the fixture's records."""
+    curve = scenario_curve(spec.bins, spec.cells)
     fp = tn = 0
-    for r in population.records:
-        if r.group != group or r.outcome.is_positive:
+    for g, score, positive in records(spec.cells):
+        if g != group or positive:
             continue
-        p = curve.p_score(group, population.bins.bin_of(r.score))
+        p = curve.p_score(group, spec.bins.bin_of(score))
         if p >= threshold:
             fp += 1
         else:
@@ -33,8 +33,8 @@ def direct_fpr(population, group, threshold):
 
 class TestImpossibilityCheck:
     def test_stride_ordering(self):
-        pop, spec = build_scenario("stride_height")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("stride_height")
+        curve = scenario_curve(spec.bins, spec.cells)
         verdict = impossibility_check(curve, spec.threshold)
         assert verdict.calibrated
         assert verdict.higher_base_rate_group == "men"
@@ -44,8 +44,8 @@ class TestImpossibilityCheck:
         assert verdict.fprs["women"] == pytest.approx(0.2)
 
     def test_section_grades_ordering(self):
-        pop, spec = build_scenario("section_grades")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("section_grades")
+        curve = scenario_curve(spec.bins, spec.cells)
         verdict = impossibility_check(
             curve, spec.threshold, calib_tolerance=spec.calib_tolerance
         )
@@ -55,8 +55,8 @@ class TestImpossibilityCheck:
         assert verdict.fprs["section1"] == pytest.approx(0.10)
 
     def test_miscalibrated_population_not_applicable(self):
-        pop, spec = build_scenario("miscalibrated_compas")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("miscalibrated_compas")
+        curve = scenario_curve(spec.bins, spec.cells)
         verdict = impossibility_check(curve, spec.threshold)
         assert not verdict.calibrated
         assert not verdict.applicable
@@ -64,37 +64,35 @@ class TestImpossibilityCheck:
 
     @pytest.mark.parametrize("tolerance", [float("nan"), -1.0])
     def test_rejects_bad_calibration_tolerance(self, tolerance):
-        pop, spec = build_scenario("stride_height")
+        spec = scenario_spec("stride_height")
         with pytest.raises(ValidationError, match="tolerance"):
             impossibility_check(
-                calibration_curve(pop), spec.threshold,
+                scenario_curve(spec.bins, spec.cells), spec.threshold,
                 calib_tolerance=tolerance,
             )
 
     def test_requires_exactly_two_groups(self):
-        pop, _ = build_scenario("stride_height")
-        only_women = [r for r in pop.records if r.group == "women"]
-        from fairaudit import validate_population
-
+        spec = scenario_spec("stride_height")
+        only_women = [cell for cell in spec.cells if cell[0] == "women"]
         with pytest.raises(ValidationError):
-            validate_population(only_women, pop.bins, pop.action_benefits_subject)
+            scenario_curve(spec.bins, only_women)
 
     def test_fprs_match_direct_counts(self):
-        pop, spec = build_scenario("compas_synthetic")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("compas_synthetic")
+        curve = scenario_curve(spec.bins, spec.cells)
         verdict = impossibility_check(
             curve, spec.threshold, calib_tolerance=spec.calib_tolerance
         )
-        for g in pop.groups:
+        for g in curve.groups:
             assert verdict.fprs[g] == pytest.approx(
-                direct_fpr(pop, g, spec.threshold)
+                direct_fpr(spec, g, spec.threshold)
             )
 
 
 class TestEqualizeFpr:
     def test_stride_raise_others(self):
-        pop, spec = build_scenario("stride_height")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("stride_height")
+        curve = scenario_curve(spec.bins, spec.cells)
         result = equalize_fpr(
             curve,
             ThresholdPolicy.uniform(spec.threshold),
@@ -111,8 +109,8 @@ class TestEqualizeFpr:
         assert not result.exact
 
     def test_compas_benefit_matches_hand_computation(self):
-        pop, spec = build_scenario("compas_benefit")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("compas_benefit")
+        curve = scenario_curve(spec.bins, spec.cells)
         result = equalize_fpr(
             curve,
             ThresholdPolicy.uniform(spec.threshold),
@@ -128,28 +126,16 @@ class TestEqualizeFpr:
         assert result.disvalue_delta >= 0.0
 
     def test_identical_groups_already_equal(self):
-        pop, spec = build_scenario("compas_benefit")
+        spec = scenario_spec("compas_benefit")
         # Restrict to a synthetic two-group clone: same composition, so the
         # baseline FPRs coincide and thresholds stay at baseline.
-        records = []
-        for r in pop.records:
-            if r.group != "black":
-                continue
-            records.append(r)
-            records.append(
-                Record(
-                    id=r.id + "-clone",
-                    group="black2",
-                    score=r.score,
-                    outcome=r.outcome,
-                )
-            )
-        from fairaudit import validate_population
-
-        clone = validate_population(
-            records, pop.bins, pop.action_benefits_subject
-        )
-        curve = calibration_curve(clone)
+        clone = [
+            (name, score, positives, negatives)
+            for group, score, positives, negatives in spec.cells
+            if group == "black"
+            for name in ("black", "black2")
+        ]
+        curve = scenario_curve(spec.bins, clone)
         result = equalize_fpr(
             curve, ThresholdPolicy.uniform(0.5), tolerance=1e-9
         )
@@ -159,43 +145,30 @@ class TestEqualizeFpr:
         assert result.disvalue_delta == 0.0
 
     def test_fprs_consistent_with_direct_counts(self):
-        pop, spec = build_scenario("compas_benefit")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("compas_benefit")
+        curve = scenario_curve(spec.bins, spec.cells)
         result = equalize_fpr(
             curve,
             ThresholdPolicy.uniform(spec.threshold),
             tolerance=1e-9,
             direction=RAISE_OTHERS,
         )
-        for g in pop.groups:
+        for g in curve.groups:
             assert result.fprs[g] == pytest.approx(
-                direct_fpr(pop, g, result.thresholds[g])
+                direct_fpr(spec, g, result.thresholds[g])
             )
 
     def test_no_negatives_is_an_error(self):
-        from fairaudit import BinScheme, validate_population
-
-        bins = BinScheme(edges=(0.0, 0.5, 1.0))
-        records = [
-            Record(id=f"a{i}", group="a", score=0.5, outcome=OutcomeLabel.POSITIVE)
-            for i in range(5)
-        ] + [
-            Record(
-                id=f"b{i}",
-                group="b",
-                score=0.5,
-                outcome=OutcomeLabel.NEGATIVE if i % 2 else OutcomeLabel.POSITIVE,
-            )
-            for i in range(6)
-        ]
-        pop = validate_population(records, bins, action_benefits_subject=False)
-        curve = calibration_curve(pop)
+        curve = scenario_curve(
+            BinScheme(edges=(0.0, 0.5, 1.0)),
+            [("a", 0.5, 5, 0), ("b", 0.5, 3, 3)],
+        )
         with pytest.raises(AuditError, match="no negatives"):
             equalize_fpr(curve, ThresholdPolicy.uniform(0.5), tolerance=1e-9)
 
     def test_rejects_bad_arguments(self):
-        pop, _ = build_scenario("stride_height")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("stride_height")
+        curve = scenario_curve(spec.bins, spec.cells)
         with pytest.raises(ValidationError):
             equalize_fpr(curve, ThresholdPolicy.uniform(0.5), tolerance=0.0)
         with pytest.raises(ValidationError):
@@ -213,41 +186,44 @@ class TestEqualizeFpr:
 
 class TestIndividualErrorRisk:
     def test_acted_on_long_bin_risk(self):
-        pop, spec = build_scenario("stride_height")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("stride_height")
+        curve = scenario_curve(spec.bins, spec.cells)
         policy = ThresholdPolicy.uniform(spec.threshold)
         tall_man = next(
-            r for r in pop.records if r.group == "men" and r.score >= 160
+            score for group, score, _ in records(spec.cells)
+            if group == "men" and score >= 160
         )
         assert individual_error_risk(
-            curve, tall_man.group, pop.bins.bin_of(tall_man.score), policy
+            curve, "men", spec.bins.bin_of(tall_man), policy
         ) == pytest.approx(0.20)
 
     def test_group_invariance_under_uniform_policy(self):
-        pop, spec = build_scenario("stride_height")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("stride_height")
+        curve = scenario_curve(spec.bins, spec.cells)
         policy = ThresholdPolicy.uniform(spec.threshold)
         tall = {
             g: next(
-                r for r in pop.records if r.group == g and r.score >= 160
+                score for group, score, _ in records(spec.cells)
+                if group == g and score >= 160
             )
-            for g in pop.groups
+            for g in curve.groups
         }
         risks = {
-            g: individual_error_risk(curve, g, pop.bins.bin_of(r.score), policy)
-            for g, r in tall.items()
+            g: individual_error_risk(curve, g, spec.bins.bin_of(score), policy)
+            for g, score in tall.items()
         }
         assert risks["men"] == risks["women"]
 
     def test_refrained_risk_is_p_score(self):
-        pop, spec = build_scenario("stride_height")
-        curve = calibration_curve(pop)
+        spec = scenario_spec("stride_height")
+        curve = scenario_curve(spec.bins, spec.cells)
         policy = ThresholdPolicy.uniform(spec.threshold)
         short_woman = next(
-            r for r in pop.records if r.group == "women" and r.score < 160
+            score for group, score, _ in records(spec.cells)
+            if group == "women" and score < 160
         )
         assert individual_error_risk(
-            curve, short_woman.group, pop.bins.bin_of(short_woman.score), policy
+            curve, "women", spec.bins.bin_of(short_woman), policy
         ) == pytest.approx(0.20)
 
 

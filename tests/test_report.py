@@ -1,14 +1,19 @@
 import dataclasses
 
-from fairaudit import SYMMETRIC_VALUES, ThresholdPolicy, build_scenario, calibration_curve
+from fairaudit import (
+    SYMMETRIC_VALUES,
+    ThresholdPolicy,
+    scenario_curve,
+    scenario_spec,
+)
 from fairaudit.cli import _base_report
 from fairaudit.report import render_report
 
 
 def test_markdown_prints_large_counts_as_integers():
-    population, spec = build_scenario("compas_synthetic")
+    spec = scenario_spec("compas_synthetic")
     report = _base_report(
-        calibration_curve(population), population.action_benefits_subject,
+        scenario_curve(spec.bins, spec.cells), spec.action_benefits_subject,
         ThresholdPolicy.uniform(spec.threshold), SYMMETRIC_VALUES, True, 1e-9, [],
     )
     cells = {"black": {"high": {"count": 1_234_567, "positives": 1_000_000,

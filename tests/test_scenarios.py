@@ -1,15 +1,16 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import cell_counts, records, tally
 from fairaudit import (
     AuditError,
     SCENARIO_NAMES,
-    build_scenario,
-    calibration_curve,
+    ValidationError,
+    calibrated_cells,
     calibration_gap,
     check_scenario,
-    random_calibrated_population,
     scenario_curve,
     scenario_spec,
 )
@@ -20,7 +21,7 @@ from fairaudit.scenarios import Check
 class TestNamedScenarios:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_all_checks_pass(self, name):
-        _pop, spec = build_scenario(name)
+        spec = scenario_spec(name)
         results = check_scenario(scenario_report(name), spec)
         assert len(results) == len(spec.checks)
         failures = [
@@ -61,12 +62,14 @@ class TestNamedScenarios:
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_direct_curve_equals_the_binned_population(self, name):
-        population, spec = build_scenario(name)
-        assert scenario_curve(scenario_spec(name)) == calibration_curve(population)
+        spec = scenario_spec(name)
+        assert cell_counts(scenario_curve(spec.bins, spec.cells)) == tally(
+            spec.bins, records(spec.cells)
+        )
 
     def test_checks_read_the_report_not_a_recomputation(self):
         report = scenario_report("stride_height")
-        _pop, spec = build_scenario("stride_height")
+        spec = scenario_spec("stride_height")
         men = report.groups["men"]
         doctored = dataclasses.replace(
             report,
@@ -94,80 +97,105 @@ class TestNamedScenarios:
         report = dataclasses.replace(
             scenario_report("compas_benefit"), equalization=None
         )
-        _pop, spec = build_scenario("compas_benefit")
-        spec = dataclasses.replace(spec, checks=(Check(label, 0.0),))
+        spec = dataclasses.replace(
+            scenario_spec("compas_benefit"), checks=(Check(label, 0.0),)
+        )
         with pytest.raises(AuditError, match=section):
             check_scenario(report, spec)
 
     def test_unknown_scenario(self):
         with pytest.raises(AuditError, match="unknown scenario"):
-            build_scenario("trolley_problem")
+            scenario_spec("trolley_problem")
 
     def test_building_is_deterministic(self):
-        a, _ = build_scenario("compas_synthetic")
-        b, _ = build_scenario("compas_synthetic")
-        assert a.records == b.records
+        a, b = (scenario_spec("compas_synthetic") for _ in range(2))
+        assert a == b
+        assert scenario_curve(a.bins, a.cells) == scenario_curve(b.bins, b.cells)
+
+
+# (n_per_group, bins, base_rate_a, base_rate_b), all feasible.
+CALIBRATED_CASES = (
+    (600, 4, 0.55, 0.35),
+    (400, 3, 0.6, 0.4),
+    (900, 2, 0.5, 0.45),
+    (1200, 5, 0.65, 0.3),
+    (700, 6, 0.7, 0.25),
+)
 
 
 class TestRandomCalibratedPopulation:
-    def test_deterministic_given_seed(self):
-        kwargs = dict(n_per_group=400, bins=3, base_rate_a=0.6, base_rate_b=0.4)
-        assert (
-            random_calibrated_population(seed=7, **kwargs).records
-            == random_calibrated_population(seed=7, **kwargs).records
-        )
+    """calibrated_cells over concrete and randomly drawn inputs."""
 
-    def test_seed_only_permutes_records(self):
-        kwargs = dict(n_per_group=400, bins=3, base_rate_a=0.6, base_rate_b=0.4)
-        a = random_calibrated_population(seed=1, **kwargs)
-        b = random_calibrated_population(seed=2, **kwargs)
-        key = lambda r: (r.group, r.score, r.outcome.value, r.id)
-        assert sorted(a.records, key=key) == sorted(b.records, key=key)
-        assert a.records != b.records
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_exactly_calibrated(self, seed):
-        pop = random_calibrated_population(
-            seed=seed, n_per_group=600, bins=4, base_rate_a=0.55, base_rate_b=0.35
-        )
-        curve = calibration_curve(pop)
+    @pytest.mark.parametrize("case", range(len(CALIBRATED_CASES)))
+    def test_exactly_calibrated(self, case):
+        curve = scenario_curve(*calibrated_cells(*CALIBRATED_CASES[case]))
         assert calibration_gap(curve, "a", "b") == 0.0
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_base_rates_within_one_record(self, seed):
-        n = 600
-        pop = random_calibrated_population(
-            seed=seed, n_per_group=n, bins=4, base_rate_a=0.55, base_rate_b=0.35
-        )
-        curve = calibration_curve(pop)
-        assert abs(curve.confusion("a", 0.5).base_rate - 0.55) <= 1.0 / n
-        assert abs(curve.confusion("b", 0.5).base_rate - 0.35) <= 1.0 / n
+    @pytest.mark.parametrize("case", range(len(CALIBRATED_CASES)))
+    def test_base_rates_within_one_record(self, case):
+        n, _, rate_a, rate_b = CALIBRATED_CASES[case]
+        curve = scenario_curve(*calibrated_cells(*CALIBRATED_CASES[case]))
+        assert abs(curve.confusion("a", 0.5).base_rate - rate_a) <= 1.0 / n
+        assert abs(curve.confusion("b", 0.5).base_rate - rate_b) <= 1.0 / n
 
     def test_bin_positive_fractions_are_exact(self):
-        bins = 3
-        pop = random_calibrated_population(
-            seed=0, n_per_group=400, bins=bins, base_rate_a=0.6, base_rate_b=0.4
+        bins, cells = calibrated_cells(
+            n_per_group=400, bins=3, base_rate_a=0.6, base_rate_b=0.4
         )
-        curve = calibration_curve(pop)
-        for g in pop.groups:
-            for b in curve.nonempty_bins(g):
-                cell = curve.cell(g, b)
-                # Each bin is built from whole units of bins+1 records.
-                assert cell.count % (bins + 1) == 0
-                assert cell.positives * (bins + 1) == cell.count * (b + 1), (
-                    g,
-                    b,
-                    cell,
-                )
+        curve = scenario_curve(bins, cells)
+        for (g, b), cell in curve.cells.items():
+            # Each bin is built from whole units of bins+1 records.
+            assert cell.count % 4 == 0
+            assert cell.positives * 4 == cell.count * (b + 1), (g, b, cell)
 
     def test_rejects_indivisible_population_size(self):
-        with pytest.raises(AuditError):
-            random_calibrated_population(
-                seed=0, n_per_group=401, bins=3, base_rate_a=0.6, base_rate_b=0.4
+        with pytest.raises(ValidationError, match="multiple of 4"):
+            calibrated_cells(
+                n_per_group=401, bins=3, base_rate_a=0.6, base_rate_b=0.4
             )
 
     def test_rejects_infeasible_base_rate(self):
-        with pytest.raises(AuditError):
-            random_calibrated_population(
-                seed=0, n_per_group=400, bins=3, base_rate_a=0.99, base_rate_b=0.4
+        with pytest.raises(ValidationError, match="infeasible"):
+            calibrated_cells(
+                n_per_group=400, bins=3, base_rate_a=0.99, base_rate_b=0.4
             )
+
+    @settings(deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.integers(1, 120),
+        st.one_of(st.just(0), st.integers(1, 6)),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_counts_are_exact_or_the_input_is_rejected(
+        self, n_bins, units, extra, rate_a, rate_b
+    ):
+        n = units * (n_bins + 1) + extra
+        # Each bin holds whole units of n_bins + 1 records, bin j (from 1)
+        # j positives per unit, and every bin holds at least one unit: so
+        # n must divide into units, at least n_bins of them, and a group's
+        # positives lie between all spare units in bin 1 and all in bin B.
+        fixed = n_bins * (n_bins + 1) // 2
+        spare = n // (n_bins + 1) - n_bins
+        feasible = n % (n_bins + 1) == 0 and spare >= 0 and all(
+            fixed + spare <= round(rate * n) <= fixed + spare * n_bins
+            for rate in (rate_a, rate_b)
+        )
+        if not feasible:
+            with pytest.raises(ValidationError):
+                calibrated_cells(n, n_bins, rate_a, rate_b)
+            return
+        bins, cells = calibrated_cells(n, n_bins, rate_a, rate_b)
+        curve = scenario_curve(bins, cells)
+        assert curve.groups == ("a", "b")
+        assert bins.n_bins == n_bins and (bins.lo, bins.hi) == (0.0, 1.0)
+        for g, rate in (("a", rate_a), ("b", rate_b)):
+            assert curve.nonempty_bins(g) == tuple(range(n_bins))
+            for b in range(n_bins):
+                cell = curve.cell(g, b)
+                assert cell.positives * (n_bins + 1) == cell.count * (b + 1)
+            cm = curve.confusion(g, 0.5)
+            assert cm.n == n
+            assert abs(cm.base_rate - rate) <= 1 / n
+        assert calibration_gap(curve, "a", "b") == 0.0
