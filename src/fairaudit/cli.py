@@ -6,7 +6,6 @@ failure (a regression against the published figures), 4 internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from typing import Sequence
@@ -266,7 +265,7 @@ def cmd_equalize(args: argparse.Namespace) -> int:
     report = _base_report(
         curve, args.benefit, policy, values, defaulted, args.tolerance, notes
     )
-    report = dataclasses.replace(report, equalization=equalization)
+    report = report._replace(equalization=equalization)
     _emit(report, args)
     return EXIT_OK
 
@@ -296,7 +295,7 @@ def scenario_report(name: str) -> AuditReport:
         extras["lottery"] = fair_lottery(
             counts, int(spec.params["exclusion_quota"])
         )
-    report = dataclasses.replace(report, **extras, notes=tuple(notes))
+    report = report._replace(**extras, notes=tuple(notes))
     checks = [
         {
             "label": check.label,
@@ -308,7 +307,7 @@ def scenario_report(name: str) -> AuditReport:
         }
         for check, actual, ok in check_scenario(report, spec)
     ]
-    return dataclasses.replace(report, scenario=ScenarioSection(
+    return report._replace(scenario=ScenarioSection(
         name=spec.name,
         description=spec.description,
         checks=checks,

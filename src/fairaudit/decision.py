@@ -5,23 +5,20 @@ its bin; nothing else enters. Ties at the threshold resolve toward acting.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .domain import OutcomeValues, ThresholdPolicy, ValidationError
 from .metrics import CalibrationCurve
 
 
-@dataclass(frozen=True)
-class DecisionEV:
+class DecisionEV(NamedTuple):
     """Expected values of the two available actions at one credence level."""
 
     ev_act: float
     ev_refrain: float
 
 
-@dataclass(frozen=True)
-class GroupAssessment:
+class GroupAssessment(NamedTuple):
     """One group's decision counts and value sums under a policy.
 
     Value is linear in the confusion counts, so both sums are
@@ -48,8 +45,7 @@ class GroupAssessment:
         return self.best_expected_value - self.expected_value
 
 
-@dataclass(frozen=True)
-class PolicyAssessment:
+class PolicyAssessment(NamedTuple):
     """Expected and realized value accounting for one policy, by group."""
 
     per_group: Mapping[str, GroupAssessment]

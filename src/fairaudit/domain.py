@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
+
+# Sets a field of a frozen value object, in its __init__ only.
+_set = object.__setattr__
 
 
 class AuditError(Exception):
@@ -20,8 +22,55 @@ class ValidationError(AuditError):
     """A dataset, bin scheme, or policy violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class BinScheme:
+class ValueObject:
+    """Base of the value objects that validate or cache: immutable, equal
+    and hashed by the fields named in ``_fields``, each set once by the
+    subclass's ``__init__``.
+
+    The plain records elsewhere are ``typing.NamedTuple`` classes; ``_replace``
+    and ``_asdict`` are spelled as theirs, so every value object is copied
+    the same way, and a copy is validated again like a new instance.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _asdict(self) -> dict[str, Any]:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def _replace(self, **changes: Any):
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: they cannot set fields
+        # one by one, and the rebuilt object is validated again.
+        return type(self), self._astuple()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in self._asdict().items()
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BinScheme(ValueObject):
     """Ordered, contiguous partition of the score range into half-open
     intervals [lo, hi); the last bin is closed on top.
 
@@ -30,10 +79,15 @@ class BinScheme:
     may share one.
     """
 
+    __slots__ = _fields = ("edges", "labels")
     edges: tuple[float, ...]
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, edges: tuple[float, ...], labels: tuple[str, ...] | None = None
+    ) -> None:
+        _set(self, "edges", edges)
+        _set(self, "labels", labels)
         if len(self.edges) < 3:
             raise ValidationError("a bin scheme needs at least 2 bins")
         if any(not b > a for a, b in zip(self.edges, self.edges[1:])):
@@ -81,8 +135,7 @@ class BinScheme:
         return bisect_right(edges, score, 0, len(edges) - 1) - 1
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(ValueObject):
     """Four-outcome counts for one group under one policy, and the rates
     formed from them.
 
@@ -91,15 +144,23 @@ class ConfusionMatrix:
     information, not an error.
     """
 
+    __slots__ = _fields = ("tp", "fp", "tn", "fn")
     tp: int
     fp: int
     tn: int
     fn: int
 
-    def __post_init__(self) -> None:
-        for name in ("tp", "fp", "tn", "fn"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} count is negative")
+    def __init__(self, tp: int, fp: int, tn: int, fn: int) -> None:
+        # Each threshold sweep builds one matrix per cut point, so the
+        # common case is tested without building the named pairs.
+        if tp < 0 or fp < 0 or tn < 0 or fn < 0:
+            for name, count in zip(self._fields, (tp, fp, tn, fn)):
+                if count < 0:
+                    raise ValidationError(f"{name} count is negative")
+        _set(self, "tp", tp)
+        _set(self, "fp", fp)
+        _set(self, "tn", tn)
+        _set(self, "fn", fn)
 
     @property
     def n(self) -> int:
@@ -132,8 +193,7 @@ class ConfusionMatrix:
         return self.tp / self.acted if self.acted else None
 
 
-@dataclass(frozen=True)
-class OutcomeValues:
+class OutcomeValues(ValueObject):
     """Utilities of the four decision outcomes, in dimensionless value units.
 
     A well-posed interior threshold requires acting to be strictly better on
@@ -141,17 +201,19 @@ class OutcomeValues:
     (v_tn > v_fp).
     """
 
+    __slots__ = _fields = ("v_tp", "v_fp", "v_tn", "v_fn")
     v_tp: float
     v_fp: float
     v_tn: float
     v_fn: float
 
-    def __post_init__(self) -> None:
-        for name in ("v_tp", "v_fp", "v_tn", "v_fn"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(
-                    f"{name} must be finite, got {getattr(self, name)!r}"
-                )
+    def __init__(
+        self, v_tp: float, v_fp: float, v_tn: float, v_fn: float
+    ) -> None:
+        for name, value in zip(self._fields, (v_tp, v_fp, v_tn, v_fn)):
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
+            _set(self, name, value)
         if not self.v_tn > self.v_fp:
             raise ValidationError(
                 f"need v_tn > v_fp, got v_tn={self.v_tn} v_fp={self.v_fp}"
@@ -173,18 +235,24 @@ class OutcomeValues:
 SYMMETRIC_VALUES = OutcomeValues(v_tp=1.0, v_fp=0.0, v_tn=1.0, v_fn=0.0)
 
 
-@dataclass(frozen=True)
-class ThresholdPolicy:
+class ThresholdPolicy(ValueObject):
     """Uniform or per-group probability threshold.
 
     Decisions compare the bin p_score against the group's threshold with >=
     (ties resolve toward acting).
     """
 
-    _uniform: float | None = None
-    _per_group: Mapping[str, float] = field(default_factory=dict)
+    __slots__ = _fields = ("_uniform", "_per_group")
+    _uniform: float | None
+    _per_group: Mapping[str, float]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        _uniform: float | None = None,
+        _per_group: Mapping[str, float] | None = None,
+    ) -> None:
+        _set(self, "_uniform", _uniform)
+        _set(self, "_per_group", {} if _per_group is None else _per_group)
         thresholds = list(self._per_group.values())
         if self._uniform is not None:
             thresholds.append(self._uniform)

@@ -11,9 +11,8 @@ from __future__ import annotations
 import codecs
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .domain import AuditError, BinScheme, ValidationError
 from .metrics import CalibrationCurve, curve_from_counts
@@ -23,8 +22,7 @@ class IngestError(AuditError):
     """A dataset file is missing, malformed, or fails validation."""
 
 
-@dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(NamedTuple):
     path: str
     bins: BinScheme
     id_col: str = "id"

@@ -4,19 +4,18 @@ sweep of confusion matrices, and calibration gaps.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .domain import (
     BinScheme,
     ConfusionMatrix,
     ValidationError,
+    ValueObject,
 )
 
 
-@dataclass(frozen=True)
-class CurveCell:
+class CurveCell(NamedTuple):
     """One (group, bin) cell of a calibration curve."""
 
     count: int
@@ -30,8 +29,7 @@ class CurveCell:
         return self.positives / self.count
 
 
-@dataclass(frozen=True)
-class CalibrationCurve:
+class CalibrationCurve(ValueObject):
     """Per-(group, bin) counts and positive fractions for one population.
 
     Cells with no records are simply absent from ``cells``; the others are
@@ -42,9 +40,21 @@ class CalibrationCurve:
     Build one with :func:`curve_from_counts`.
     """
 
+    # No __slots__: the cached properties below are kept in __dict__.
+    _fields = ("bins", "groups", "cells")
     bins: BinScheme
     groups: tuple[str, ...]
     cells: Mapping[tuple[str, int], CurveCell]
+
+    def __init__(
+        self,
+        bins: BinScheme,
+        groups: tuple[str, ...],
+        cells: Mapping[tuple[str, int], CurveCell],
+    ) -> None:
+        object.__setattr__(self, "bins", bins)
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "cells", cells)
 
     @cached_property
     def by_group(self) -> Mapping[str, tuple[tuple[int, CurveCell], ...]]:

@@ -3,8 +3,7 @@ individual error risk, and the certainty-case fair lottery.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .domain import (
     AuditError,
@@ -22,8 +21,7 @@ LOWER_OTHERS = "lower_others"
 RAISE_OTHERS = "raise_others"
 
 
-@dataclass(frozen=True)
-class EqualizationResult:
+class EqualizationResult(NamedTuple):
     thresholds: Mapping[str, float]
     fprs: Mapping[str, float]
     baseline_fprs: Mapping[str, float]
@@ -35,8 +33,7 @@ class EqualizationResult:
     reference_group: str
 
 
-@dataclass(frozen=True)
-class ImpossibilityVerdict:
+class ImpossibilityVerdict(NamedTuple):
     """Outcome of checking the central impossibility on a two-group
     population: calibrated + unequal base rates forces the higher-base-rate
     group to have the higher FPR.
@@ -203,8 +200,7 @@ def individual_error_risk(
     return 1.0 - p if acted else p
 
 
-@dataclass(frozen=True)
-class LotteryResult:
+class LotteryResult(NamedTuple):
     per_group: Mapping[str, float]
     probability: float
 

@@ -8,9 +8,8 @@ zero), which is what turns 805/1795 into 44.9%.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from . import __version__
 from .decision import PolicyAssessment
@@ -33,16 +32,14 @@ def _pct(x: float | None) -> str:
     return format_percent(x) if x is not None else "-"
 
 
-@dataclass(frozen=True)
-class ScenarioSection:
+class ScenarioSection(NamedTuple):
     name: str
     description: str
     checks: Sequence[Mapping[str, Any]]
     passed: bool
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     population_benefits: bool
     policy_kind: str
     thresholds: Mapping[str, float]
@@ -67,7 +64,9 @@ class AuditReport:
                 "kind": self.policy_kind,
                 "thresholds": dict(self.thresholds),
             },
-            "values": {**asdict(self.values), "defaulted": self.values_defaulted},
+            "values": {
+                **self.values._asdict(), "defaulted": self.values_defaulted,
+            },
             "groups": {
                 g: {
                     key: getattr(cm, key)
@@ -90,14 +89,14 @@ class AuditReport:
         for key in ("impossibility", "equalization", "lottery", "scenario"):
             section = getattr(self, key)
             if section is not None:
-                out[key] = asdict(section)
+                out[key] = section._asdict()
         return out
 
 
 def _assessment_dict(assessment: PolicyAssessment) -> dict[str, Any]:
     def one(a) -> dict[str, Any]:
         return {
-            **asdict(a),
+            **a._asdict(),
             "expected_disvalue": a.expected_disvalue,
             "realized_value": a.realized_value,
         }

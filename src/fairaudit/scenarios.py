@@ -7,8 +7,7 @@ published statistics are bookkeeping identities and must reproduce exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .domain import AuditError, BinScheme, ValidationError
 from .metrics import CalibrationCurve, curve_from_counts
@@ -34,8 +33,7 @@ SCENARIO_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One published figure to assert: a label, the expected value, an
     absolute tolerance (0.0 means exact), and optionally the exact rendered
     one-decimal-percent string the report must show."""
@@ -51,8 +49,7 @@ class Check:
 Entry = tuple[str, float, int, int]
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(NamedTuple):
     """A named worked example: its fixture, declared as exact counts, and
     the policy and published figures it is checked against."""
 
@@ -65,7 +62,8 @@ class ScenarioSpec:
     calib_tolerance: float
     equalize_direction: str
     checks: tuple[Check, ...]
-    params: Mapping[str, float] = field(default_factory=dict)
+    # One dict shared by every spec without params; nothing mutates it.
+    params: Mapping[str, float] = {}
     notes: tuple[str, ...] = ()
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -219,6 +222,24 @@ def test_commands_build_no_record_or_population(compas_csv, monkeypatch):
     for argv in (["audit", *dataset], ["equalize", *dataset],
                  ["scenario", "compas_synthetic"]):
         assert main([*argv, "--format", "json"]) == EXIT_OK, argv
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Every CLI run pays its imports: dataclasses (with the inspect it
+    # pulls in) cost about half of fairaudit's own start-up.
+    import fairaudit
+
+    src = str(Path(fairaudit.__file__).resolve().parents[1])
+    code = (
+        "import fairaudit.cli, sys; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestEqualizeCommand:

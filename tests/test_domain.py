@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +12,13 @@ from fairaudit import (
     ValidationError,
     curve_from_counts,
 )
+from fairaudit.cli import scenario_report
+from fairaudit.decision import DecisionEV, GroupAssessment, PolicyAssessment
+from fairaudit.ingest import DatasetConfig
+from fairaudit.metrics import CurveCell
+from fairaudit.parity import EqualizationResult, ImpossibilityVerdict, LotteryResult
+from fairaudit.report import ScenarioSection
+from fairaudit.scenarios import Check, scenario_spec
 
 COMPAS_BINS = BinScheme(edges=(1.0, 5.0, 10.0), labels=("low", "high"))
 
@@ -124,3 +134,90 @@ class TestOutcomeValues:
 class TestConfusionMatrix:
     def test_base_rate_counts_positives_whatever_the_decision(self):
         assert ConfusionMatrix(tp=3, fp=1, tn=4, fn=2).base_rate == 5 / 10
+
+
+def _assessment():
+    return GroupAssessment(
+        n=10, acted=4, refrained=6, expected_value=7.0, best_expected_value=8.0,
+    )
+
+
+#: (factory, a field, invalid copy changes or None, error message) for every
+#: value class; the factory builds a fresh instance from equal fields on
+#: each call.
+VALUE_OBJECTS = [
+    (lambda: BinScheme(edges=(0.0, 1.0, 2.0), labels=("lo", "hi")),
+     "edges", {"labels": ("lo", "lo")}, "bin label 'lo' names two bins"),
+    (lambda: ConfusionMatrix(1, 2, 3, 4),
+     "tp", {"fp": -1}, "fp count is negative"),
+    (lambda: OutcomeValues(v_tp=1.0, v_fp=0.0, v_tn=1.0, v_fn=0.0),
+     "v_tp", {"v_fp": 2.0}, "need v_tn > v_fp"),
+    (lambda: ThresholdPolicy.per_group({"a": 0.5}),
+     "_per_group", {"_uniform": 1.5}, r"threshold 1.5 outside \[0, 1\]"),
+    (lambda: CurveCell(count=4, positives=1), "count", None, None),
+    (lambda: curve_from_counts(
+        BinScheme(edges=(0.0, 1.0, 2.0)), [("a", 0, 1, 1), ("b", 1, 2, 0)],
+    ), "cells", None, None),
+    (lambda: DecisionEV(ev_act=0.25, ev_refrain=0.75), "ev_act", None, None),
+    (_assessment, "acted", None, None),
+    (lambda: PolicyAssessment(per_group={"a": _assessment()}),
+     "per_group", None, None),
+    (lambda: EqualizationResult(
+        thresholds={"a": 0.5}, fprs={"a": 0.1}, baseline_fprs={"a": 0.2},
+        residual_gap=0.0, exact=True, disvalue_delta=1.0,
+        acted_baseline={"a": 3}, acted_equalized={"a": 4},
+        reference_group="a",
+    ), "exact", None, None),
+    (lambda: ImpossibilityVerdict(
+        calibrated=True, calibration_gap=0.0, base_rates={"a": 0.5},
+        fprs={"a": 0.1}, higher_base_rate_group="a", applicable=True,
+        ordering_holds=True,
+    ), "applicable", None, None),
+    (lambda: LotteryResult(per_group={"a": 0.5}, probability=0.5),
+     "probability", None, None),
+    (lambda: ScenarioSection(name="s", description="d", checks=[], passed=True),
+     "passed", None, None),
+    (lambda: scenario_report("stride_height"), "notes", None, None),
+    (lambda: Check("fpr:a", 0.5), "expected", None, None),
+    (lambda: scenario_spec("stride_height"), "threshold", None, None),
+    (lambda: DatasetConfig(path="x.csv", bins=COMPAS_BINS), "path", None, None),
+]
+CLASS_NAMES = [type(row[0]()).__name__ for row in VALUE_OBJECTS]
+
+
+class TestValueObjects:
+    """Every value object is immutable, equal by value, and validated again
+    when copied with changed fields."""
+
+    @pytest.mark.parametrize(
+        "make, field", [row[:2] for row in VALUE_OBJECTS], ids=CLASS_NAMES
+    )
+    def test_assignment_raises(self, make, field):
+        obj = make()
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+        with pytest.raises(AttributeError):
+            obj.not_a_field = 1
+
+    @pytest.mark.parametrize(
+        "make", [row[0] for row in VALUE_OBJECTS], ids=CLASS_NAMES
+    )
+    def test_equal_fields_compare_equal(self, make):
+        assert make() == make()
+
+    @pytest.mark.parametrize(
+        "make", [row[0] for row in VALUE_OBJECTS], ids=CLASS_NAMES
+    )
+    def test_copies_and_pickles_compare_equal(self, make):
+        obj = make()
+        assert copy.deepcopy(obj) == obj
+        assert pickle.loads(pickle.dumps(obj)) == obj
+
+    @pytest.mark.parametrize("make, changes, message", [
+        pytest.param(make, changes, message, id=name)
+        for name, (make, _field, changes, message)
+        in zip(CLASS_NAMES, VALUE_OBJECTS) if changes
+    ])
+    def test_invalid_copy_raises(self, make, changes, message):
+        with pytest.raises(ValidationError, match=message):
+            make()._replace(**changes)

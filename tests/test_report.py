@@ -1,5 +1,3 @@
-import dataclasses
-
 from fairaudit import (
     SYMMETRIC_VALUES,
     ThresholdPolicy,
@@ -18,7 +16,5 @@ def test_markdown_prints_large_counts_as_integers():
     )
     cells = {"black": {"high": {"count": 1_234_567, "positives": 1_000_000,
                                 "p_score": 1_000_000 / 1_234_567}}}
-    text = render_report(
-        dataclasses.replace(report, calibration_cells=cells), "md"
-    )
+    text = render_report(report._replace(calibration_cells=cells), "md")
     assert "| black | high | 1234567 | 1000000 | 81.0% |" in text

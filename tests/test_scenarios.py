@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,12 +69,8 @@ class TestNamedScenarios:
         report = scenario_report("stride_height")
         spec = scenario_spec("stride_height")
         men = report.groups["men"]
-        doctored = dataclasses.replace(
-            report,
-            groups={
-                **report.groups,
-                "men": dataclasses.replace(men, tp=161),
-            },
+        doctored = report._replace(
+            groups={**report.groups, "men": men._replace(tp=161)},
         )
         results = {c.label: (a, ok) for c, a, ok in check_scenario(doctored, spec)}
         assert results["tp:men"] == (161.0, False)
@@ -94,11 +88,9 @@ class TestNamedScenarios:
         ],
     )
     def test_check_reading_a_missing_section_names_it(self, label, section):
-        report = dataclasses.replace(
-            scenario_report("compas_benefit"), equalization=None
-        )
-        spec = dataclasses.replace(
-            scenario_spec("compas_benefit"), checks=(Check(label, 0.0),)
+        report = scenario_report("compas_benefit")._replace(equalization=None)
+        spec = scenario_spec("compas_benefit")._replace(
+            checks=(Check(label, 0.0),)
         )
         with pytest.raises(AuditError, match=section):
             check_scenario(report, spec)
