@@ -78,10 +78,20 @@ def optimal_threshold(values: OutcomeValues) -> float:
     p* = (v_tn - v_fp) / ((v_tn - v_fp) + (v_tp - v_fn)). Acting is strictly
     better in expectation iff p > p*; invariant under positive affine
     transformations of all four values.
+
+    Each value is read as the decimal its float prints as (0.1 as 1/10),
+    and p* is formed exactly and rounded once: a cell whose p_score is p*
+    then compares equal to it and is acted on, as ties are.
     """
-    refrain_margin = values.v_tn - values.v_fp
-    act_margin = values.v_tp - values.v_fn
-    return refrain_margin / (refrain_margin + act_margin)
+    from fractions import Fraction  # loaded on first use, not at import
+
+    v_tp, v_fp, v_tn, v_fn = (
+        Fraction(repr(float(v)))
+        for v in (values.v_tp, values.v_fp, values.v_tn, values.v_fn)
+    )
+    refrain_margin = v_tn - v_fp
+    act_margin = v_tp - v_fn
+    return float(refrain_margin / (refrain_margin + act_margin))
 
 
 def policy_expected_disvalue(

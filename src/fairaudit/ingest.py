@@ -3,16 +3,19 @@
 Input is comma-delimited UTF-8 with a header row; outcomes are encoded 0/1
 (1 = the predicted property occurred). Ingest is fail-fast: a row that does
 not parse aborts with its row number, because silently dropping rows would
-corrupt base rates. One row parser runs every check, and
-:func:`ingest_csv` streams its rows into the calibration curve's counts.
+corrupt base rates. One parse loop runs every check and sums the rows into
+per-(group, bin) counts; :func:`ingest_csv` hands those cells, not the
+rows, to the calibration curve.
 """
 from __future__ import annotations
 
 import codecs
 import csv
 import math
+import sys
+from bisect import bisect_right
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .domain import AuditError, BinScheme, ValidationError
 from .metrics import CalibrationCurve, curve_from_counts
@@ -31,22 +34,23 @@ class DatasetConfig(NamedTuple):
     outcome_col: str = "outcome"
 
 
-#: The two outcome encodings; a lookup here is also the 0/1 check.
-_OUTCOMES = {"0": 0, "1": 1}
+#: Where each outcome encoding is counted in a cell's [positives, negatives]
+#: pair; a lookup here is also the 0/1 check.
+_OUTCOME_SLOT = {"1": 0, "0": 1}
 
 
 def ingest_csv(config: DatasetConfig) -> CalibrationCurve:
     """Stream a dataset into its calibration curve, keeping only the
     per-(group, bin) counts. Raises IngestError naming the file line of the
-    first row that fails a check (see :func:`_rows`)."""
+    first row that fails a check (see :func:`_count_cells`)."""
     return curve_from_counts(config.bins, (
-        (group, b, positive, 1 - positive)
-        for group, b, positive in _rows(config)
+        (group, b, positives, negatives)
+        for (group, b), (positives, negatives) in _count_cells(config).items()
     ))
 
 
-def _rows(config: DatasetConfig) -> Iterator[tuple[str, int, int]]:
-    """Yield each data row as (group, bin index, positive 0/1).
+def _count_cells(config: DatasetConfig) -> dict[tuple[str, int], list[int]]:
+    """Sum the data rows into (group, bin index) -> [positives, negatives].
 
     A leading byte-order mark is ignored and blank lines are skipped. Every
     other row must have as many fields as the header, a finite score inside
@@ -56,7 +60,15 @@ def _rows(config: DatasetConfig) -> Iterator[tuple[str, int, int]]:
     path = Path(config.path)
     if not path.is_file():
         raise IngestError(f"no such file: {config.path}")
-    bin_of = config.bins.bin_of
+    bins = config.bins
+    edges = bins.edges
+    # The range test below, clamped to the finite floats: an infinite score
+    # fails it even against an infinite edge, and only a score that fails
+    # it needs the finiteness test.
+    lo = max(edges[0], -sys.float_info.max)
+    hi = min(edges[-1], sys.float_info.max)
+    top = len(edges) - 1
+    cells: dict[tuple[str, int], list[int]] = {}
     # The ids seen so far, as the keys of a dict: below 50,000 entries
     # CPython's set quadruples its table and takes more memory than a
     # dict's compact keys. A row's line is looked up again only on error.
@@ -72,46 +84,61 @@ def _rows(config: DatasetConfig) -> Iterator[tuple[str, int, int]]:
             )
             width = len(header)
             for row in reader:
-                line = reader.line_num
                 if len(row) != width:
                     if not row:
                         continue
                     raise IngestError(
-                        f"row {line}: {len(row)} fields, header has {width}"
+                        f"row {reader.line_num}: {len(row)} fields, "
+                        f"header has {width}"
                     )
                 raw_score = row[score_at]
                 try:
                     score = float(raw_score)
                 except ValueError:
                     raise IngestError(
-                        f"row {line}: unparseable score {raw_score!r}"
+                        f"row {reader.line_num}: unparseable score "
+                        f"{raw_score!r}"
                     ) from None
-                if not math.isfinite(score):
+                in_range = lo <= score <= hi
+                if not in_range and not math.isfinite(score):
                     raise IngestError(
-                        f"row {line}: score must be finite, got {raw_score!r}"
+                        f"row {reader.line_num}: score must be finite, "
+                        f"got {raw_score!r}"
                     )
                 raw_outcome = row[outcome_at].strip()
-                positive = _OUTCOMES.get(raw_outcome)
-                if positive is None:
+                slot = _OUTCOME_SLOT.get(raw_outcome)
+                if slot is None:
                     raise IngestError(
-                        f"row {line}: outcome must be 0 or 1, "
+                        f"row {reader.line_num}: outcome must be 0 or 1, "
                         f"got {raw_outcome!r}"
                     )
                 record_id = row[id_at]
                 if record_id in ids:
                     raise IngestError(
-                        f"row {line}: duplicate id {record_id!r} (first on "
-                        f"row {_first_row_with_id(path, id_at, record_id)})"
+                        f"row {reader.line_num}: duplicate id {record_id!r} "
+                        f"(first on row "
+                        f"{_first_row_with_id(path, id_at, record_id)})"
                     )
                 ids[record_id] = None
                 group = row[group_at]
                 if not group:
-                    raise IngestError(f"row {line}: empty group label")
-                try:
-                    b = bin_of(score)
-                except ValidationError as exc:
-                    raise IngestError(f"row {line}: {exc}") from None
-                yield group, b, positive
+                    raise IngestError(
+                        f"row {reader.line_num}: empty group label"
+                    )
+                if in_range:
+                    # BinScheme.bin_of's search, inlined for the row loop.
+                    b = bisect_right(edges, score, 0, top) - 1
+                else:
+                    try:
+                        b = bins.bin_of(score)  # raises the range message
+                    except ValidationError as exc:
+                        raise IngestError(
+                            f"row {reader.line_num}: {exc}"
+                        ) from None
+                cell = cells.get((group, b))
+                if cell is None:
+                    cell = cells[(group, b)] = [0, 0]
+                cell[slot] += 1
     except UnicodeDecodeError as exc:
         raise IngestError(
             f"{config.path}: row {_undecodable_line(path)}: not UTF-8 "
@@ -123,6 +150,7 @@ def _rows(config: DatasetConfig) -> Iterator[tuple[str, int, int]]:
         ) from None
     if not ids:
         raise IngestError(f"{config.path}: no data rows")
+    return cells
 
 
 def _column(header: list[str], name: str) -> int:

@@ -188,6 +188,6 @@ def chance_miscalibration_bound(n: int, p: float, gap: float) -> float:
         raise ValidationError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValidationError("p must lie in [0, 1]")
-    if gap <= 0.0:
+    if not gap > 0.0:
         raise ValidationError("gap must be positive")
     return min(1.0, p * (1.0 - p) / (n * gap * gap))

@@ -7,7 +7,6 @@ zero), which is what turns 805/1795 into 44.9%.
 """
 from __future__ import annotations
 
-import json
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Any, Mapping, NamedTuple, Sequence
 
@@ -26,10 +25,6 @@ def format_percent(x: float) -> str:
     two = pct.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
     one = two.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
     return f"{one}%"
-
-
-def _pct(x: float | None) -> str:
-    return format_percent(x) if x is not None else "-"
 
 
 class ScenarioSection(NamedTuple):
@@ -124,6 +119,8 @@ def render_report(report: AuditReport, fmt: str) -> str:
     """Render to json (full precision, stable key order) or markdown
     (one-decimal percents)."""
     if fmt == "json":
+        import json  # here, so that a markdown run never loads it
+
         return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
     if fmt == "md":
         return _render_markdown(report)
@@ -131,6 +128,19 @@ def render_report(report: AuditReport, fmt: str) -> str:
 
 
 def _render_markdown(report: AuditReport) -> str:
+    # Each distinct rate is formatted once per render: thousands of cells
+    # share a few hundred p_scores. Every rate here is a ratio of counts or
+    # a spread of such ratios, never -0.0, so no key stands for two texts.
+    formatted: dict[float, str] = {}
+
+    def pct(x: float | None) -> str:
+        if x is None:
+            return "-"
+        text = formatted.get(x)
+        if text is None:
+            text = formatted[x] = format_percent(x)
+        return text
+
     lines: list[str] = []
     add = lines.append
     add(f"# Fairness audit report (fairaudit {__version__})")
@@ -154,13 +164,13 @@ def _render_markdown(report: AuditReport) -> str:
     for g in sorted(report.groups):
         c = report.groups[g]
         add(
-            f"| {g} | {c.n} | {_pct(c.base_rate)} | {_pct(c.fpr)} | "
-            f"{_pct(c.fnr)} | {_pct(c.ppv)} | {c.tp} | {c.fp} | {c.tn} | {c.fn} |"
+            f"| {g} | {c.n} | {pct(c.base_rate)} | {pct(c.fpr)} | "
+            f"{pct(c.fnr)} | {pct(c.ppv)} | {c.tp} | {c.fp} | {c.tn} | {c.fn} |"
         )
     add("")
     add("## Calibration")
     add("")
-    add(f"Max per-bin p_score gap between groups: {_pct(report.calibration_gap)}")
+    add(f"Max per-bin p_score gap between groups: {pct(report.calibration_gap)}")
     add("")
     add("| group | bin | count | positives | p_score |")
     add("|---|---|---|---|---|")
@@ -168,7 +178,7 @@ def _render_markdown(report: AuditReport) -> str:
         for label, cell in report.calibration_cells[g].items():
             add(
                 f"| {g} | {label} | {cell['count']} | {cell['positives']} "
-                f"| {_pct(cell['p_score'])} |"
+                f"| {pct(cell['p_score'])} |"
             )
     add("")
     add("## Policy assessment")
@@ -187,12 +197,12 @@ def _render_markdown(report: AuditReport) -> str:
         imp = report.impossibility
         add(
             f"Calibrated within tolerance: {imp.calibrated} "
-            f"(gap {_pct(imp.calibration_gap)})."
+            f"(gap {pct(imp.calibration_gap)})."
         )
         rates = ", ".join(
-            f"{g}={_pct(r)}" for g, r in sorted(imp.base_rates.items())
+            f"{g}={pct(r)}" for g, r in sorted(imp.base_rates.items())
         )
-        fprs = ", ".join(f"{g}={_pct(r)}" for g, r in sorted(imp.fprs.items()))
+        fprs = ", ".join(f"{g}={pct(r)}" for g, r in sorted(imp.fprs.items()))
         add(f"Base rates: {rates}. FPRs: {fprs}.")
         if imp.applicable:
             holds = "holds" if imp.ordering_holds else "VIOLATED"
@@ -216,13 +226,13 @@ def _render_markdown(report: AuditReport) -> str:
         add("|---|---|---|---|---|---|")
         for g in sorted(e.thresholds):
             add(
-                f"| {g} | {e.thresholds[g]:g} | {_pct(e.baseline_fprs[g])} | "
-                f"{_pct(e.fprs[g])} | {e.acted_baseline[g]} | "
+                f"| {g} | {e.thresholds[g]:g} | {pct(e.baseline_fprs[g])} | "
+                f"{pct(e.fprs[g])} | {e.acted_baseline[g]} | "
                 f"{e.acted_equalized[g]} |"
             )
         exact = "exact" if e.exact else "residual"
         add(
-            f"Parity {exact}; residual FPR gap {_pct(e.residual_gap)}; "
+            f"Parity {exact}; residual FPR gap {pct(e.residual_gap)}; "
             f"expected disvalue increase vs baseline {e.disvalue_delta:.6g}."
         )
     if report.lottery is not None:
@@ -231,7 +241,7 @@ def _render_markdown(report: AuditReport) -> str:
         add("")
         add(
             f"Per-individual exclusion probability "
-            f"{_pct(report.lottery.probability)}, identical for every group."
+            f"{pct(report.lottery.probability)}, identical for every group."
         )
     if report.scenario is not None:
         add("")

@@ -192,6 +192,24 @@ class TestAuditCommand:
                     capsys.readouterr().err
                 )
 
+    def test_cell_at_p_star_is_acted_on(self, tmp_path, capsys):
+        # These values put p* at exactly 3/4, and every cell holds 3
+        # positives of 4: each cell ties with p*, and ties act.
+        f = write_csv(tmp_path / "tie.csv", [
+            (g, score, 3, 1) for g in ("a", "b") for score in (2.0, 7.0)
+        ])
+        code = main([
+            "audit", "--input", f, "--bins", COMPAS_BINS,
+            "--values", "0.2,0.1,0.4,0.1", "--format", "json",
+        ])
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["policy"]["thresholds"] == {"a": 0.75, "b": 0.75}
+        assert payload["assessment"]["total"]["acted"] == 16
+        for g in ("a", "b"):
+            group = payload["groups"][g]
+            assert (group["tp"], group["fp"]) == (6, 2), g
+
     def test_score_threshold_spec(self, compas_csv, capsys):
         code = main([
             "audit", "--input", compas_csv, "--bins", COMPAS_BINS,
@@ -240,6 +258,29 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_markdown_run_never_imports_json():
+    # Markdown is the default format; only a json report needs the module.
+    import fairaudit
+
+    src = str(Path(fairaudit.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, sys\n"
+        "from fairaudit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['scenario', 'compas_synthetic'])\n"
+        "print(code, 'json' in sys.modules)\n"
+        "main(['scenario', 'compas_synthetic', '--format', 'json'])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    first, _, rest = result.stdout.partition("\n")
+    assert first == f"{EXIT_OK} False"
+    assert json.loads(rest)["scenario"]["passed"] is True
 
 
 class TestEqualizeCommand:

@@ -77,6 +77,11 @@ class TestOptimalThreshold:
     def test_symmetric_values_midpoint(self):
         assert optimal_threshold(OutcomeValues(1, 0, 1, 0)) == 0.5
 
+    def test_decimal_values_give_the_exact_p_star(self):
+        # (0.4 - 0.1) / ((0.4 - 0.1) + (0.2 - 0.1)) is 3/4; in float
+        # arithmetic it comes out as 0.7500000000000001.
+        assert optimal_threshold(OutcomeValues(0.2, 0.1, 0.4, 0.1)) == 0.75
+
     def test_asymmetric_example_vs_grid_oracle(self):
         p_star = optimal_threshold(ASYMMETRIC)
         assert p_star == pytest.approx(0.75)

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import math
 import random
 import tempfile
 import tracemalloc
@@ -13,6 +16,7 @@ from fairaudit import (
     scenario_curve,
     scenario_spec,
 )
+from fairaudit.cli import EXIT_INPUT, main, parse_bins
 from fairaudit.ingest import DatasetConfig, IngestError, ingest_csv
 
 SAMPLE = """id,group,score,outcome
@@ -78,6 +82,16 @@ class TestIngest:
         f.write_text(f"id,group,score,outcome\nr1,a,2.0,1\nr2,b,{raw},0\n")
         with pytest.raises(IngestError, match="row 3: score must be finite"):
             ingest_csv(config_for(f, ten_bins))
+
+    @pytest.mark.parametrize("raw", ["inf", "-inf"])
+    def test_infinite_score_is_rejected_by_infinite_edges(self, tmp_path, raw):
+        # Edges may be infinite; an infinite score still fails as not
+        # finite, rather than landing in an end bin.
+        f = tmp_path / "data.csv"
+        f.write_text(f"id,group,score,outcome\nr1,a,2.0,1\nr2,b,{raw},0\n")
+        bins = BinScheme(edges=(-math.inf, 5.0, math.inf))
+        with pytest.raises(IngestError, match="row 3: score must be finite"):
+            ingest_csv(config_for(f, bins))
 
     def test_duplicate_id_names_both_rows(self, tmp_path, ten_bins):
         f = tmp_path / "data.csv"
@@ -249,3 +263,54 @@ class TestRoundTrip:
             curve = ingest_csv(DatasetConfig(path=path, bins=bins))
         assert curve.groups == tuple(sorted({row[0] for row in rows}))
         assert cell_counts(curve) == tally(bins, rows)
+
+
+#: Bin schemes of 2-6 bins, with edges of either sign, written to a bin spec
+#: by repr.
+_EDGES = st.lists(
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    min_size=3, max_size=7, unique=True,
+).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_EDGES, st.data())
+def test_binning_at_and_around_every_edge_matches_bin_of(edges, data):
+    # Every edge, and the floats just below and just above it: a score on
+    # an interior edge opens the bin above it, the top edge closes the last
+    # bin, and the neighbours of the range's ends fall outside it.
+    bins = BinScheme(edges=tuple(edges))
+    near = sorted({
+        s for e in edges
+        for s in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))
+    })
+    inside = [s for s in near if bins.lo <= s <= bins.hi]
+    rows = [
+        (group, score, data.draw(st.booleans()))
+        for score in inside for group in ("a", "b")
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_csv(Path(tmp) / "edges.csv", entries_of(rows))
+        curve = ingest_csv(DatasetConfig(path=path, bins=bins))
+        assert cell_counts(curve) == tally(bins, rows)
+
+        # One score just outside the range, anywhere in the file, exits 2
+        # naming its row and the range.
+        bad = data.draw(st.sampled_from(
+            [math.nextafter(bins.lo, -math.inf),
+             math.nextafter(bins.hi, math.inf)]
+        ))
+        at = data.draw(st.integers(0, len(rows)))
+        rows.insert(at, ("b", bad, False))
+        path = write_csv(Path(tmp) / "outside.csv", entries_of(rows))
+        spec = ",".join(f"{lo!r}-{hi!r}" for lo, hi in zip(edges, edges[1:]))
+        assert parse_bins(spec).edges == bins.edges
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["audit", "--input", path, f"--bins={spec}"])
+    assert code == EXIT_INPUT
+    assert err.getvalue() == (
+        f"error: row {at + 2}: score {bad!r} outside declared range "
+        f"[{bins.lo}, {bins.hi}]\n"
+    )

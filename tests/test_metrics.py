@@ -196,6 +196,10 @@ class TestChanceMiscalibrationBound:
         with pytest.raises(ValidationError):
             chance_miscalibration_bound(10, 0.5, 0.0)
 
+    def test_rejects_nan_gap(self):
+        with pytest.raises(ValidationError, match="gap must be positive"):
+            chance_miscalibration_bound(10, 0.5, math.nan)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(min_value=1, max_value=50),
