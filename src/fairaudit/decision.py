@@ -83,15 +83,26 @@ def optimal_threshold(values: OutcomeValues) -> float:
     and p* is formed exactly and rounded once: a cell whose p_score is p*
     then compares equal to it and is acted on, as ties are.
     """
-    from fractions import Fraction  # loaded on first use, not at import
-
-    v_tp, v_fp, v_tn, v_fn = (
-        Fraction(repr(float(v)))
+    # Over the smallest of their exponents, the four values are exact
+    # integers, and int / int rounds the exact quotient once. (fractions
+    # would do the same, at an import and its memory in every process.)
+    decimals = [
+        _printed_decimal(v)
         for v in (values.v_tp, values.v_fp, values.v_tn, values.v_fn)
-    )
+    ]
+    low = min(e for _d, e in decimals)
+    v_tp, v_fp, v_tn, v_fn = (d * 10 ** (e - low) for d, e in decimals)
     refrain_margin = v_tn - v_fp
     act_margin = v_tp - v_fn
-    return float(refrain_margin / (refrain_margin + act_margin))
+    return refrain_margin / (refrain_margin + act_margin)
+
+
+def _printed_decimal(x: float) -> tuple[int, int]:
+    """(digits, exponent) such that digits * 10**exponent is exactly the
+    decimal ``repr`` prints for ``x``, a finite float."""
+    mantissa, _, exponent = repr(float(x)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    return int(whole + fraction), int(exponent or 0) - len(fraction)
 
 
 def policy_expected_disvalue(

@@ -1,7 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import records
 from fairaudit import (
@@ -40,6 +41,13 @@ def grid_crossover(values: OutcomeValues, step: float = 1e-3) -> float:
 values_strategy = st.builds(
     random_values, st.integers(min_value=0, max_value=2**32).map(random.Random)
 )
+
+
+#: Two distinct finite floats, ascending.
+_ORDERED_PAIR = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False),
+    min_size=2, max_size=2, unique=True,
+).map(sorted)
 
 
 class TestExpectedValues:
@@ -81,6 +89,17 @@ class TestOptimalThreshold:
         # (0.4 - 0.1) / ((0.4 - 0.1) + (0.2 - 0.1)) is 3/4; in float
         # arithmetic it comes out as 0.7500000000000001.
         assert optimal_threshold(OutcomeValues(0.2, 0.1, 0.4, 0.1)) == 0.75
+
+    @settings(deadline=None)
+    @given(_ORDERED_PAIR, _ORDERED_PAIR)
+    def test_p_star_is_the_exact_quotient_rounded_once(self, refrain, act):
+        (v_fp, v_tn), (v_fn, v_tp) = refrain, act
+        p_star = optimal_threshold(OutcomeValues(v_tp, v_fp, v_tn, v_fn))
+        v_tp, v_fp, v_tn, v_fn = (
+            Fraction(repr(v)) for v in (v_tp, v_fp, v_tn, v_fn)
+        )
+        exact = (v_tn - v_fp) / ((v_tn - v_fp) + (v_tp - v_fn))
+        assert p_star == float(exact)
 
     def test_asymmetric_example_vs_grid_oracle(self):
         p_star = optimal_threshold(ASYMMETRIC)
