@@ -28,12 +28,7 @@ from .parity import (
     fair_lottery,
     impossibility_check,
 )
-from .report import (
-    AuditReport,
-    ScenarioSection,
-    curve_cells_dict,
-    render_report,
-)
+from .report import AuditReport, ScenarioSection, render_report
 from .scenarios import (
     SCENARIO_NAMES,
     check_scenario,
@@ -202,6 +197,7 @@ def _base_report(
                     curve,
                     next(iter(thresholds.values())),
                     calib_tolerance=tolerance,
+                    notes=notes,
                 )
             except AuditError as exc:
                 notes.append(f"Impossibility check skipped: {exc}")
@@ -219,7 +215,7 @@ def _base_report(
         values_defaulted=values_defaulted,
         groups=groups,
         calibration_gap=calibration_gap(curve, *curve.groups),
-        calibration_cells=curve_cells_dict(curve),
+        curve=curve,
         assessment=assessment,
         impossibility=impossibility,
         notes=tuple(notes),
@@ -241,32 +237,23 @@ def _emit(report: AuditReport, args: argparse.Namespace) -> None:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    """Run ``audit``, or ``equalize``: the same report with an FPR
+    equalization section."""
     notes: list[str] = []
     values, defaulted = _resolve_values(args, notes)
     curve = ingest_csv(_dataset_config(args))
     policy = parse_threshold(args.threshold, curve, values, notes)
+    equalization = None
+    if args.command == "equalize":
+        direction = RAISE_OTHERS if args.raise_thresholds else LOWER_OTHERS
+        equalization = equalize_fpr(
+            curve, policy, tolerance=args.tolerance,
+            direction=direction, values=values,
+        )
     report = _base_report(
         curve, args.benefit, policy, values, defaulted, args.tolerance, notes
     )
-    _emit(report, args)
-    return EXIT_OK
-
-
-def cmd_equalize(args: argparse.Namespace) -> int:
-    notes: list[str] = []
-    values, defaulted = _resolve_values(args, notes)
-    curve = ingest_csv(_dataset_config(args))
-    policy = parse_threshold(args.threshold, curve, values, notes)
-    direction = RAISE_OTHERS if args.raise_thresholds else LOWER_OTHERS
-    equalization = equalize_fpr(
-        curve, policy, tolerance=args.tolerance,
-        direction=direction, values=values,
-    )
-    report = _base_report(
-        curve, args.benefit, policy, values, defaulted, args.tolerance, notes
-    )
-    report = report._replace(equalization=equalization)
-    _emit(report, args)
+    _emit(report._replace(equalization=equalization), args)
     return EXIT_OK
 
 
@@ -290,11 +277,9 @@ def scenario_report(name: str) -> AuditReport:
         )
     except AuditError as exc:
         notes.append(f"Equalization skipped: {exc}")
-    if "exclusion_quota" in spec.params:
+    if spec.exclusion_quota is not None:
         counts = {g: cm.n for g, cm in report.groups.items()}
-        extras["lottery"] = fair_lottery(
-            counts, int(spec.params["exclusion_quota"])
-        )
+        extras["lottery"] = fair_lottery(counts, spec.exclusion_quota)
     report = report._replace(**extras, notes=tuple(notes))
     checks = [
         {
@@ -369,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default lowers the others toward the highest)",
     )
     add_common(p_eq)
-    p_eq.set_defaults(func=cmd_equalize)
+    p_eq.set_defaults(func=cmd_audit)
 
     p_sc = sub.add_parser(
         "scenario", help="rebuild a worked example and assert its figures"

@@ -184,7 +184,7 @@ def chance_miscalibration_bound(n: int, p: float, gap: float) -> float:
     observed fraction deviates from p by at least gap is at most
     p(1-p) / (n * gap^2), clamped to 1.
     """
-    if n < 1:
+    if not n >= 1:
         raise ValidationError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValidationError("p must lie in [0, 1]")

@@ -13,7 +13,7 @@ from .domain import (
     ThresholdPolicy,
     ValidationError,
 )
-from .metrics import CalibrationCurve, calibration_gap
+from .metrics import CalibrationCurve, CurveCell, calibration_gap
 
 #: Hold the highest-FPR group fixed, lower the other groups' thresholds.
 LOWER_OTHERS = "lower_others"
@@ -35,12 +35,14 @@ class EqualizationResult(NamedTuple):
 
 class ImpossibilityVerdict(NamedTuple):
     """Outcome of checking the central impossibility on a two-group
-    population: calibrated + unequal base rates forces the higher-base-rate
-    group to have the higher FPR.
+    population: when the groups are calibrated, their base rates differ and
+    the higher-base-rate group dominates the other in likelihood ratio, the
+    higher-base-rate group has the higher FPR at every uniform threshold.
 
     ``ordering_holds`` is asserted only when ``applicable`` is true, i.e.
-    the population is calibrated within tolerance, base rates differ, and
-    the threshold splits each group's bins nontrivially.
+    the population is calibrated within tolerance, base rates differ, the
+    threshold splits each group's bins nontrivially, and the dominance
+    holds. Calibration and unequal base rates alone do not order the FPRs.
     """
 
     calibrated: bool
@@ -134,25 +136,31 @@ def impossibility_check(
     curve: CalibrationCurve,
     uniform_threshold: float,
     calib_tolerance: float = 1e-9,
+    notes: list[str] | None = None,
 ) -> ImpossibilityVerdict:
     """Check the central impossibility on a two-group population.
 
-    Multi-group populations reduce to pairwise checks at the caller.
+    Multi-group populations reduce to pairwise checks at the caller. When
+    every precondition but the likelihood-ratio dominance holds, a note
+    naming the bins where it fails is appended to ``notes``.
     """
     if not calib_tolerance >= 0:
         raise ValidationError("calibration tolerance must be nonnegative")
+    if not 0.0 <= uniform_threshold <= 1.0:
+        raise ValidationError(
+            f"threshold {uniform_threshold!r} outside [0, 1]"
+        )
     groups = curve.groups
     if len(groups) != 2:
         raise ValidationError(
             f"impossibility check is pairwise; got {len(groups)} groups"
         )
-    policy = ThresholdPolicy.uniform(uniform_threshold)
     gap = calibration_gap(curve, *groups)
     rates: dict[str, float] = {}
     fprs: dict[str, float] = {}
     split = True
     for g in groups:
-        cm = curve.confusion(g, policy.threshold_for(g))
+        cm = curve.confusion(g, uniform_threshold)
         rates[g] = cm.base_rate
         fpr = cm.fpr
         if fpr is None:
@@ -170,6 +178,20 @@ def impossibility_check(
         higher = a if rates[a] > rates[b] else b
     applicable = calibrated and higher is not None and split
     lower = b if higher == a else a
+    if applicable:
+        fall = _dominance_failure(curve, higher, lower)
+        if fall is not None:
+            applicable = False
+            if notes is not None:
+                below, above = (curve.bins.label(i) for i in fall)
+                notes.append(
+                    f"Impossibility check: group {higher!r} does not "
+                    f"dominate group {lower!r} in likelihood ratio. Over the "
+                    "bins in ascending p_score order, the first group's "
+                    "count divided by the second's falls from bin "
+                    f"{below!r} to bin {above!r}. Calibration alone does not "
+                    "order the FPRs."
+                )
     ordering = applicable and fprs[higher] >= fprs[lower] if higher else False
     return ImpossibilityVerdict(
         calibrated=calibrated,
@@ -180,6 +202,38 @@ def impossibility_check(
         applicable=applicable,
         ordering_holds=ordering,
     )
+
+
+def _dominance_failure(
+    curve: CalibrationCurve, higher: str, lower: str
+) -> tuple[int, int] | None:
+    """The first pair of adjacent bins, taken in ascending order of their
+    p_score pooled over both groups, across which ``higher``'s count over
+    ``lower``'s falls; None when it never falls, i.e. when ``higher``
+    dominates ``lower`` in likelihood ratio. A missing cell counts 0, bins
+    with equal pooled p_score merge (a threshold acts on both or neither),
+    and every comparison is on integer counts, by cross-multiplication.
+
+    With exact calibration the dominance carries over to each group's
+    negatives, so ``higher``'s FPR is at least ``lower``'s at every
+    threshold.
+    """
+    # pooled p_score -> [higher's count, lower's count, first bin]
+    levels: dict[float, list[int]] = {}
+    empty = CurveCell(count=0, positives=0)
+    bins = {*curve.nonempty_bins(higher), *curve.nonempty_bins(lower)}
+    for b in sorted(bins):
+        h = curve.cell(higher, b) or empty
+        lo = curve.cell(lower, b) or empty
+        pooled = (h.positives + lo.positives) / (h.count + lo.count)
+        level = levels.setdefault(pooled, [0, 0, b])
+        level[0] += h.count
+        level[1] += lo.count
+    ordered = [levels[p] for p in sorted(levels)]
+    for (h0, l0, b0), (h1, l1, b1) in zip(ordered, ordered[1:]):
+        if h1 * l0 < h0 * l1:
+            return b0, b1
+    return None
 
 
 def individual_error_risk(

@@ -42,7 +42,7 @@ class AuditReport(NamedTuple):
     values_defaulted: bool
     groups: Mapping[str, ConfusionMatrix]
     calibration_gap: float
-    calibration_cells: Mapping[str, Mapping[str, Mapping[str, float]]]
+    curve: CalibrationCurve
     assessment: PolicyAssessment
     impossibility: ImpossibilityVerdict | None = None
     equalization: EqualizationResult | None = None
@@ -51,6 +51,7 @@ class AuditReport(NamedTuple):
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
+        label = self.curve.bins.label
         out: dict[str, Any] = {
             "report_version": REPORT_VERSION,
             "tool": {"name": "fairaudit", "version": __version__},
@@ -75,7 +76,15 @@ class AuditReport(NamedTuple):
             "calibration": {
                 "gap": self.calibration_gap,
                 "cells": {
-                    g: dict(bins) for g, bins in self.calibration_cells.items()
+                    g: {
+                        label(b): {
+                            "count": cell.count,
+                            "positives": cell.positives,
+                            "p_score": cell.p_score,
+                        }
+                        for b, cell in cells
+                    }
+                    for g, cells in self.curve.by_group.items()
                 },
             },
             "assessment": _assessment_dict(self.assessment),
@@ -100,19 +109,6 @@ def _assessment_dict(assessment: PolicyAssessment) -> dict[str, Any]:
         "total": one(assessment.total),
         "per_group": {g: one(a) for g, a in assessment.per_group.items()},
     }
-
-
-def curve_cells_dict(
-    curve: CalibrationCurve,
-) -> dict[str, dict[str, dict[str, float]]]:
-    out: dict[str, dict[str, dict[str, float]]] = {}
-    for (g, b), cell in curve.cells.items():
-        out.setdefault(g, {})[curve.bins.label(b)] = {
-            "count": cell.count,
-            "positives": cell.positives,
-            "p_score": cell.p_score,
-        }
-    return out
 
 
 def render_report(report: AuditReport, fmt: str) -> str:
@@ -174,11 +170,12 @@ def _render_markdown(report: AuditReport) -> str:
     add("")
     add("| group | bin | count | positives | p_score |")
     add("|---|---|---|---|---|")
-    for g in sorted(report.calibration_cells):
-        for label, cell in report.calibration_cells[g].items():
+    label = report.curve.bins.label
+    for g, cells in report.curve.by_group.items():
+        for b, cell in cells:
             add(
-                f"| {g} | {label} | {cell['count']} | {cell['positives']} "
-                f"| {pct(cell['p_score'])} |"
+                f"| {g} | {label(b)} | {cell.count} | {cell.positives} "
+                f"| {pct(cell.p_score)} |"
             )
     add("")
     add("## Policy assessment")

@@ -7,6 +7,7 @@ published statistics are bookkeeping identities and must reproduce exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .domain import AuditError, BinScheme, ValidationError
@@ -62,8 +63,7 @@ class ScenarioSpec(NamedTuple):
     calib_tolerance: float
     equalize_direction: str
     checks: tuple[Check, ...]
-    # One dict shared by every spec without params; nothing mutates it.
-    params: Mapping[str, float] = {}
+    exclusion_quota: int | None = None
     notes: tuple[str, ...] = ()
 
 
@@ -261,7 +261,7 @@ def _certainty_lottery() -> ScenarioSpec:
         threshold=0.5,
         calib_tolerance=1e-9,
         equalize_direction=LOWER_OTHERS,
-        params={"exclusion_quota": 30},
+        exclusion_quota=30,
         checks=(
             Check("lottery_probability:men", 30 / 150),
             Check("lottery_probability:women", 30 / 150),
@@ -391,16 +391,19 @@ def scenario_figure(report: AuditReport, label: str) -> float:
         return _section(report, "equalization", label).residual_gap
     if kind in ("p", "equiv_threshold"):
         bin_label, _, group = rest.rpartition(":")
-        cells = _entry(report.calibration_cells, group, "calibration", label)
+        curve = report.curve
+        cells = _entry(curve.by_group, group, "calibration", label)
         if kind == "p":
-            return _entry(cells, bin_label, "calibration", label)["p_score"]
+            by_label = {curve.bins.label(b): cell for b, cell in cells}
+            return _entry(by_label, bin_label, "calibration", label).p_score
         # Effective per-group probability threshold implied by the uniform
-        # score rule: the smallest acted-bin p_score.
-        threshold = report.thresholds[group]
-        acted = [c["p_score"] for c in cells.values() if c["p_score"] >= threshold]
-        if not acted:
+        # score rule: the smallest acted-bin p_score (ties act, as in the
+        # sweep).
+        cuts = curve.cut_points(group)
+        i = bisect_left(cuts, report.thresholds[group])
+        if i == len(cuts):
             raise AuditError(f"group {group!r} has no acted bins")
-        return min(acted)
+        return cuts[i]
 
     if kind not in ("tp", "fp", "tn", "fn", "base_rate", "fpr", "fnr", "ppv"):
         raise AuditError(f"unknown check kind in {label!r}")

@@ -210,6 +210,40 @@ class TestAuditCommand:
             group = payload["groups"][g]
             assert (group["tp"], group["fp"]) == (6, 2), g
 
+    def test_calibration_without_dominance_asserts_no_ordering(
+        self, tmp_path, capsys
+    ):
+        # Calibrated (every bin's p_score is shared), base rates 50% and
+        # 35%, yet A's FPR (10.0%) is below B's (30.8%): A's scores do not
+        # dominate B's in likelihood ratio, so no ordering is a theorem.
+        f = write_csv(tmp_path / "no_dominance.csv", [
+            ("A", 2.5, 90, 10), ("A", 0.5, 10, 90),
+            ("B", 1.5, 60, 40), ("B", 0.5, 10, 90),
+        ])
+        argv = ["audit", "--input", f, "--bins", "0-1=lo,1-2=mid,2-3=hi",
+                "--threshold", "p=0.5"]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "Calibrated within tolerance: True (gap 0.0%)." in out
+        assert "Preconditions not met; no ordering asserted." in out
+        assert "VIOLATED" not in out
+        assert (
+            "- Impossibility check: group 'A' does not dominate group 'B' in "
+            "likelihood ratio."
+        ) in out
+        assert "falls from bin 'lo' to bin 'mid'" in out
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        verdict = json.loads(capsys.readouterr().out)["impossibility"]
+        assert verdict == {
+            "calibrated": True,
+            "calibration_gap": 0.0,
+            "base_rates": {"A": 0.5, "B": 0.35},
+            "fprs": {"A": 0.1, "B": 40 / 130},
+            "higher_base_rate_group": "A",
+            "applicable": False,
+            "ordering_holds": False,
+        }
+
     def test_score_threshold_spec(self, compas_csv, capsys):
         code = main([
             "audit", "--input", compas_csv, "--bins", COMPAS_BINS,
@@ -294,6 +328,24 @@ class TestEqualizeCommand:
         eq = payload["equalization"]
         assert eq["reference_group"] == "black"
         assert set(eq["thresholds"]) == {"black", "white"}
+
+    @pytest.mark.parametrize("threshold", [
+        ["--threshold", "p=0.5"], [], ["--values", "2,-1,3,0"],
+        ["--threshold", "score>=5"],
+    ])
+    def test_markdown_is_audit_plus_the_equalization_section(
+        self, compas_csv, capsys, threshold
+    ):
+        texts = {}
+        for command in ("audit", "equalize"):
+            argv = [command, "--input", compas_csv, "--bins", COMPAS_BINS]
+            assert main([*argv, *threshold]) == EXIT_OK
+            texts[command] = capsys.readouterr().out.splitlines()
+        # Every case has notes, and their section follows equalization's.
+        lines = texts["equalize"]
+        start, end = lines.index("## FPR equalization"), lines.index("## Notes")
+        assert end - start > 3
+        assert lines[:start] + lines[end:] == texts["audit"]
 
     def test_raise_thresholds_flag(self, compas_csv, capsys):
         code = main([

@@ -200,6 +200,10 @@ class TestChanceMiscalibrationBound:
         with pytest.raises(ValidationError, match="gap must be positive"):
             chance_miscalibration_bound(10, 0.5, math.nan)
 
+    def test_rejects_nan_n(self):
+        with pytest.raises(ValidationError, match="n must be >= 1"):
+            chance_miscalibration_bound(math.nan, 0.5, 0.5)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(min_value=1, max_value=50),

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import records
 from fairaudit import (
     AuditError,
     BinScheme,
     ThresholdPolicy,
+    curve_from_counts,
     equalize_fpr,
     fair_lottery,
     impossibility_check,
@@ -87,6 +89,46 @@ class TestImpossibilityCheck:
             assert verdict.fprs[g] == pytest.approx(
                 direct_fpr(spec, g, spec.threshold)
             )
+
+
+#: A bin's exact positive fraction k/d, as (d, k).
+_FRACTIONS = st.integers(1, 6).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(0, d))
+)
+
+
+@st.composite
+def calibrated_tables(draw):
+    """(bins, entries): two groups over 2-6 bins, exactly calibrated. Bin j
+    holds whole units of d_j records, k_j of them positive, in both groups;
+    the fractions k_j/d_j come in any order and may repeat, and each group's
+    units per bin are drawn freely."""
+    fractions = draw(st.lists(_FRACTIONS, min_size=2, max_size=6))
+    entries = [
+        (g, j, u * k, u * (d - k))
+        for g in ("a", "b")
+        for j, (d, k) in enumerate(fractions)
+        for u in [draw(st.integers(0, 6), label=f"units {g}{j}")]
+        if u
+    ]
+    for g in ("a", "b"):
+        assume(any(neg for group, _j, _pos, neg in entries if group == g))
+    return BinScheme(edges=tuple(range(len(fractions) + 1))), entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(calibrated_tables(), st.data())
+def test_applicable_verdict_always_finds_the_ordering(table, data):
+    bins, entries = table
+    curve = curve_from_counts(bins, entries)
+    p_scores = sorted({cell.p_score for cell in curve.cells.values()})
+    threshold = data.draw(
+        st.sampled_from(p_scores) | st.floats(0.0, 1.0), label="threshold"
+    )
+    verdict = impossibility_check(curve, threshold)
+    assert verdict.calibrated
+    if verdict.applicable:
+        assert verdict.ordering_holds, verdict
 
 
 class TestEqualizeFpr:

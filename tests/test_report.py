@@ -1,3 +1,5 @@
+import json
+
 import fairaudit.report
 from fairaudit import (
     SYMMETRIC_VALUES,
@@ -5,7 +7,6 @@ from fairaudit import (
     ThresholdPolicy,
     curve_from_counts,
     equalize_fpr,
-    scenario_curve,
     scenario_spec,
 )
 from fairaudit.cli import _base_report
@@ -14,18 +15,21 @@ from fairaudit.report import format_percent, render_report
 
 def test_markdown_prints_large_counts_as_integers():
     spec = scenario_spec("compas_synthetic")
+    high = spec.bins.bin_of(8.0)
+    curve = curve_from_counts(spec.bins, [
+        ("black", high, 1_000_000, 234_567), ("white", high, 497, 349),
+    ])
     report = _base_report(
-        scenario_curve(spec.bins, spec.cells), spec.action_benefits_subject,
+        curve, spec.action_benefits_subject,
         ThresholdPolicy.uniform(spec.threshold), SYMMETRIC_VALUES, True, 1e-9, [],
     )
-    cells = {"black": {"high": {"count": 1_234_567, "positives": 1_000_000,
-                                "p_score": 1_000_000 / 1_234_567}}}
-    text = render_report(report._replace(calibration_cells=cells), "md")
+    text = render_report(report, "md")
     assert "| black | high | 1234567 | 1000000 | 81.0% |" in text
 
 
-def test_markdown_formats_each_distinct_rate_once(monkeypatch):
-    # 16 groups x 50 bins: the cells far outnumber their distinct p_scores.
+def many_cell_report():
+    """A report over 16 groups x 50 bins: the cells far outnumber their
+    distinct p_scores."""
     counts = [
         (f"g{g:02d}", b, (3 * g + 7 * b) % 11, (5 * g + 2 * b) % 9 + 1)
         for g in range(16)
@@ -34,9 +38,14 @@ def test_markdown_formats_each_distinct_rate_once(monkeypatch):
     ]
     curve = curve_from_counts(BinScheme(edges=tuple(range(51))), counts)
     policy = ThresholdPolicy.uniform(0.5)
-    report = _base_report(
+    return _base_report(
         curve, False, policy, SYMMETRIC_VALUES, False, 1e-9, []
     )._replace(equalization=equalize_fpr(curve, policy, tolerance=1e-9))
+
+
+def test_markdown_formats_each_distinct_rate_once(monkeypatch):
+    report = many_cell_report()
+    curve = report.curve
     formatted = []
 
     def counted(x):
@@ -53,3 +62,17 @@ def test_markdown_formats_each_distinct_rate_once(monkeypatch):
             f"| {g} | {curve.bins.label(b)} | {cell.count} | "
             f"{cell.positives} | {format_percent(cell.p_score)} |"
         ) in lines
+
+
+def test_json_cells_are_the_curve_cells():
+    report = many_cell_report()
+    curve = report.curve
+    recount = {}
+    for (g, b), cell in curve.cells.items():
+        recount.setdefault(g, {})[curve.bins.label(b)] = {
+            "count": cell.count,
+            "positives": cell.positives,
+            "p_score": cell.positives / cell.count,
+        }
+    payload = json.loads(render_report(report, "json"))
+    assert payload["calibration"]["cells"] == recount

@@ -5,15 +5,19 @@ from conftest import cell_counts, records, tally
 from fairaudit import (
     AuditError,
     SCENARIO_NAMES,
+    SYMMETRIC_VALUES,
+    BinScheme,
+    ThresholdPolicy,
     ValidationError,
     calibrated_cells,
     calibration_gap,
     check_scenario,
+    curve_from_counts,
     scenario_curve,
     scenario_spec,
 )
-from fairaudit.cli import EXIT_OK, main, scenario_report
-from fairaudit.scenarios import Check
+from fairaudit.cli import EXIT_OK, _base_report, main, scenario_report
+from fairaudit.scenarios import Check, scenario_figure
 
 
 class TestNamedScenarios:
@@ -103,6 +107,44 @@ class TestNamedScenarios:
         a, b = (scenario_spec("compas_synthetic") for _ in range(2))
         assert a == b
         assert scenario_curve(a.bins, a.cells) == scenario_curve(b.bins, b.cells)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_equiv_threshold_is_the_smallest_acted_p_score(data):
+    # Each group's threshold equals one of its p_scores, falls below or
+    # between two of them, or exceeds them all.
+    counts = data.draw(st.lists(
+        st.tuples(st.sampled_from("abc"), st.integers(0, 5),
+                  st.integers(0, 4), st.integers(0, 4)),
+        min_size=1, max_size=20,
+    ), label="counts")
+    counts += [("a", 0, 1, 1), ("b", 5, 0, 1)]
+    curve = curve_from_counts(BinScheme(edges=tuple(range(7))), counts)
+    p_scores = {
+        g: [cell.positives / cell.count
+            for (group, _b), cell in curve.cells.items() if group == g]
+        for g in curve.groups
+    }
+    thresholds = {}
+    for g, ps in p_scores.items():
+        edges = sorted({0.0, *ps, 1.0})
+        choices = [st.sampled_from(ps)] + [
+            st.floats(lo, hi, exclude_min=lo in ps, exclude_max=hi in ps)
+            for lo, hi in zip(edges, edges[1:])
+        ]
+        thresholds[g] = data.draw(st.one_of(choices), label=f"threshold {g}")
+    report = _base_report(
+        curve, False, ThresholdPolicy.per_group(thresholds), SYMMETRIC_VALUES,
+        True, 1e-9, [],
+    )
+    for g, t in thresholds.items():
+        acted = [p for p in p_scores[g] if p >= t]
+        if acted:
+            assert scenario_figure(report, f"equiv_threshold:{g}") == min(acted)
+        else:
+            with pytest.raises(AuditError, match="no acted bins"):
+                scenario_figure(report, f"equiv_threshold:{g}")
 
 
 # (n_per_group, bins, base_rate_a, base_rate_b), all feasible.
