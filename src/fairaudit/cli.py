@@ -248,7 +248,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         direction = RAISE_OTHERS if args.raise_thresholds else LOWER_OTHERS
         equalization = equalize_fpr(
             curve, policy, tolerance=args.tolerance,
-            direction=direction, values=values,
+            direction=direction, values=values, notes=notes,
         )
     report = _base_report(
         curve, args.benefit, policy, values, defaulted, args.tolerance, notes
@@ -273,7 +273,7 @@ def scenario_report(name: str) -> AuditReport:
     try:
         extras["equalization"] = equalize_fpr(
             curve, policy, tolerance=1e-9,
-            direction=spec.equalize_direction, values=values,
+            direction=spec.equalize_direction, values=values, notes=notes,
         )
     except AuditError as exc:
         notes.append(f"Equalization skipped: {exc}")

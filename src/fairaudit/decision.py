@@ -87,7 +87,7 @@ def optimal_threshold(values: OutcomeValues) -> float:
     # integers, and int / int rounds the exact quotient once. (fractions
     # would do the same, at an import and its memory in every process.)
     decimals = [
-        _printed_decimal(v)
+        printed_decimal(v)
         for v in (values.v_tp, values.v_fp, values.v_tn, values.v_fn)
     ]
     low = min(e for _d, e in decimals)
@@ -97,7 +97,7 @@ def optimal_threshold(values: OutcomeValues) -> float:
     return refrain_margin / (refrain_margin + act_margin)
 
 
-def _printed_decimal(x: float) -> tuple[int, int]:
+def printed_decimal(x: float) -> tuple[int, int]:
     """(digits, exponent) such that digits * 10**exponent is exactly the
     decimal ``repr`` prints for ``x``, a finite float."""
     mantissa, _, exponent = repr(float(x)).partition("e")

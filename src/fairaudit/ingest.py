@@ -10,7 +10,6 @@ rows, to the calibration curve.
 from __future__ import annotations
 
 import codecs
-import csv
 import math
 import sys
 from bisect import bisect_right
@@ -57,6 +56,8 @@ def _count_cells(config: DatasetConfig) -> dict[tuple[str, int], list[int]]:
     the bins' range, an outcome of 0 or 1, a nonempty group and an id no
     earlier row has. Errors name the row by the file line it ends on.
     """
+    import csv  # here, so that a scenario run never loads it
+
     path = Path(config.path)
     if not path.is_file():
         raise IngestError(f"no such file: {config.path}")
@@ -168,6 +169,8 @@ def _first_row_with_id(path: Path, id_at: int, record_id: str) -> int:
     """File line of the first row whose id is ``record_id``. The duplicate-id
     check keeps ids but not their lines, so its error path reads the file
     again; every row before the duplicate has already passed the checks."""
+    import csv
+
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)

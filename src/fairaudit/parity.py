@@ -60,6 +60,7 @@ def equalize_fpr(
     tolerance: float,
     direction: str = LOWER_OTHERS,
     values: OutcomeValues = SYMMETRIC_VALUES,
+    notes: list[str] | None = None,
 ) -> EqualizationResult:
     """Search per-group thresholds that minimize the FPR gap.
 
@@ -71,6 +72,8 @@ def equalize_fpr(
     output. ``disvalue_delta`` is the increase in total expected disvalue
     relative to the baseline policy under ``values``: the baseline's value
     minus the equalized one, read off the search's confusion matrices.
+    ``exact`` means equal FPRs, decided on integer counts; a nonzero
+    residual at or below ``tolerance`` gets a note in ``notes``.
     """
     if not tolerance > 0:
         raise ValidationError("tolerance must be positive")
@@ -117,6 +120,16 @@ def equalize_fpr(
 
     fprs = {g: cm.fpr for g, cm in chosen.items()}
     residual = max(fprs.values()) - min(fprs.values())
+    ref = chosen[reference]
+    exact = all(
+        cm.fp * (ref.fp + ref.tn) == ref.fp * (cm.fp + cm.tn)
+        for cm in chosen.values()
+    )
+    if not exact and residual <= tolerance and notes is not None:
+        notes.append(
+            f"FPR equalization: the residual gap {residual:.6g} is within "
+            f"the tolerance {tolerance:g}, but the FPRs are not equal."
+        )
     baseline_value = sum(values.value_of(cm) for cm in baseline.values())
     equalized_value = sum(values.value_of(cm) for cm in chosen.values())
     return EqualizationResult(
@@ -124,7 +137,7 @@ def equalize_fpr(
         fprs=fprs,
         baseline_fprs=baseline_fprs,
         residual_gap=residual,
-        exact=residual <= tolerance,
+        exact=exact,
         disvalue_delta=baseline_value - equalized_value,
         acted_baseline={g: cm.acted for g, cm in baseline.items()},
         acted_equalized={g: cm.acted for g, cm in chosen.items()},

@@ -2,16 +2,15 @@
 
 Numbers are stored at full precision; rounding happens only at render time.
 The markdown renderer prints one-decimal percentages using the published
-table's convention (round to two decimals, then to one, half away from
-zero), which is what turns 805/1795 into 44.9%.
+table's convention (round the decimal ``repr`` prints to two decimals, then
+to one, half away from zero), which is what turns 805/1795 into 44.9%.
 """
 from __future__ import annotations
 
-from decimal import ROUND_HALF_UP, Decimal
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from . import __version__
-from .decision import PolicyAssessment
+from .decision import PolicyAssessment, printed_decimal
 from .domain import ConfusionMatrix, OutcomeValues
 from .metrics import CalibrationCurve
 from .parity import EqualizationResult, ImpossibilityVerdict, LotteryResult
@@ -20,11 +19,15 @@ REPORT_VERSION = 1
 
 
 def format_percent(x: float) -> str:
-    """Render a rate as a one-decimal percentage, ProPublica-table style."""
-    pct = Decimal(repr(x * 100.0))
-    two = pct.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
-    one = two.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
-    return f"{one}%"
+    """Render a rate as a one-decimal percentage, ProPublica-table style,
+    in integer arithmetic."""
+    digits, exponent = printed_decimal(abs(x) * 100.0)
+    # digits * 10**(exponent + 2) hundredths, rounded half up to whole ones
+    unit = 10 ** max(-exponent - 2, 0)
+    hundredths, rest = divmod(digits * 10 ** max(exponent + 2, 0), unit)
+    tenths = (hundredths + (2 * rest >= unit) + 5) // 10
+    sign = "-" if repr(x)[0] == "-" else ""
+    return f"{sign}{tenths // 10}.{tenths % 10}%"
 
 
 class ScenarioSection(NamedTuple):

@@ -294,6 +294,84 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert result.stdout.strip() == "[]"
 
 
+def _fresh_interpreter(code):
+    """What ``code`` prints when run in a fresh interpreter."""
+    import fairaudit
+
+    src = str(Path(fairaudit.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+def _modules_loaded_by(argv, watched):
+    """The ``watched`` modules in ``sys.modules`` after ``cli.main(argv)``."""
+    return _fresh_interpreter(
+        "import sys\n"
+        "from fairaudit.cli import main\n"
+        f"assert main({list(argv)!r}) == 0\n"
+        f"print(sorted({set(watched)!r} & set(sys.modules)))\n"
+    )
+
+
+def test_audit_loads_no_fixture_generator_or_decimal(compas_csv, tmp_path):
+    # The scenario fixtures and the calibrated generator are code an audit
+    # never runs, and percentages are rounded in integers.
+    argv = ["audit", "--input", compas_csv, "--bins", COMPAS_BINS,
+            "--out", str(tmp_path / "report.md")]
+    watched = ("decimal", "fairaudit.fixtures", "fairaudit.synthetic")
+    assert _modules_loaded_by(argv, watched) == "[]"
+
+
+def test_scenario_loads_no_csv_decimal_or_generator(tmp_path):
+    argv = ["scenario", "stride_height", "--out", str(tmp_path / "report.md")]
+    watched = ("csv", "decimal", "fairaudit.synthetic")
+    assert _modules_loaded_by(argv, watched) == "[]"
+
+
+def test_package_import_loads_no_submodule():
+    assert _fresh_interpreter(
+        "import sys, fairaudit; "
+        "print(sorted(m for m in sys.modules if m.startswith('fairaudit.')))"
+    ) == "[]"
+
+
+#: Every name the package exported when it imported its submodules eagerly.
+_EXPORTED = (
+    "AuditError BinScheme ConfusionMatrix OutcomeValues SYMMETRIC_VALUES "
+    "ThresholdPolicy ValidationError CalibrationCurve calibration_gap "
+    "chance_miscalibration_bound curve_from_counts DecisionEV "
+    "PolicyAssessment expected_values optimal_threshold "
+    "policy_expected_disvalue EqualizationResult ImpossibilityVerdict "
+    "LOWER_OTHERS RAISE_OTHERS equalize_fpr fair_lottery impossibility_check "
+    "individual_error_risk SCENARIO_NAMES ScenarioSpec calibrated_cells "
+    "check_scenario scenario_curve scenario_spec DatasetConfig IngestError "
+    "ingest_csv"
+).split()
+
+
+@pytest.mark.parametrize("name", _EXPORTED)
+def test_package_exports_resolve_lazily(name):
+    import fairaudit
+
+    namespace: dict = {}
+    exec(f"from fairaudit import {name}", namespace)
+    assert namespace[name] is getattr(fairaudit, name)
+    assert name in dir(fairaudit) and name in fairaudit.__all__
+
+
+def test_unknown_package_name_raises_attribute_error():
+    import fairaudit
+
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        fairaudit.nonesuch
+    with pytest.raises(ImportError):
+        exec("from fairaudit import nonesuch", {})
+
+
 def test_markdown_run_never_imports_json():
     # Markdown is the default format; only a json report needs the module.
     import fairaudit
@@ -369,6 +447,32 @@ class TestEqualizeCommand:
         ])
         assert code == EXIT_INPUT
         assert f"{name} must be finite" in capsys.readouterr().err
+
+    def test_unequal_fprs_within_tolerance_are_not_exact(
+        self, tmp_path, capsys
+    ):
+        # FPRs 1/40000 and 1/40001 differ by 6.25e-10, inside the default
+        # tolerance of 1e-9: parity is residual, and a note says why.
+        csv_path = write_csv(tmp_path / "tie.csv", [
+            ("a", 8.0, 1, 1), ("a", 2.0, 0, 39_999),
+            ("b", 8.0, 1, 1), ("b", 2.0, 0, 40_000),
+        ])
+        argv = ["equalize", "--input", csv_path, "--bins", COMPAS_BINS,
+                "--threshold", "p=0.5"]
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        eq = payload["equalization"]
+        assert eq["fprs"] == {"a": 1 / 40_000, "b": 1 / 40_001}
+        assert eq["exact"] is False and 0 < eq["residual_gap"] <= 1e-9
+        note = (
+            "FPR equalization: the residual gap 6.24984e-10 is within the "
+            "tolerance 1e-09, but the FPRs are not equal."
+        )
+        assert note in payload["notes"]
+        assert main(argv) == EXIT_OK
+        text = capsys.readouterr().out
+        assert "Parity residual; residual FPR gap 0.0%" in text
+        assert f"- {note}" in text
 
     def test_nan_tolerance_exits_2(self, compas_csv, capsys):
         for command in ("equalize", "audit"):

@@ -1,4 +1,8 @@
 import json
+from decimal import ROUND_HALF_UP, Decimal
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fairaudit.report
 from fairaudit import (
@@ -76,3 +80,34 @@ def test_json_cells_are_the_curve_cells():
         }
     payload = json.loads(render_report(report, "json"))
     assert payload["calibration"]["cells"] == recount
+
+
+def decimal_percent(x):
+    """The Decimal formulation of the published rounding, kept as the
+    oracle of the integer one in ``format_percent``."""
+    pct = Decimal(repr(x * 100.0))
+    two = pct.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
+    one = two.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
+    return f"{one}%"
+
+
+@pytest.mark.parametrize("x,text", [
+    (805 / 1795, "44.9%"),  # 44.8468: to 44.85, then half up to 44.9
+    (0.30000000000000004, "30.0%"),
+    (5e-324, "0.0%"),
+    (0.0, "0.0%"),
+    (1.0, "100.0%"),
+])
+def test_format_percent_pinned_cases(x, text):
+    assert format_percent(x) == text == decimal_percent(x)
+
+
+@settings(max_examples=500)
+@given(st.floats(min_value=0.0, max_value=1.0)
+       | st.integers(1, 10**6).flatmap(
+           lambda j: st.integers(0, j).map(lambda i: i / j)))
+@example(0.00045)
+@example(0.99995)
+@example(1.5e-05)
+def test_format_percent_matches_the_decimal_rounding(x):
+    assert format_percent(x) == decimal_percent(x)
