@@ -3,9 +3,9 @@
 Input is comma-delimited UTF-8 with a header row; outcomes are encoded 0/1
 (1 = the predicted property occurred). Ingest is fail-fast: a row that does
 not parse aborts with its row number, because silently dropping rows would
-corrupt base rates. One parse loop runs every check and sums the rows into
-per-(group, bin) counts; :func:`ingest_csv` hands those cells, not the
-rows, to the calibration curve.
+corrupt base rates. One parse loop runs every check and tallies the rows
+per group and bin; :func:`ingest_csv` hands those counts, not the rows, to
+the calibration curve.
 """
 from __future__ import annotations
 
@@ -33,9 +33,12 @@ class DatasetConfig(NamedTuple):
     outcome_col: str = "outcome"
 
 
-#: Where each outcome encoding is counted in a cell's [positives, negatives]
-#: pair; a lookup here is also the 0/1 check.
+#: Which of a group's (positives, negatives) tallies counts each outcome
+#: encoding; a lookup here is also the 0/1 check.
 _OUTCOME_SLOT = {"1": 0, "0": 1}
+
+#: A group's row counts by bin index: (positives_by_bin, negatives_by_bin).
+Tallies = tuple[dict[int, int], dict[int, int]]
 
 
 def ingest_csv(config: DatasetConfig) -> CalibrationCurve:
@@ -43,13 +46,15 @@ def ingest_csv(config: DatasetConfig) -> CalibrationCurve:
     per-(group, bin) counts. Raises IngestError naming the file line of the
     first row that fails a check (see :func:`_count_cells`)."""
     return curve_from_counts(config.bins, (
-        (group, b, positives, negatives)
-        for (group, b), (positives, negatives) in _count_cells(config).items()
+        (group, b, positives.get(b, 0), negatives.get(b, 0))
+        for group, (positives, negatives) in _count_cells(config).items()
+        for b in positives.keys() | negatives.keys()
     ))
 
 
-def _count_cells(config: DatasetConfig) -> dict[tuple[str, int], list[int]]:
-    """Sum the data rows into (group, bin index) -> [positives, negatives].
+def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
+    """Tally the data rows into group -> (positives_by_bin, negatives_by_bin),
+    each a dict of bin index -> rows.
 
     A leading byte-order mark is ignored and blank lines are skipped. Every
     other row must have as many fields as the header, a finite score inside
@@ -69,7 +74,9 @@ def _count_cells(config: DatasetConfig) -> dict[tuple[str, int], list[int]]:
     lo = max(edges[0], -sys.float_info.max)
     hi = min(edges[-1], sys.float_info.max)
     top = len(edges) - 1
-    cells: dict[tuple[str, int], list[int]] = {}
+    # Each group label is kept once, as a key here; a row adds one to a
+    # plain int count, with no per-row key tuple and no per-cell list.
+    tallies: dict[str, Tallies] = {}
     # The ids seen so far, as the keys of a dict: below 50,000 entries
     # CPython's set quadruples its table and takes more memory than a
     # dict's compact keys. A row's line is looked up again only on error.
@@ -122,10 +129,13 @@ def _count_cells(config: DatasetConfig) -> dict[tuple[str, int], list[int]]:
                     )
                 ids[record_id] = None
                 group = row[group_at]
-                if not group:
-                    raise IngestError(
-                        f"row {reader.line_num}: empty group label"
-                    )
+                counts = tallies.get(group)
+                if counts is None:
+                    if not group:
+                        raise IngestError(
+                            f"row {reader.line_num}: empty group label"
+                        )
+                    counts = tallies[group] = ({}, {})
                 if in_range:
                     # BinScheme.bin_of's search, inlined for the row loop.
                     b = bisect_right(edges, score, 0, top) - 1
@@ -136,10 +146,8 @@ def _count_cells(config: DatasetConfig) -> dict[tuple[str, int], list[int]]:
                         raise IngestError(
                             f"row {reader.line_num}: {exc}"
                         ) from None
-                cell = cells.get((group, b))
-                if cell is None:
-                    cell = cells[(group, b)] = [0, 0]
-                cell[slot] += 1
+                tally = counts[slot]
+                tally[b] = tally.get(b, 0) + 1
     except UnicodeDecodeError as exc:
         raise IngestError(
             f"{config.path}: row {_undecodable_line(path)}: not UTF-8 "
@@ -151,7 +159,7 @@ def _count_cells(config: DatasetConfig) -> dict[tuple[str, int], list[int]]:
         ) from None
     if not ids:
         raise IngestError(f"{config.path}: no data rows")
-    return cells
+    return tallies
 
 
 def _column(header: list[str], name: str) -> int:

@@ -32,37 +32,40 @@ class CurveCell(NamedTuple):
 class CalibrationCurve(ValueObject):
     """Per-(group, bin) counts and positive fractions for one population.
 
-    Cells with no records are simply absent from ``cells``; the others are
-    in (group, bin) order. Past ingest and binning, every audit quantity is
-    a function of these integer counts: confusion matrices, calibration
-    gaps, and expected and realized value (which coincide in sample,
-    because a record's credence is its own cell's positive fraction).
-    Build one with :func:`curve_from_counts`.
+    ``by_group`` is the cell table: each group, in sorted order, with its
+    nonempty cells as (bin index, cell) in bin order; cells with no records
+    are absent. Past ingest and binning, every audit quantity is a function
+    of these integer counts: confusion matrices, calibration gaps, and
+    expected and realized value (which coincide in sample, because a
+    record's credence is its own cell's positive fraction). Build one with
+    :func:`curve_from_counts`.
     """
 
     # No __slots__: the cached properties below are kept in __dict__.
-    _fields = ("bins", "groups", "cells")
+    _fields = ("bins", "groups", "by_group")
     bins: BinScheme
     groups: tuple[str, ...]
-    cells: Mapping[tuple[str, int], CurveCell]
+    by_group: Mapping[str, tuple[tuple[int, CurveCell], ...]]
 
     def __init__(
         self,
         bins: BinScheme,
         groups: tuple[str, ...],
-        cells: Mapping[tuple[str, int], CurveCell],
+        by_group: Mapping[str, tuple[tuple[int, CurveCell], ...]],
     ) -> None:
         object.__setattr__(self, "bins", bins)
         object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "by_group", by_group)
 
     @cached_property
-    def by_group(self) -> Mapping[str, tuple[tuple[int, CurveCell], ...]]:
-        """Each group's nonempty cells as (bin index, cell), in bin order."""
-        out: dict[str, list[tuple[int, CurveCell]]] = {}
-        for (g, b), cell in self.cells.items():
-            out.setdefault(g, []).append((b, cell))
-        return {g: tuple(cells) for g, cells in out.items()}
+    def cells(self) -> Mapping[tuple[str, int], CurveCell]:
+        """The nonempty cells keyed by (group, bin index), in (group, bin)
+        order: a view of ``by_group``, built on first use."""
+        return {
+            (g, b): cell
+            for g, cells in self.by_group.items()
+            for b, cell in cells
+        }
 
     def cell(self, group: str, bin_index: int) -> CurveCell | None:
         return self.cells.get((group, bin_index))
@@ -134,26 +137,30 @@ def curve_from_counts(
     Every curve is built here, so group order (sorted, the order of every
     report), cell order and the two-group rule are decided in one place:
     an audit compares groups, so fewer than two is a ValidationError.
-    Entries may repeat a cell; a cell that sums to no records is left out.
+    Entries may repeat a cell; a cell that sums to no records is left out,
+    and so is a group with no records.
     """
-    sums: dict[tuple[str, int], list[int]] = {}
+    # group -> bin index -> [positives, negatives]
+    sums: dict[str, dict[int, list[int]]] = {}
     for group, b, positives, negatives in counts:
-        cell = sums.get((group, b))
-        if cell is None:
-            cell = sums[(group, b)] = [0, 0]
+        cell = sums.setdefault(group, {}).setdefault(b, [0, 0])
         cell[0] += positives
         cell[1] += negatives
-    cells = {
-        key: CurveCell(count=p + n, positives=p)
-        for key, (p, n) in sorted(sums.items())
-        if p + n
-    }
-    groups = list(dict.fromkeys(g for g, _b in cells))
+    by_group: dict[str, tuple[tuple[int, CurveCell], ...]] = {}
+    for g in sorted(sums):
+        cells = tuple(
+            (b, CurveCell(count=p + n, positives=p))
+            for b, (p, n) in sorted(sums[g].items())
+            if p + n
+        )
+        if cells:
+            by_group[g] = cells
+    groups = list(by_group)
     if len(groups) < 2:
         raise ValidationError(
             f"need at least 2 groups, found {len(groups)}: {groups}"
         )
-    return CalibrationCurve(bins=bins, groups=tuple(groups), cells=cells)
+    return CalibrationCurve(bins=bins, groups=tuple(groups), by_group=by_group)
 
 
 def calibration_gap(curve: CalibrationCurve, *groups: str) -> float:
@@ -167,10 +174,9 @@ def calibration_gap(curve: CalibrationCurve, *groups: str) -> float:
     for g in groups:
         if g not in curve.groups:
             raise ValidationError(f"unknown group {g!r}")
-    named = set(groups)
     spread: dict[int, tuple[float, float]] = {}
-    for (g, b), cell in curve.cells.items():
-        if g in named:
+    for g in groups:
+        for b, cell in curve.by_group[g]:
             p = cell.p_score
             lo, hi = spread.get(b, (p, p))
             spread[b] = (min(lo, p), max(hi, p))

@@ -13,7 +13,7 @@ from .domain import (
     ThresholdPolicy,
     ValidationError,
 )
-from .metrics import CalibrationCurve, CurveCell, calibration_gap
+from .metrics import CalibrationCurve, calibration_gap
 
 #: Hold the highest-FPR group fixed, lower the other groups' thresholds.
 LOWER_OTHERS = "lower_others"
@@ -95,7 +95,8 @@ def equalize_fpr(
 
     pick = max if direction == LOWER_OTHERS else min
     reference = pick(groups, key=lambda g: (baseline_fprs[g], g))
-    target = baseline_fprs[reference]
+    ref = baseline[reference]
+    ref_neg = ref.fp + ref.tn
 
     thresholds: dict[str, float] = {}
     chosen: dict[str, ConfusionMatrix] = {}
@@ -104,26 +105,27 @@ def equalize_fpr(
         if g == reference:
             thresholds[g], chosen[g] = t0, baseline[g]
             continue
-        best: tuple[float, float, float] | None = None
+        best: tuple[int, float, float] | None = None
         # FPR is a step function of the threshold; only the group's cut
         # points (plus the extremes and the baseline itself) can change the
         # acted set. 1.0 plays the role of "never act" unless some cell has
         # p_score exactly 1.
         for t in sorted({0.0, 1.0, t0, *curve.cut_points(g)}):
             cm = curve.confusion(g, t)
-            # The group has negatives (checked above), so fpr is defined.
             # Prefer the smallest gap; break ties toward the baseline
-            # threshold so an already-equal group is left untouched.
-            key = (abs(cm.fpr - target), abs(t - t0), t)
+            # threshold so an already-equal group is left untouched. The
+            # gap |fp/neg - ref.fp/ref_neg| is ranked by its numerator over
+            # the common denominator, which is fixed within the group, so
+            # gaps that are equal as fractions tie exactly.
+            gap = abs(cm.fp * ref_neg - ref.fp * (cm.fp + cm.tn))
+            key = (gap, abs(t - t0), t)
             if best is None or key < best:
                 best, thresholds[g], chosen[g] = key, t, cm
 
     fprs = {g: cm.fpr for g, cm in chosen.items()}
     residual = max(fprs.values()) - min(fprs.values())
-    ref = chosen[reference]
     exact = all(
-        cm.fp * (ref.fp + ref.tn) == ref.fp * (cm.fp + cm.tn)
-        for cm in chosen.values()
+        cm.fp * ref_neg == ref.fp * (cm.fp + cm.tn) for cm in chosen.values()
     )
     if not exact and residual <= tolerance and notes is not None:
         notes.append(
@@ -231,17 +233,20 @@ def _dominance_failure(
     negatives, so ``higher``'s FPR is at least ``lower``'s at every
     threshold.
     """
+    # bin -> [higher's count, lower's count, positives of both]
+    pooled_cells: dict[int, list[int]] = {}
+    for side, g in enumerate((higher, lower)):
+        for b, cell in curve.by_group[g]:
+            sums = pooled_cells.setdefault(b, [0, 0, 0])
+            sums[side] += cell.count
+            sums[2] += cell.positives
     # pooled p_score -> [higher's count, lower's count, first bin]
     levels: dict[float, list[int]] = {}
-    empty = CurveCell(count=0, positives=0)
-    bins = {*curve.nonempty_bins(higher), *curve.nonempty_bins(lower)}
-    for b in sorted(bins):
-        h = curve.cell(higher, b) or empty
-        lo = curve.cell(lower, b) or empty
-        pooled = (h.positives + lo.positives) / (h.count + lo.count)
-        level = levels.setdefault(pooled, [0, 0, b])
-        level[0] += h.count
-        level[1] += lo.count
+    for b in sorted(pooled_cells):
+        h, lo, positives = pooled_cells[b]
+        level = levels.setdefault(positives / (h + lo), [0, 0, b])
+        level[0] += h
+        level[1] += lo
     ordered = [levels[p] for p in sorted(levels)]
     for (h0, l0, b0), (h1, l1, b1) in zip(ordered, ordered[1:]):
         if h1 * l0 < h0 * l1:

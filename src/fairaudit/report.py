@@ -4,6 +4,7 @@ Numbers are stored at full precision; rounding happens only at render time.
 The markdown renderer prints one-decimal percentages using the published
 table's convention (round the decimal ``repr`` prints to two decimals, then
 to one, half away from zero), which is what turns 805/1795 into 44.9%.
+A gap between rates that is not zero but rounds to 0.0% prints as <0.05%.
 """
 from __future__ import annotations
 
@@ -140,6 +141,10 @@ def _render_markdown(report: AuditReport) -> str:
             text = formatted[x] = format_percent(x)
         return text
 
+    def gap(x: float) -> str:
+        text = pct(x)
+        return "<0.05%" if x and text == "0.0%" else text
+
     lines: list[str] = []
     add = lines.append
     add(f"# Fairness audit report (fairaudit {__version__})")
@@ -169,7 +174,7 @@ def _render_markdown(report: AuditReport) -> str:
     add("")
     add("## Calibration")
     add("")
-    add(f"Max per-bin p_score gap between groups: {pct(report.calibration_gap)}")
+    add(f"Max per-bin p_score gap between groups: {gap(report.calibration_gap)}")
     add("")
     add("| group | bin | count | positives | p_score |")
     add("|---|---|---|---|---|")
@@ -197,7 +202,7 @@ def _render_markdown(report: AuditReport) -> str:
         imp = report.impossibility
         add(
             f"Calibrated within tolerance: {imp.calibrated} "
-            f"(gap {pct(imp.calibration_gap)})."
+            f"(gap {gap(imp.calibration_gap)})."
         )
         rates = ", ".join(
             f"{g}={pct(r)}" for g, r in sorted(imp.base_rates.items())
@@ -232,7 +237,7 @@ def _render_markdown(report: AuditReport) -> str:
             )
         exact = "exact" if e.exact else "residual"
         add(
-            f"Parity {exact}; residual FPR gap {pct(e.residual_gap)}; "
+            f"Parity {exact}; residual FPR gap {gap(e.residual_gap)}; "
             f"expected disvalue increase vs baseline {e.disvalue_delta:.6g}."
         )
     if report.lottery is not None:

@@ -157,7 +157,7 @@ VALUE_OBJECTS = [
     (lambda: CurveCell(count=4, positives=1), "count", None, None),
     (lambda: curve_from_counts(
         BinScheme(edges=(0.0, 1.0, 2.0)), [("a", 0, 1, 1), ("b", 1, 2, 0)],
-    ), "cells", None, None),
+    ), "by_group", None, None),
     (lambda: DecisionEV(ev_act=0.25, ev_refrain=0.75), "ev_act", None, None),
     (_assessment, "acted", None, None),
     (lambda: PolicyAssessment(per_group={"a": _assessment()}),

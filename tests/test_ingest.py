@@ -13,6 +13,7 @@ from conftest import cell_counts, entries_of, records, tally, write_csv
 from fairaudit import (
     SCENARIO_NAMES,
     BinScheme,
+    curve_from_counts,
     scenario_curve,
     scenario_spec,
 )
@@ -263,6 +264,36 @@ class TestRoundTrip:
             curve = ingest_csv(DatasetConfig(path=path, bins=bins))
         assert curve.groups == tuple(sorted({row[0] for row in rows}))
         assert cell_counts(curve) == tally(bins, rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_ingest_builds_the_curve_of_its_rows(self, data):
+        # Few groups and scores, on and between the bin edges, so that rows
+        # repeat cells; the reference also gets entries with no records, in
+        # cells and in a group of their own, which the curve drops.
+        scores = (0.0, 1.0, 2.5, 3.0, 7.4, 7.5, 10.0)
+        rows = data.draw(st.lists(
+            st.tuples(st.sampled_from("abc"), st.sampled_from(scores),
+                      st.booleans()),
+            min_size=2, max_size=30,
+        ).filter(lambda rows: len({row[0] for row in rows}) >= 2))
+        bins = BinScheme(edges=(0.0, 2.5, 5.0, 7.5, 10.0))
+        empty = data.draw(st.lists(
+            st.tuples(st.sampled_from("abcz"), st.integers(0, 3)),
+            max_size=4,
+        ))
+        entries = [
+            (group, bins.bin_of(score), int(positive), int(not positive))
+            for group, score, positive in rows
+        ] + [(group, b, 0, 0) for group, b in empty]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_csv(Path(tmp) / "rows.csv", entries_of(rows))
+            curve = ingest_csv(DatasetConfig(path=path, bins=bins))
+        expected = curve_from_counts(bins, entries)
+        assert curve.groups == expected.groups
+        assert curve.by_group == expected.by_group
+        assert list(curve.cells.items()) == list(expected.cells.items())
+        assert curve == expected
 
 
 #: Bin schemes of 2-6 bins, with edges of either sign, written to a bin spec

@@ -186,6 +186,23 @@ class TestEqualizeFpr:
         assert result.exact
         assert result.disvalue_delta == 0.0
 
+    def test_gaps_equal_as_fractions_keep_the_baseline(self):
+        # r's FPR is 1/2. At 0.25, g's FPR is 2/3, and at its baseline 0.5
+        # it is 1/3: both gaps are 1/6, though as floats the first is the
+        # smaller. The tie goes to the baseline threshold.
+        curve = curve_from_counts(BinScheme(edges=tuple(range(11))), [
+            ("r", 8, 1, 1), ("r", 1, 0, 1),
+            ("g", 7, 5, 3), ("g", 4, 1, 3), ("g", 2, 0, 3),
+        ])
+        assert abs(2 / 3 - 1 / 2) < abs(1 / 3 - 1 / 2)
+        result = equalize_fpr(
+            curve, ThresholdPolicy.uniform(0.5), tolerance=1e-9
+        )
+        assert result.reference_group == "r"
+        assert result.thresholds == {"g": 0.5, "r": 0.5}
+        assert result.fprs == {"g": 1 / 3, "r": 1 / 2}
+        assert result.disvalue_delta == 0.0
+
     def test_fprs_consistent_with_direct_counts(self):
         spec = scenario_spec("compas_benefit")
         curve = scenario_curve(spec.bins, spec.cells)

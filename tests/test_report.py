@@ -31,6 +31,22 @@ def test_markdown_prints_large_counts_as_integers():
     assert "| black | high | 1234567 | 1000000 | 81.0% |" in text
 
 
+def test_markdown_never_prints_a_nonzero_gap_as_zero():
+    # The low bins' p_scores are 1/40000 and 1/40001: a calibration gap of
+    # 6.25e-10. (Gaps of exactly 0 print as 0.0% in the goldens.)
+    bins = BinScheme(edges=(0.0, 0.5, 1.0))
+    entries = [("a", 0, 1, 39_999), ("b", 0, 1, 40_000),
+               ("a", 1, 1, 1), ("b", 1, 1, 1)]
+    report = _base_report(
+        curve_from_counts(bins, entries), False, ThresholdPolicy.uniform(0.5),
+        SYMMETRIC_VALUES, True, 1e-9, [],
+    )
+    assert 0 < report.calibration_gap < 1e-9
+    text = render_report(report, "md")
+    assert "Max per-bin p_score gap between groups: <0.05%" in text
+    assert "(gap <0.05%)" in text
+
+
 def many_cell_report():
     """A report over 16 groups x 50 bins: the cells far outnumber their
     distinct p_scores."""
