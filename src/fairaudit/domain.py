@@ -25,7 +25,8 @@ class ValidationError(AuditError):
 class ValueObject:
     """Base of the value objects that validate or cache: immutable, equal
     and hashed by the fields named in ``_fields``, each set once by the
-    subclass's ``__init__``.
+    subclass's ``__init__``. A mapping field hashes by its items, so a
+    policy or a curve hashes like any other value object.
 
     The plain records elsewhere are ``typing.NamedTuple`` classes; ``_replace``
     and ``_asdict`` are spelled as theirs, so every value object is copied
@@ -55,7 +56,12 @@ class ValueObject:
         return self._astuple() == other._astuple()
 
     def __hash__(self) -> int:
-        return hash(self._astuple())
+        # As a frozenset of items, because mappings compare equal whatever
+        # their order.
+        return hash(tuple(
+            frozenset(value.items()) if isinstance(value, Mapping) else value
+            for value in self._astuple()
+        ))
 
     def __repr__(self) -> str:
         fields = ", ".join(

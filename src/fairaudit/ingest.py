@@ -14,10 +14,13 @@ import math
 import sys
 from bisect import bisect_right
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .domain import AuditError, BinScheme, ValidationError
 from .metrics import CalibrationCurve, curve_from_counts
+
+if TYPE_CHECKING:
+    from array import array
 
 
 class IngestError(AuditError):
@@ -36,6 +39,14 @@ class DatasetConfig(NamedTuple):
 #: Which of a group's (positives, negatives) tallies counts each outcome
 #: encoding; a lookup here is also the 0/1 check.
 _OUTCOME_SLOT = {"1": 0, "0": 1}
+
+#: Bytes read at a time when looking for the line of an undecodable byte.
+_CHUNK_BYTES = 1 << 16
+
+#: The digest the duplicate-id check keeps of each id, in an 8-byte slot.
+#: Equal ids have equal digests; unequal ids may too, and the check then
+#: compares the ids themselves.
+_id_hash = hash
 
 #: A group's row counts by bin index: (positives_by_bin, negatives_by_bin).
 Tallies = tuple[dict[int, int], dict[int, int]]
@@ -61,7 +72,9 @@ def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
     the bins' range, an outcome of 0 or 1, a nonempty group and an id no
     earlier row has. Errors name the row by the file line it ends on.
     """
-    import csv  # here, so that a scenario run never loads it
+    # Here, so that a scenario run never loads them.
+    import csv
+    from array import array
 
     path = Path(config.path)
     if not path.is_file():
@@ -77,10 +90,12 @@ def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
     # Each group label is kept once, as a key here; a row adds one to a
     # plain int count, with no per-row key tuple and no per-cell list.
     tallies: dict[str, Tallies] = {}
-    # The ids seen so far, as the keys of a dict: below 50,000 entries
-    # CPython's set quadruples its table and takes more memory than a
-    # dict's compact keys. A row's line is looked up again only on error.
-    ids: dict[str, None] = {}
+    # The hash of every id so far, 8 bytes a row, in buckets by its low
+    # byte, so that the repeat check's sets stay small; the id strings are
+    # freed with their rows. Only a repeated hash sends the file to be read
+    # again (see _raise_first_duplicate).
+    digest = _id_hash
+    digests = [array("q") for _ in range(256)]
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -91,63 +106,63 @@ def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
                              config.score_col, config.outcome_col)
             )
             width = len(header)
-            for row in reader:
-                if len(row) != width:
-                    if not row:
-                        continue
-                    raise IngestError(
-                        f"row {reader.line_num}: {len(row)} fields, "
-                        f"header has {width}"
-                    )
-                raw_score = row[score_at]
-                try:
-                    score = float(raw_score)
-                except ValueError:
-                    raise IngestError(
-                        f"row {reader.line_num}: unparseable score "
-                        f"{raw_score!r}"
-                    ) from None
-                in_range = lo <= score <= hi
-                if not in_range and not math.isfinite(score):
-                    raise IngestError(
-                        f"row {reader.line_num}: score must be finite, "
-                        f"got {raw_score!r}"
-                    )
-                raw_outcome = row[outcome_at].strip()
-                slot = _OUTCOME_SLOT.get(raw_outcome)
-                if slot is None:
-                    raise IngestError(
-                        f"row {reader.line_num}: outcome must be 0 or 1, "
-                        f"got {raw_outcome!r}"
-                    )
-                record_id = row[id_at]
-                if record_id in ids:
-                    raise IngestError(
-                        f"row {reader.line_num}: duplicate id {record_id!r} "
-                        f"(first on row "
-                        f"{_first_row_with_id(path, id_at, record_id)})"
-                    )
-                ids[record_id] = None
-                group = row[group_at]
-                counts = tallies.get(group)
-                if counts is None:
-                    if not group:
+            try:
+                for row in reader:
+                    if len(row) != width:
+                        if not row:
+                            continue
                         raise IngestError(
-                            f"row {reader.line_num}: empty group label"
+                            f"row {reader.line_num}: {len(row)} fields, "
+                            f"header has {width}"
                         )
-                    counts = tallies[group] = ({}, {})
-                if in_range:
-                    # BinScheme.bin_of's search, inlined for the row loop.
-                    b = bisect_right(edges, score, 0, top) - 1
-                else:
+                    raw_score = row[score_at]
                     try:
-                        b = bins.bin_of(score)  # raises the range message
-                    except ValidationError as exc:
+                        score = float(raw_score)
+                    except ValueError:
                         raise IngestError(
-                            f"row {reader.line_num}: {exc}"
+                            f"row {reader.line_num}: unparseable score "
+                            f"{raw_score!r}"
                         ) from None
-                tally = counts[slot]
-                tally[b] = tally.get(b, 0) + 1
+                    in_range = lo <= score <= hi
+                    if not in_range and not math.isfinite(score):
+                        raise IngestError(
+                            f"row {reader.line_num}: score must be finite, "
+                            f"got {raw_score!r}"
+                        )
+                    raw_outcome = row[outcome_at].strip()
+                    slot = _OUTCOME_SLOT.get(raw_outcome)
+                    if slot is None:
+                        raise IngestError(
+                            f"row {reader.line_num}: outcome must be 0 or 1, "
+                            f"got {raw_outcome!r}"
+                        )
+                    h = digest(row[id_at])
+                    digests[h & 255].append(h)
+                    group = row[group_at]
+                    counts = tallies.get(group)
+                    if counts is None:
+                        if not group:
+                            raise IngestError(
+                                f"row {reader.line_num}: empty group label"
+                            )
+                        counts = tallies[group] = ({}, {})
+                    if in_range:
+                        # BinScheme.bin_of's search, inlined for the row loop.
+                        b = bisect_right(edges, score, 0, top) - 1
+                    else:
+                        try:
+                            b = bins.bin_of(score)  # raises the range message
+                        except ValidationError as exc:
+                            raise IngestError(
+                                f"row {reader.line_num}: {exc}"
+                            ) from None
+                    tally = counts[slot]
+                    tally[b] = tally.get(b, 0) + 1
+            except (IngestError, csv.Error, UnicodeDecodeError):
+                # A repeated id on an earlier row is the first bad row.
+                _raise_first_duplicate(path, id_at, digests)
+                raise
+            _raise_first_duplicate(path, id_at, digests)
     except UnicodeDecodeError as exc:
         raise IngestError(
             f"{config.path}: row {_undecodable_line(path)}: not UTF-8 "
@@ -157,7 +172,7 @@ def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
         raise IngestError(
             f"{config.path}: row {reader.line_num}: {exc}"
         ) from None
-    if not ids:
+    if not any(digests):
         raise IngestError(f"{config.path}: no data rows")
     return tallies
 
@@ -173,28 +188,74 @@ def _column(header: list[str], name: str) -> int:
     return header.index(name)
 
 
-def _first_row_with_id(path: Path, id_at: int, record_id: str) -> int:
-    """File line of the first row whose id is ``record_id``. The duplicate-id
-    check keeps ids but not their lines, so its error path reads the file
-    again; every row before the duplicate has already passed the checks."""
+def _raise_first_duplicate(
+    path: Path, id_at: int, digests: list[array]
+) -> None:
+    """Raise the duplicate-id error of the first row whose id an earlier row
+    has, among the rows whose id hashes are in ``digests``.
+
+    Each bucket is checked once for a repeated hash. Only then is the file
+    read again, over the same rows, holding just the ids whose hash
+    repeated: two ids can share a hash, which is not an error.
+    """
     import csv
 
+    repeated = set()
+    for bucket in digests:
+        if len(set(bucket)) != len(bucket):
+            seen = set()
+            for h in bucket:
+                if h in seen:
+                    repeated.add(h)
+                seen.add(h)
+    if not repeated:
+        return
+    digest = _id_hash
+    rows = sum(map(len, digests))
+    first: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
-            if row and row[id_at] == record_id:
-                return reader.line_num
-    raise IngestError(f"{path}: id {record_id!r} vanished on re-reading")
+            if not row:
+                continue
+            record_id = row[id_at]
+            if digest(record_id) in repeated:
+                if record_id in first:
+                    raise IngestError(
+                        f"row {reader.line_num}: duplicate id {record_id!r} "
+                        f"(first on row {first[record_id]})"
+                    )
+                first[record_id] = reader.line_num
+            rows -= 1
+            if not rows:
+                return
 
 
 def _undecodable_line(path: Path) -> int:
-    """File line of the first byte that is not UTF-8. Lines end at LF, CR
-    or CRLF, as they do for the csv reader."""
-    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
-    head = data
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    """File line of the first byte that is not UTF-8, read in chunks of
+    ``_CHUNK_BYTES``. Lines end at LF, CR or CRLF, as they do for the csv
+    reader. No byte of a byte-order mark or of a multi-byte character is a
+    CR or LF, so the breaks are counted in the raw bytes."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line = 1
+    after_cr = False  # the bytes counted so far end with CR
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_CHUNK_BYTES):
+            try:
+                decoder.decode(chunk)
+                good = len(chunk)
+            except UnicodeDecodeError as exc:
+                # exc.object is the bytes the decoder held back from the
+                # chunk before (never a CR or LF), then this chunk.
+                good = max(0, exc.start - len(exc.object) + len(chunk))
+            head = chunk[:good]
+            line += (head.count(b"\n") + head.count(b"\r")
+                     - head.count(b"\r\n"))
+            if after_cr and head.startswith(b"\n"):
+                line -= 1  # a CRLF split between two chunks
+            if good < len(chunk):
+                return line
+            after_cr = chunk.endswith(b"\r")
+    # Only a character cut off by the end of the file is left.
+    return line

@@ -183,10 +183,17 @@ VALUE_OBJECTS = [
     (lambda: DatasetConfig(path="x.csv", bins=COMPAS_BINS), "path", None, None),
 ]
 CLASS_NAMES = [type(row[0]()).__name__ for row in VALUE_OBJECTS]
+#: Plain records with a dict or list field: like any tuple holding one, they
+#: cannot be hashed.
+UNHASHABLE = {
+    "PolicyAssessment", "EqualizationResult", "ImpossibilityVerdict",
+    "LotteryResult", "ScenarioSection", "AuditReport",
+}
 
 
 class TestValueObjects:
-    """Every value object is immutable, equal by value, and validated again
+    """Every value object is immutable, equal by value, hashed by value
+    unless a field is a plain record's dict or list, and validated again
     when copied with changed fields."""
 
     @pytest.mark.parametrize(
@@ -204,6 +211,32 @@ class TestValueObjects:
     )
     def test_equal_fields_compare_equal(self, make):
         assert make() == make()
+
+    @pytest.mark.parametrize(
+        "make", [row[0] for row in VALUE_OBJECTS], ids=CLASS_NAMES
+    )
+    def test_equal_fields_hash_equal(self, make):
+        obj = make()
+        if type(obj).__name__ in UNHASHABLE:
+            with pytest.raises(TypeError, match="unhashable type"):
+                hash(obj)
+        else:
+            assert hash(obj) == hash(make())
+
+    def test_mapping_fields_hash_whatever_their_order(self):
+        # Mappings compare equal in any order, so they must hash so too.
+        assert hash(ThresholdPolicy.per_group({"a": 0.5, "b": 0.25})) == hash(
+            ThresholdPolicy.per_group({"b": 0.25, "a": 0.5})
+        )
+        curve = curve_from_counts(
+            COMPAS_BINS, [("a", 0, 1, 1), ("b", 1, 2, 0)]
+        )
+        reordered = curve._replace(by_group=dict(reversed(
+            curve.by_group.items()
+        )))
+        assert list(reordered.by_group) == ["b", "a"]
+        assert reordered == curve
+        assert hash(reordered) == hash(curve)
 
     @pytest.mark.parametrize(
         "make", [row[0] for row in VALUE_OBJECTS], ids=CLASS_NAMES

@@ -1,10 +1,13 @@
+import codecs
 import contextlib
+import csv
 import io
 import math
 import random
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +16,12 @@ from conftest import cell_counts, entries_of, records, tally, write_csv
 from fairaudit import (
     SCENARIO_NAMES,
     BinScheme,
+    ValidationError,
     curve_from_counts,
     scenario_curve,
     scenario_spec,
 )
+from fairaudit import ingest
 from fairaudit.cli import EXIT_INPUT, main, parse_bins
 from fairaudit.ingest import DatasetConfig, IngestError, ingest_csv
 
@@ -26,6 +31,11 @@ r2,alpha,7.5,0
 r3,beta,4.0,1
 r4,beta,9.0,0
 """
+
+
+#: LF blank lines after the 23-byte header and a 12-byte row that put the
+#: next byte at the end of ingest's first read chunk.
+_PAD = ingest._CHUNK_BYTES - 1 - 23 - 12
 
 
 def config_for(path, bins):
@@ -110,28 +120,24 @@ class TestIngest:
             with pytest.raises(IngestError, match=message):
                 ingest_csv(config_for(f, ten_bins))
 
-    def test_duplicate_id_check_holds_only_the_ids(self, tmp_path, ten_bins):
-        # Ingest's memory beyond the cell counts is the ids the duplicate
-        # check has seen, as a dict's keys; it keeps no line per id.
+    def test_ingest_holds_under_16_bytes_a_row(self, tmp_path, ten_bins):
+        # Past the cell counts it returns, ingest holds an 8-byte hash of
+        # each id for the duplicate check, not the id: these 40-character
+        # ids would take over 100 bytes a row as strings in a dict.
         n = 20_000
         f = tmp_path / "data.csv"
         f.write_text("id,group,score,outcome\n" + "".join(
-            f"{i},{'ab'[i % 2]},{i % 10},{i % 2}\n" for i in range(n)
+            f"{i:040d},{'ab'[i % 2]},{i % 10},{i % 2}\n" for i in range(n)
         ))
         config = config_for(f, ten_bins)
         tracemalloc.start()
         try:
-            start = tracemalloc.get_traced_memory()[0]
-            ingest_csv(config)
-            ingest_peak = tracemalloc.get_traced_memory()[1] - start
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            ids = dict.fromkeys(str(i) for i in range(n))
-            ids_peak = tracemalloc.get_traced_memory()[1] - start
+            curve = ingest_csv(config)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(ids) == n
-        assert ingest_peak < 1.1 * ids_peak, (ingest_peak, ids_peak)
+        assert curve.groups == ("a", "b")
+        assert peak - held < 16 * n, f"{(peak - held) / n:.1f} bytes a row"
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -174,8 +180,12 @@ class TestIngest:
             (b"r1,a,2.0,1\r\nr2,\xe9,7.0,0\r\n", "row 3: not UTF-8"),
             (b"r1,a,2.0,1\nr2,b," + b"x" * 140_000 + b",0\n",
              "row 3: field larger than field limit"),
+            # Blank lines up to a CRLF whose CR ends the first chunk the
+            # line search reads: it is one line break, not two.
+            (b"r1,a,2.0,1\r\n" + b"\n" * _PAD + b"\r\nr2,\xe9,7.0,0\r\n",
+             f"row {_PAD + 4}: not UTF-8"),
         ],
-        ids=["not_utf8", "oversized_field"],
+        ids=["not_utf8", "oversized_field", "crlf_across_chunks"],
     )
     def test_unreadable_row_names_file_and_row(
         self, tmp_path, ten_bins, data, message
@@ -220,6 +230,173 @@ class TestIngest:
             outcome_col="recid",
         )
         assert ingest_csv(cfg).groups == ("a", "b")
+
+
+def _reference_count_cells(path, bins):
+    """The reference row loop: it keeps every id string, as a dict's keys,
+    for the duplicate check, and decodes the whole file to find the line of
+    a byte that is not UTF-8. Ingest must give its tallies or its error."""
+    tallies, ids = {}, {}
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            id_at, group_at, score_at, outcome_at = (
+                ingest._column(header, name)
+                for name in ("id", "group", "score", "outcome")
+            )
+            for row in reader:
+                line = reader.line_num
+                if len(row) != len(header):
+                    if not row:
+                        continue
+                    raise IngestError(
+                        f"row {line}: {len(row)} fields, header has "
+                        f"{len(header)}"
+                    )
+                raw_score = row[score_at]
+                try:
+                    score = float(raw_score)
+                except ValueError:
+                    raise IngestError(
+                        f"row {line}: unparseable score {raw_score!r}"
+                    ) from None
+                if not math.isfinite(score):
+                    raise IngestError(
+                        f"row {line}: score must be finite, got {raw_score!r}"
+                    )
+                raw_outcome = row[outcome_at].strip()
+                if raw_outcome not in ("0", "1"):
+                    raise IngestError(
+                        f"row {line}: outcome must be 0 or 1, got "
+                        f"{raw_outcome!r}"
+                    )
+                record_id = row[id_at]
+                if record_id in ids:
+                    raise IngestError(
+                        f"row {line}: duplicate id {record_id!r} (first on "
+                        f"row {ids[record_id]})"
+                    )
+                ids[record_id] = line
+                group = row[group_at]
+                if not group:
+                    raise IngestError(f"row {line}: empty group label")
+                try:
+                    b = bins.bin_of(score)
+                except ValidationError as exc:
+                    raise IngestError(f"row {line}: {exc}") from None
+                counts = tallies.setdefault(group, ({}, {}))
+                tally = counts[raw_outcome == "0"]
+                tally[b] = tally.get(b, 0) + 1
+    except UnicodeDecodeError as exc:
+        data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            data = data[:whole.start]
+        line = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+        raise IngestError(
+            f"{path}: row {line + 1}: not UTF-8 ({exc.reason})"
+        ) from None
+    except csv.Error as exc:
+        raise IngestError(f"{path}: row {reader.line_num}: {exc}") from None
+    if not ids:
+        raise IngestError(f"{path}: no data rows")
+    return tallies
+
+
+#: Stands for a byte that is not UTF-8 until the CSV text is encoded.
+_BAD_BYTE = "\ue000"
+
+_FAULTS = {
+    "bad_score": lambda row, other: row.__setitem__(2, "tall"),
+    "bad_outcome": lambda row, other: row.__setitem__(3, "2"),
+    "empty_group": lambda row, other: row.__setitem__(1, ""),
+    "extra_field": lambda row, other: row.append("x"),
+    "short_row": lambda row, other: row.pop(),
+    "out_of_range": lambda row, other: row.__setitem__(2, "11"),
+    "repeated_id": lambda row, other: row.__setitem__(0, other[0]),
+    "undecodable": lambda row, other: row.__setitem__(1, _BAD_BYTE),
+}
+
+
+@st.composite
+def _faulty_csv(draw):
+    """CSV bytes in every line ending, with blank lines, quoted line breaks
+    in ids and groups, maybe a byte-order mark, and 0-3 faulty rows."""
+    n = draw(st.integers(1, 12))
+    rows = [
+        [draw(st.sampled_from(("r", "id\n", "\u00e9", "a,b"))) + str(i),
+         draw(st.sampled_from(("a", "b", "c\nd", 'e"f'))),
+         repr(draw(st.floats(0.0, 10.0))),
+         draw(st.sampled_from("01"))]
+        for i in range(n)
+    ]
+    # Repeated ids are drawn most, as the check they test keeps least.
+    faults = draw(st.lists(
+        st.sampled_from(sorted(_FAULTS) + ["repeated_id"] * 4), max_size=3
+    ))
+    # Field-count faults last, so that the others find the fields they set.
+    for fault in sorted(faults, key=("extra_field", "short_row").__contains__):
+        row, other = (rows[draw(st.integers(0, n - 1))] for _ in range(2))
+        _FAULTS[fault](row, other)
+    ending = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    out = io.StringIO()
+    # Minimal quoting leaves an LF unquoted under CR line endings, which
+    # splits its row: one more kind of malformed input.
+    writer = csv.writer(out, lineterminator=ending, quoting=draw(
+        st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL))
+    ))
+    writer.writerow(("id", "group", "score", "outcome"))
+    for row in rows:
+        out.write(ending * draw(st.integers(0, 2)))
+        writer.writerow(row)
+    text = "\ufeff" * draw(st.booleans()) + out.getvalue()
+    return text.encode().replace(_BAD_BYTE.encode(), b"\xff")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_faulty_csv(), st.sampled_from((None, 0, 3)))
+def test_ingest_matches_the_reference_loop(data, mask):
+    # mask: None hashes ids as ingest does; 0 makes every id collide, and 3
+    # leaves four hash values, so that equal hashes of unequal ids are common.
+    bins = BinScheme(edges=(0.0, 5.0, 10.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        path.write_bytes(data)
+        try:
+            expected = _reference_count_cells(str(path), bins)
+        except IngestError as exc:
+            expected = str(exc)
+        id_hash = ingest._id_hash if mask is None else (
+            lambda record_id: hash(record_id) & mask
+        )
+        with mock.patch.object(ingest, "_id_hash", id_hash):
+            try:
+                got = ingest._count_cells(DatasetConfig(str(path), bins))
+            except IngestError as exc:
+                got = str(exc)
+    assert got == expected
+
+
+def test_colliding_hashes_are_not_duplicate_ids(tmp_path, ten_bins):
+    # Every id hashes alike, so every row sends the check to the ids
+    # themselves: distinct ids pass, and a repeated one still names both
+    # rows, ahead of a later row's error.
+    f = tmp_path / "data.csv"
+    with mock.patch.object(ingest, "_id_hash", lambda record_id: -2):
+        f.write_text("id,group,score,outcome\nr1,a,2.0,1\nr2,b,3.0,0\n"
+                     "r3,b,7.0,1\n")
+        assert cell_counts(ingest_csv(config_for(f, ten_bins))) == {
+            ("a", 0): (1, 1), ("b", 0): (1, 0), ("b", 1): (1, 1),
+        }
+        f.write_text("id,group,score,outcome\nr1,a,2.0,1\nr2,b,3.0,0\n"
+                     "r1,b,7.0,1\nr4,b,tall,0\n")
+        with pytest.raises(
+            IngestError,
+            match=r"^row 4: duplicate id 'r1' \(first on row 2\)$",
+        ):
+            ingest_csv(config_for(f, ten_bins))
 
 
 class TestRoundTrip:
