@@ -139,13 +139,14 @@ def parse_threshold(
         thresholds: dict[str, float] = {}
         for g in curve.groups:
             cells = curve.by_group.get(g, ())
-            acted = [cell.p_score for b, cell in cells if b >= first_bin]
+            acted = [cell.p_score for cell in cells if cell.bin >= first_bin]
             if not acted:
                 raise ValidationError(
                     f"group {g!r} has no records at scores >= {boundary:g}"
                 )
             t = min(acted)
-            if any(b < first_bin and cell.p_score >= t for b, cell in cells):
+            if any(cell.bin < first_bin and cell.p_score >= t
+                   for cell in cells):
                 notes.append(
                     f"Group {g!r}: some bins below score {boundary:g} have "
                     f"p_score >= {t:.6g}; the probability threshold acts on "
@@ -206,6 +207,11 @@ def _base_report(
                 "Impossibility check skipped: it applies to uniform "
                 "thresholds only."
             )
+    else:
+        notes.append(
+            "Impossibility check skipped: it is pairwise and the input has "
+            f"{len(curve.groups)} groups."
+        )
     assessment = policy_expected_disvalue(curve, policy, values)
     return AuditReport(
         population_benefits=action_benefits_subject,

@@ -7,7 +7,12 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .domain import OutcomeValues, ThresholdPolicy, ValidationError
+from .domain import (
+    OutcomeValues,
+    ThresholdPolicy,
+    ValidationError,
+    finite_value,
+)
 from .metrics import CalibrationCurve
 
 
@@ -117,7 +122,8 @@ def policy_expected_disvalue(
     beats refraining exactly when its p_score is at least p*
     (:func:`optimal_threshold`), so the best value is the value of the
     confusion matrix at p*; the difference from the chosen one is the
-    policy's expected disvalue.
+    policy's expected disvalue. A value sum that is not finite is a
+    ValidationError (see :func:`~fairaudit.domain.finite_value`).
     """
     if not policy.covers(curve.groups):
         raise ValidationError("policy does not cover every group")
@@ -132,4 +138,10 @@ def policy_expected_disvalue(
             expected_value=values.value_of(cm),
             best_expected_value=values.value_of(curve.confusion(g, p_star)),
         )
-    return PolicyAssessment(per_group=per_group)
+    assessment = PolicyAssessment(per_group=per_group)
+    # Each group's value sums are finite (value_of checks them). A
+    # difference is finite only if both of its terms are, so checking the
+    # disvalues also checks the totals.
+    for a in (*per_group.values(), assessment.total):
+        finite_value(a.expected_disvalue)
+    return assessment

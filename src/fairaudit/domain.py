@@ -157,8 +157,9 @@ class ConfusionMatrix(ValueObject):
     fn: int
 
     def __init__(self, tp: int, fp: int, tn: int, fn: int) -> None:
-        # Each threshold sweep builds one matrix per cut point, so the
-        # common case is tested without building the named pairs.
+        # The equalization search builds one matrix per candidate
+        # threshold, so the common case is tested without building the
+        # named pairs.
         if tp < 0 or fp < 0 or tn < 0 or fn < 0:
             for name, count in zip(self._fields, (tp, fp, tn, fn)):
                 if count < 0:
@@ -233,8 +234,25 @@ class OutcomeValues(ValueObject):
         """Value of the decisions a confusion matrix counts, which is linear
         in its four counts. The best value over a group's cells is the value
         at p* (:func:`~fairaudit.decision.optimal_threshold`)."""
-        return (cm.tp * self.v_tp + cm.fp * self.v_fp
-                + cm.tn * self.v_tn + cm.fn * self.v_fn)
+        return finite_value(cm.tp * self.v_tp + cm.fp * self.v_fp
+                            + cm.tn * self.v_tn + cm.fn * self.v_fn)
+
+
+def finite_value(total: float) -> float:
+    """``total``, a sum or difference of outcome values over decision
+    counts, if it is finite; else a ValidationError.
+
+    Finite values can still sum past the largest float, or cancel to nan.
+    p* and every decision are unchanged when all four values are scaled by
+    one positive factor, so the message asks for that.
+    """
+    if not math.isfinite(total):
+        raise ValidationError(
+            f"outcome values sum to {total!r} over these counts; rescale "
+            "--values (dividing all four by one positive number changes no "
+            "decision)"
+        )
+    return total
 
 
 #: Symmetric default: every correct decision worth 1, every error worth 0.

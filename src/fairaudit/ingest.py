@@ -4,8 +4,8 @@ Input is comma-delimited UTF-8 with a header row; outcomes are encoded 0/1
 (1 = the predicted property occurred). Ingest is fail-fast: a row that does
 not parse aborts with its row number, because silently dropping rows would
 corrupt base rates. One parse loop runs every check and tallies the rows
-per group and bin; :func:`ingest_csv` hands those counts, not the rows, to
-the calibration curve.
+per group and bin; :func:`ingest_csv` hands those tallies, not the rows, to
+the curve constructor.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .domain import AuditError, BinScheme, ValidationError
-from .metrics import CalibrationCurve, curve_from_counts
+from .metrics import CalibrationCurve, Tallies, curve_from_tallies
 
 if TYPE_CHECKING:
     from array import array
@@ -48,19 +48,12 @@ _CHUNK_BYTES = 1 << 16
 #: compares the ids themselves.
 _id_hash = hash
 
-#: A group's row counts by bin index: (positives_by_bin, negatives_by_bin).
-Tallies = tuple[dict[int, int], dict[int, int]]
-
 
 def ingest_csv(config: DatasetConfig) -> CalibrationCurve:
     """Stream a dataset into its calibration curve, keeping only the
     per-(group, bin) counts. Raises IngestError naming the file line of the
     first row that fails a check (see :func:`_count_cells`)."""
-    return curve_from_counts(config.bins, (
-        (group, b, positives.get(b, 0), negatives.get(b, 0))
-        for group, (positives, negatives) in _count_cells(config).items()
-        for b in positives.keys() | negatives.keys()
-    ))
+    return curve_from_tallies(config.bins, _count_cells(config))
 
 
 def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
@@ -89,7 +82,7 @@ def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
     top = len(edges) - 1
     # Each group label is kept once, as a key here; a row adds one to a
     # plain int count, with no per-row key tuple and no per-cell list.
-    tallies: dict[str, Tallies] = {}
+    tallies: dict[str, tuple[dict[int, int], dict[int, int]]] = {}
     # The hash of every id so far, 8 bytes a row, in buckets by its low
     # byte, so that the repeat check's sets stay small; the id strings are
     # freed with their rows. Only a repeated hash sends the file to be read

@@ -1,5 +1,5 @@
 """Calibration curves: per-(group, bin) counts, each group's threshold
-sweep of confusion matrices, and calibration gaps.
+sweep of cumulative true and false positives, and calibration gaps.
 """
 from __future__ import annotations
 
@@ -16,8 +16,10 @@ from .domain import (
 
 
 class CurveCell(NamedTuple):
-    """One (group, bin) cell of a calibration curve."""
+    """One (group, bin) cell of a calibration curve: its bin index, its
+    record count and how many of those records are positive."""
 
+    bin: int
     count: int
     positives: int
 
@@ -29,29 +31,38 @@ class CurveCell(NamedTuple):
         return self.positives / self.count
 
 
+#: A group's record counts by bin index: (positives_by_bin, negatives_by_bin).
+Tallies = tuple[Mapping[int, int], Mapping[int, int]]
+
+#: A group's threshold sweep: (cut points, true positives, false positives);
+#: see :attr:`CalibrationCurve._sweeps`.
+Sweep = tuple[tuple[float, ...], tuple[int, ...], tuple[int, ...]]
+
+
 class CalibrationCurve(ValueObject):
     """Per-(group, bin) counts and positive fractions for one population.
 
-    ``by_group`` is the cell table: each group, in sorted order, with its
-    nonempty cells as (bin index, cell) in bin order; cells with no records
-    are absent. Past ingest and binning, every audit quantity is a function
-    of these integer counts: confusion matrices, calibration gaps, and
-    expected and realized value (which coincide in sample, because a
-    record's credence is its own cell's positive fraction). Build one with
-    :func:`curve_from_counts`.
+    ``by_group`` is the cell table, the one per-cell structure a curve
+    keeps: each group, in sorted order, with its nonempty cells in bin
+    order; cells with no records are absent. Past ingest and binning, every
+    audit quantity is a function of these integer counts: confusion
+    matrices, calibration gaps, and expected and realized value (which
+    coincide in sample, because a record's credence is its own cell's
+    positive fraction). Build one with :func:`curve_from_counts` or
+    :func:`curve_from_tallies`.
     """
 
     # No __slots__: the cached properties below are kept in __dict__.
     _fields = ("bins", "groups", "by_group")
     bins: BinScheme
     groups: tuple[str, ...]
-    by_group: Mapping[str, tuple[tuple[int, CurveCell], ...]]
+    by_group: Mapping[str, tuple[CurveCell, ...]]
 
     def __init__(
         self,
         bins: BinScheme,
         groups: tuple[str, ...],
-        by_group: Mapping[str, tuple[tuple[int, CurveCell], ...]],
+        by_group: Mapping[str, tuple[CurveCell, ...]],
     ) -> None:
         object.__setattr__(self, "bins", bins)
         object.__setattr__(self, "groups", groups)
@@ -62,9 +73,9 @@ class CalibrationCurve(ValueObject):
         """The nonempty cells keyed by (group, bin index), in (group, bin)
         order: a view of ``by_group``, built on first use."""
         return {
-            (g, b): cell
+            (g, cell.bin): cell
             for g, cells in self.by_group.items()
-            for b, cell in cells
+            for cell in cells
         }
 
     def cell(self, group: str, bin_index: int) -> CurveCell | None:
@@ -79,34 +90,33 @@ class CalibrationCurve(ValueObject):
         return cell.p_score
 
     def nonempty_bins(self, group: str) -> tuple[int, ...]:
-        return tuple(b for b, _cell in self.by_group.get(group, ()))
+        return tuple(cell.bin for cell in self.by_group.get(group, ()))
 
     @cached_property
-    def _sweeps(
-        self,
-    ) -> Mapping[str, tuple[tuple[float, ...], tuple[ConfusionMatrix, ...]]]:
-        """Each group's threshold sweep: its distinct p_scores in ascending
-        order, and for each the confusion matrix of acting on every cell at
-        or above it, followed by the act-on-nothing matrix."""
+    def _sweeps(self) -> Mapping[str, Sweep]:
+        """Each group's threshold sweep, in integers: its distinct p_scores
+        in ascending order (the cut points), and the true and false
+        positives of acting on every cell at or above each cut point,
+        followed by 0 and 0 for acting on nothing. The first entries are
+        the group's positives and negatives."""
         sweeps = {}
         for g, cells in self.by_group.items():
-            # p_score -> [positives, negatives] summed over the cells at it
-            at: dict[float, list[int]] = {}
-            for _b, cell in cells:
-                sums = at.setdefault(cell.p_score, [0, 0])
-                sums[0] += cell.positives
-                sums[1] += cell.count - cell.positives
-            cuts = sorted(at)
-            # (tp, fp) when acting on the top 0, 1, ..., len(cuts) cut points
-            acted = [(0, 0)]
-            for p_score in reversed(cuts):
-                tp, fp = acted[-1]
-                acted.append((tp + at[p_score][0], fp + at[p_score][1]))
-            pos, neg = acted[-1]
-            sweeps[g] = (tuple(cuts), tuple(
-                ConfusionMatrix(tp=tp, fp=fp, tn=neg - fp, fn=pos - tp)
-                for tp, fp in reversed(acted)
-            ))
+            cuts: list[float] = []
+            tps, fps = [0], [0]
+            # Down from the top p_score, each cell joins the acted set; cells
+            # with equal p_scores join at one cut point.
+            for cell in sorted(cells, key=lambda c: c.p_score, reverse=True):
+                p = cell.p_score
+                tp = tps[-1] + cell.positives
+                fp = fps[-1] + cell.count - cell.positives
+                if cuts and cuts[-1] == p:
+                    tps[-1], fps[-1] = tp, fp
+                else:
+                    cuts.append(p)
+                    tps.append(tp)
+                    fps.append(fp)
+            sweeps[g] = (tuple(reversed(cuts)), tuple(reversed(tps)),
+                         tuple(reversed(fps)))
         return sweeps
 
     def cut_points(self, group: str) -> tuple[float, ...]:
@@ -116,17 +126,47 @@ class CalibrationCurve(ValueObject):
 
     def confusion(self, group: str, threshold: float) -> ConfusionMatrix:
         """Counts of one group's records by (decision, outcome) when every
-        cell with p_score >= ``threshold`` is acted on (ties act)."""
-        cuts, matrices = self._sweep(group)
-        return matrices[bisect_left(cuts, threshold)]
+        cell with p_score >= ``threshold`` is acted on (ties act). Built
+        from the group's sweep on each call; no matrix is kept."""
+        cuts, tps, fps = self._sweep(group)
+        i = bisect_left(cuts, threshold)
+        tp, fp = tps[i], fps[i]
+        return ConfusionMatrix(tp=tp, fp=fp, tn=fps[0] - fp, fn=tps[0] - tp)
 
-    def _sweep(
-        self, group: str
-    ) -> tuple[tuple[float, ...], tuple[ConfusionMatrix, ...]]:
+    def _sweep(self, group: str) -> Sweep:
         try:
             return self._sweeps[group]
         except KeyError:
             raise ValidationError(f"unknown group {group!r}") from None
+
+
+def curve_from_tallies(
+    bins: BinScheme, tallies: Mapping[str, Tallies]
+) -> CalibrationCurve:
+    """The curve of group -> (positives_by_bin, negatives_by_bin) counts.
+
+    Every curve is built here, so group order (sorted, the order of every
+    report), cell order and the two-group rule are decided in one place:
+    an audit compares groups, so fewer than two is a ValidationError. A
+    cell with no records is left out, and so is a group with none.
+    """
+    by_group: dict[str, tuple[CurveCell, ...]] = {}
+    for g in sorted(tallies):
+        positives, negatives = tallies[g]
+        cells = []
+        for b in sorted(positives.keys() | negatives.keys()):
+            p = positives.get(b, 0)
+            count = p + negatives.get(b, 0)
+            if count:
+                cells.append(CurveCell(b, count, p))
+        if cells:
+            by_group[g] = tuple(cells)
+    groups = tuple(by_group)
+    if len(groups) < 2:
+        raise ValidationError(
+            f"need at least 2 groups, found {len(groups)}: {list(groups)}"
+        )
+    return CalibrationCurve(bins=bins, groups=groups, by_group=by_group)
 
 
 def curve_from_counts(
@@ -134,33 +174,16 @@ def curve_from_counts(
 ) -> CalibrationCurve:
     """Sum (group, bin index, positives, negatives) entries into a curve.
 
-    Every curve is built here, so group order (sorted, the order of every
-    report), cell order and the two-group rule are decided in one place:
-    an audit compares groups, so fewer than two is a ValidationError.
-    Entries may repeat a cell; a cell that sums to no records is left out,
-    and so is a group with no records.
+    Entries may repeat a cell. They are summed into a group's tallies and
+    built by :func:`curve_from_tallies`, so a cell that sums to no records
+    is left out, and so is a group with no records.
     """
-    # group -> bin index -> [positives, negatives]
-    sums: dict[str, dict[int, list[int]]] = {}
+    tallies: dict[str, tuple[dict[int, int], dict[int, int]]] = {}
     for group, b, positives, negatives in counts:
-        cell = sums.setdefault(group, {}).setdefault(b, [0, 0])
-        cell[0] += positives
-        cell[1] += negatives
-    by_group: dict[str, tuple[tuple[int, CurveCell], ...]] = {}
-    for g in sorted(sums):
-        cells = tuple(
-            (b, CurveCell(count=p + n, positives=p))
-            for b, (p, n) in sorted(sums[g].items())
-            if p + n
-        )
-        if cells:
-            by_group[g] = cells
-    groups = list(by_group)
-    if len(groups) < 2:
-        raise ValidationError(
-            f"need at least 2 groups, found {len(groups)}: {groups}"
-        )
-    return CalibrationCurve(bins=bins, groups=tuple(groups), by_group=by_group)
+        pos, neg = tallies.setdefault(group, ({}, {}))
+        pos[b] = pos.get(b, 0) + positives
+        neg[b] = neg.get(b, 0) + negatives
+    return curve_from_tallies(bins, tallies)
 
 
 def calibration_gap(curve: CalibrationCurve, *groups: str) -> float:
@@ -176,10 +199,10 @@ def calibration_gap(curve: CalibrationCurve, *groups: str) -> float:
             raise ValidationError(f"unknown group {g!r}")
     spread: dict[int, tuple[float, float]] = {}
     for g in groups:
-        for b, cell in curve.by_group[g]:
+        for cell in curve.by_group[g]:
             p = cell.p_score
-            lo, hi = spread.get(b, (p, p))
-            spread[b] = (min(lo, p), max(hi, p))
+            lo, hi = spread.get(cell.bin, (p, p))
+            spread[cell.bin] = (min(lo, p), max(hi, p))
     return max((hi - lo for lo, hi in spread.values()), default=0.0)
 
 

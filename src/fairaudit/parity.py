@@ -12,6 +12,7 @@ from .domain import (
     SYMMETRIC_VALUES,
     ThresholdPolicy,
     ValidationError,
+    finite_value,
 )
 from .metrics import CalibrationCurve, calibration_gap
 
@@ -71,7 +72,8 @@ def equalize_fpr(
     unattainable with discrete bins, so the residual gap is first-class
     output. ``disvalue_delta`` is the increase in total expected disvalue
     relative to the baseline policy under ``values``: the baseline's value
-    minus the equalized one, read off the search's confusion matrices.
+    minus the equalized one, read off the search's confusion matrices; a
+    value sum that is not finite is a ValidationError.
     ``exact`` means equal FPRs, decided on integer counts; a nonzero
     residual at or below ``tolerance`` gets a note in ``notes``.
     """
@@ -140,7 +142,7 @@ def equalize_fpr(
         baseline_fprs=baseline_fprs,
         residual_gap=residual,
         exact=exact,
-        disvalue_delta=baseline_value - equalized_value,
+        disvalue_delta=finite_value(baseline_value - equalized_value),
         acted_baseline={g: cm.acted for g, cm in baseline.items()},
         acted_equalized={g: cm.acted for g, cm in chosen.items()},
         reference_group=reference,
@@ -155,9 +157,10 @@ def impossibility_check(
 ) -> ImpossibilityVerdict:
     """Check the central impossibility on a two-group population.
 
-    Multi-group populations reduce to pairwise checks at the caller. When
-    every precondition but the likelihood-ratio dominance holds, a note
-    naming the bins where it fails is appended to ``notes``.
+    With more than two groups, the ``audit`` and ``equalize`` reports skip
+    it and say so in a note. When every precondition but the
+    likelihood-ratio dominance holds, a note naming the bins where it fails
+    is appended to ``notes``.
     """
     if not calib_tolerance >= 0:
         raise ValidationError("calibration tolerance must be nonnegative")
@@ -236,8 +239,8 @@ def _dominance_failure(
     # bin -> [higher's count, lower's count, positives of both]
     pooled_cells: dict[int, list[int]] = {}
     for side, g in enumerate((higher, lower)):
-        for b, cell in curve.by_group[g]:
-            sums = pooled_cells.setdefault(b, [0, 0, 0])
+        for cell in curve.by_group[g]:
+            sums = pooled_cells.setdefault(cell.bin, [0, 0, 0])
             sums[side] += cell.count
             sums[2] += cell.positives
     # pooled p_score -> [higher's count, lower's count, first bin]

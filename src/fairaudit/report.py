@@ -5,6 +5,9 @@ The markdown renderer prints one-decimal percentages using the published
 table's convention (round the decimal ``repr`` prints to two decimals, then
 to one, half away from zero), which is what turns 805/1795 into 44.9%.
 A gap between rates that is not zero but rounds to 0.0% prints as <0.05%.
+In a markdown table cell, a group or bin label prints ``|`` as ``\\|``
+and CR and LF as ``\\r`` and ``\\n``, so that no label adds a column or
+splits a row.
 """
 from __future__ import annotations
 
@@ -81,12 +84,12 @@ class AuditReport(NamedTuple):
                 "gap": self.calibration_gap,
                 "cells": {
                     g: {
-                        label(b): {
+                        label(cell.bin): {
                             "count": cell.count,
                             "positives": cell.positives,
                             "p_score": cell.p_score,
                         }
-                        for b, cell in cells
+                        for cell in cells
                     }
                     for g, cells in self.curve.by_group.items()
                 },
@@ -127,6 +130,10 @@ def render_report(report: AuditReport, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'md'")
 
 
+#: What a label's characters print as in a markdown table cell.
+_CELL_ESCAPES = str.maketrans({"|": "\\|", "\r": "\\r", "\n": "\\n"})
+
+
 def _render_markdown(report: AuditReport) -> str:
     # Each distinct rate is formatted once per render: thousands of cells
     # share a few hundred p_scores. Every rate here is a ratio of counts or
@@ -144,6 +151,14 @@ def _render_markdown(report: AuditReport) -> str:
     def gap(x: float) -> str:
         text = pct(x)
         return "<0.05%" if x and text == "0.0%" else text
+
+    # Each label is escaped once per render, not once per table cell.
+    curve = report.curve
+    names = {g: g.translate(_CELL_ESCAPES) for g in curve.groups}
+    label = curve.bins.label
+    bin_names = [
+        label(b).translate(_CELL_ESCAPES) for b in range(curve.bins.n_bins)
+    ]
 
     lines: list[str] = []
     add = lines.append
@@ -168,7 +183,7 @@ def _render_markdown(report: AuditReport) -> str:
     for g in sorted(report.groups):
         c = report.groups[g]
         add(
-            f"| {g} | {c.n} | {pct(c.base_rate)} | {pct(c.fpr)} | "
+            f"| {names[g]} | {c.n} | {pct(c.base_rate)} | {pct(c.fpr)} | "
             f"{pct(c.fnr)} | {pct(c.ppv)} | {c.tp} | {c.fp} | {c.tn} | {c.fn} |"
         )
     add("")
@@ -178,13 +193,15 @@ def _render_markdown(report: AuditReport) -> str:
     add("")
     add("| group | bin | count | positives | p_score |")
     add("|---|---|---|---|---|")
-    label = report.curve.bins.label
-    for g, cells in report.curve.by_group.items():
-        for b, cell in cells:
-            add(
-                f"| {g} | {label(b)} | {cell.count} | {cell.positives} "
-                f"| {pct(cell.p_score)} |"
-            )
+    # One string per group, not per cell: the cell table is the only
+    # per-cell structure a render holds.
+    for g, cells in curve.by_group.items():
+        name = names[g]
+        add("\n".join([
+            f"| {name} | {bin_names[cell.bin]} | {cell.count} | "
+            f"{cell.positives} | {pct(cell.p_score)} |"
+            for cell in cells
+        ]))
     add("")
     add("## Policy assessment")
     add("")
@@ -231,8 +248,9 @@ def _render_markdown(report: AuditReport) -> str:
         add("|---|---|---|---|---|---|")
         for g in sorted(e.thresholds):
             add(
-                f"| {g} | {e.thresholds[g]:g} | {pct(e.baseline_fprs[g])} | "
-                f"{pct(e.fprs[g])} | {e.acted_baseline[g]} | "
+                f"| {names[g]} | {e.thresholds[g]:g} | "
+                f"{pct(e.baseline_fprs[g])} | {pct(e.fprs[g])} | "
+                f"{e.acted_baseline[g]} | "
                 f"{e.acted_equalized[g]} |"
             )
         exact = "exact" if e.exact else "residual"

@@ -138,7 +138,7 @@ def scenario_figure(report: AuditReport, label: str) -> float:
         curve = report.curve
         cells = _entry(curve.by_group, group, "calibration", label)
         if kind == "p":
-            by_label = {curve.bins.label(b): cell for b, cell in cells}
+            by_label = {curve.bins.label(cell.bin): cell for cell in cells}
             return _entry(by_label, bin_label, "calibration", label).p_score
         # Effective per-group probability threshold implied by the uniform
         # score rule: the smallest acted-bin p_score (ties act, as in the

@@ -15,6 +15,7 @@ from conftest import entries_of, tally
 from fairaudit import (
     SYMMETRIC_VALUES,
     BinScheme,
+    ConfusionMatrix,
     OutcomeValues,
     ThresholdPolicy,
     calibration_gap,
@@ -161,6 +162,44 @@ def test_cell_sums_match_the_per_record_reference(dataset, integral, data):
 
     report = _base_report(curve, False, policy, values, False, 1e-9, [])
     assert report.calibration_gap == reference_gap(dataset)
+
+
+@settings(deadline=None)
+@given(datasets())
+def test_by_group_holds_each_group_cells_in_ascending_bin_order(dataset):
+    curve = curve_of(dataset)
+    cells = tally(*dataset)
+    assert list(curve.by_group) == list(curve.groups) == groups_of(dataset)
+    for g, group_cells in curve.by_group.items():
+        assert all(type(cell) is CurveCell for cell in group_cells)
+        bins = [cell.bin for cell in group_cells]
+        assert bins == sorted(set(bins))
+        assert {(g, c.bin): (c.count, c.positives) for c in group_cells} == {
+            key: counts for key, counts in cells.items() if key[0] == g
+        }
+
+
+@settings(deadline=None)
+@given(datasets())
+def test_confusion_matches_a_walk_over_the_group_cells(dataset):
+    # The sweep keeps cumulative counts and builds a matrix on request; a
+    # walk over the group's cells is the reference, at every cut point, at
+    # 0 and 1, and between each two cut points.
+    curve = curve_of(dataset)
+    for g in curve.groups:
+        cells = curve.by_group[g]
+        cuts = curve.cut_points(g)
+        assert list(cuts) == sorted({cell.p_score for cell in cells})
+        between = [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])]
+        for t in sorted({0.0, 1.0, *cuts, *between}):
+            tp = fp = tn = fn = 0
+            for cell in cells:
+                negatives = cell.count - cell.positives
+                if cell.p_score >= t:
+                    tp, fp = tp + cell.positives, fp + negatives
+                else:
+                    fn, tn = fn + cell.positives, tn + negatives
+            assert curve.confusion(g, t) == ConfusionMatrix(tp, fp, tn, fn), t
 
 
 @settings(deadline=None)

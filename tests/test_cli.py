@@ -256,24 +256,84 @@ class TestAuditCommand:
 
 
 def test_commands_build_no_record_or_population(compas_csv, monkeypatch):
-    # Rows and fixture entries stream into the cell sums: no command holds
-    # a collection of records, only the per-(group, bin) counts.
+    # Rows and fixture entries are summed into per-group tallies on the way
+    # in: no command holds a collection of records. Every curve is built by
+    # the one constructor, which is handed only group -> (positives_by_bin,
+    # negatives_by_bin) int counts, at most one per bin; fixture entries
+    # reach curve_from_counts as a stream.
     import inspect
 
     import fairaudit.ingest
+    import fairaudit.metrics
     import fairaudit.scenarios
+
+    built = []
+
+    def tallies_only(bins, tallies):
+        for positives, negatives in tallies.values():
+            for by_bin in (positives, negatives):
+                assert type(by_bin) is dict, type(by_bin)
+                assert len(by_bin) <= bins.n_bins
+                assert all(
+                    type(b) is int and type(n) is int
+                    for b, n in by_bin.items()
+                )
+        built.append(len(tallies))
+        return build(bins, tallies)
 
     def streamed_only(bins, counts):
         assert inspect.isgenerator(counts), type(counts)
-        return build(bins, counts)
+        return from_counts(bins, counts)
 
-    build = fairaudit.ingest.curve_from_counts
-    for module in (fairaudit.ingest, fairaudit.scenarios):
-        monkeypatch.setattr(module, "curve_from_counts", streamed_only)
+    build = fairaudit.metrics.curve_from_tallies
+    from_counts = fairaudit.metrics.curve_from_counts
+    for module in (fairaudit.ingest, fairaudit.metrics):
+        monkeypatch.setattr(module, "curve_from_tallies", tallies_only)
+    monkeypatch.setattr(fairaudit.scenarios, "curve_from_counts", streamed_only)
     dataset = ["--input", compas_csv, "--bins", COMPAS_BINS]
     for argv in (["audit", *dataset], ["equalize", *dataset],
                  ["scenario", "compas_synthetic"]):
         assert main([*argv, "--format", "json"]) == EXIT_OK, argv
+    assert built == [2, 2, 2]
+
+
+def test_markdown_table_cells_escape_labels(tmp_path, capsys):
+    # A '|' in a label would add a column and a line break would split a
+    # row; every table row keeps its header's column count.
+    csv_path = write_csv(tmp_path / "labels.csv", [
+        ("a|x", 2.0, 1, 3), ("a|x", 8.0, 6, 2),
+        ("b\r\ny", 2.0, 2, 6), ("b\r\ny", 8.0, 3, 1),
+    ])
+    assert main(["equalize", "--input", csv_path,
+                 "--bins", "1-4=lo|w,5-10=hi", "--threshold", "p=0.5",
+                 "--format", "md"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert "| a\\|x | lo\\|w | 4 | 1 | 25.0% |" in text
+    assert "| b\\r\\ny | hi | 4 | 3 | 75.0% |" in text
+    columns = None
+    for line in text.splitlines():
+        if not line.startswith("|"):
+            columns = None
+            continue
+        count = line.replace("\\|", "").count("|")
+        columns = count if columns is None else columns
+        assert count == columns, line
+
+
+def test_impossibility_note_names_the_group_count(tmp_path, capsys):
+    csv_path = write_csv(tmp_path / "three.csv", [
+        ("a", 2.0, 1, 3), ("a", 8.0, 6, 2),
+        ("b", 2.0, 2, 6), ("b", 8.0, 3, 1),
+        ("c", 2.0, 1, 1), ("c", 8.0, 2, 2),
+    ])
+    assert main(["audit", "--input", csv_path, "--bins", COMPAS_BINS,
+                 "--format", "json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert "impossibility" not in payload
+    assert (
+        "Impossibility check skipped: it is pairwise and the input has 3 "
+        "groups." in payload["notes"]
+    )
 
 
 def test_commands_keep_one_cell_table(tmp_path, monkeypatch):
@@ -476,6 +536,21 @@ class TestEqualizeCommand:
         ])
         assert code == EXIT_INPUT
         assert f"{name} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["audit", "equalize"])
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_value_sums_that_overflow_exit_2_naming_values(
+        self, compas_csv, capsys, command, fmt
+    ):
+        # Each value is finite, but their sums over the counts are not.
+        code = main([
+            command, "--input", compas_csv, "--bins", COMPAS_BINS,
+            "--values", "1e308,-1e308,1e308,-1e308", "--format", fmt,
+        ])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert "rescale --values" in captured.err
 
     def test_unequal_fprs_within_tolerance_are_not_exact(
         self, tmp_path, capsys

@@ -6,8 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import records
 from fairaudit import (
+    BinScheme,
     OutcomeValues,
     ThresholdPolicy,
+    curve_from_counts,
+    equalize_fpr,
     expected_values,
     optimal_threshold,
     policy_expected_disvalue,
@@ -235,3 +238,18 @@ class TestPolicyExpectedDisvalue:
                 curve, ThresholdPolicy.uniform(t), values
             ).total.expected_disvalue
             assert cost >= best - 1e-9
+
+
+def test_value_sums_past_the_largest_float_are_rejected():
+    # Each value and each group's value sum is finite (1e308); only the
+    # totals over both groups overflow.
+    curve = curve_from_counts(
+        BinScheme(edges=(0.0, 1.0, 2.0)), [("a", 1, 1, 1), ("b", 1, 1, 1)]
+    )
+    values = OutcomeValues(v_tp=1e308, v_fp=0.0, v_tn=1e308, v_fn=0.0)
+    policy = ThresholdPolicy.uniform(0.5)
+    assert values.value_of(curve.confusion("a", 0.5)) == 1e308
+    with pytest.raises(ValidationError, match="rescale --values"):
+        policy_expected_disvalue(curve, policy, values)
+    with pytest.raises(ValidationError, match="rescale --values"):
+        equalize_fpr(curve, policy, tolerance=1e-9, values=values)

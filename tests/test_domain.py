@@ -154,7 +154,7 @@ VALUE_OBJECTS = [
      "v_tp", {"v_fp": 2.0}, "need v_tn > v_fp"),
     (lambda: ThresholdPolicy.per_group({"a": 0.5}),
      "_per_group", {"_uniform": 1.5}, r"threshold 1.5 outside \[0, 1\]"),
-    (lambda: CurveCell(count=4, positives=1), "count", None, None),
+    (lambda: CurveCell(bin=0, count=4, positives=1), "count", None, None),
     (lambda: curve_from_counts(
         BinScheme(edges=(0.0, 1.0, 2.0)), [("a", 0, 1, 1), ("b", 1, 2, 0)],
     ), "by_group", None, None),
