@@ -2,13 +2,14 @@
 """Compare two checkouts with alternating runs of their benchmark.
 
     python3 scripts/pairs.py PARENT CHANGE --out BENCH_x.json
-    taskset -c 1 python3 scripts/pairs.py PARENT CHANGE --pairs 10 \\
-        --seconds 45 --workload all --seed 1 --out BENCH_x.json
+    taskset -c 1 python3 scripts/pairs.py PARENT CHANGE \\
+        --workload equalize-cells --seed 3 --out BENCH_x.json
 
-Each pair runs ``bench/run.py --trace 0`` once from each checkout, one
-after the other; the side that runs first alternates from pair to pair, so
-that a drift in the host's load falls on both sides alike. Each run uses
-the sources and the benchmark of its own checkout.
+Each of the ten pairs runs ``bench/run.py --trace 0`` once from each
+checkout, one after the other; the side that runs first alternates from
+pair to pair, so that a drift in the host's load falls on both sides
+alike. Each run uses the sources and the benchmark of its own checkout,
+run length included.
 
 The two checkout paths must have the same length: the benchmark runs the
 CLI with ``PYTHONPATH`` set to the checkout's ``src``, and a longer path
@@ -31,6 +32,7 @@ from pathlib import Path
 from typing import Any
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def run_bench(checkout: Path, args: argparse.Namespace) -> dict[str, Any]:
@@ -41,8 +43,6 @@ def run_bench(checkout: Path, args: argparse.Namespace) -> dict[str, Any]:
         "--workload", args.workload, "--seed", str(args.seed),
         "--trace", "0",
     ]
-    if args.seconds is not None:
-        cmd += ["--seconds", str(args.seconds)]
     proc = subprocess.run(
         cmd, cwd=checkout, capture_output=True, text=True, check=False
     )
@@ -95,13 +95,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("parent", type=Path, help="checkout of the parent")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", default="all")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--seconds", type=float, default=None,
-        help="run length; default: the checkout's BENCHMARK.json",
-    )
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -117,11 +112,9 @@ def main(argv: list[str] | None = None) -> int:
             f"{len(str(checkouts['change']))} characters), which moves peak "
             "RSS; use paths of equal length"
         )
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, for quartiles")
 
     pairs: list[dict[str, Any]] = []
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair: dict[str, Any] = {"first": order[0]}
         for side in order:
@@ -146,7 +139,6 @@ def main(argv: list[str] | None = None) -> int:
         "change": str(args.change),
         "workload": args.workload,
         "seed": args.seed,
-        "seconds": args.seconds,
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "affinity": sorted(os.sched_getaffinity(0)),

@@ -82,7 +82,7 @@ def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
     top = len(edges) - 1
     # Each group label is kept once, as a key here; a row adds one to a
     # plain int count, with no per-row key tuple and no per-cell list.
-    tallies: dict[str, tuple[dict[int, int], dict[int, int]]] = {}
+    tallies: dict[str, Tallies] = {}
     # The hash of every id so far, 8 bytes a row, in buckets by its low
     # byte, so that the repeat check's sets stay small; the id strings are
     # freed with their rows. Only a repeated hash sends the file to be read

@@ -32,7 +32,7 @@ class CurveCell(NamedTuple):
 
 
 #: A group's record counts by bin index: (positives_by_bin, negatives_by_bin).
-Tallies = tuple[Mapping[int, int], Mapping[int, int]]
+Tallies = tuple[dict[int, int], dict[int, int]]
 
 #: A group's threshold sweep: (cut points, true positives, false positives);
 #: see :attr:`CalibrationCurve._sweeps`.
@@ -178,7 +178,7 @@ def curve_from_counts(
     built by :func:`curve_from_tallies`, so a cell that sums to no records
     is left out, and so is a group with no records.
     """
-    tallies: dict[str, tuple[dict[int, int], dict[int, int]]] = {}
+    tallies: dict[str, Tallies] = {}
     for group, b, positives, negatives in counts:
         pos, neg = tallies.setdefault(group, ({}, {}))
         pos[b] = pos.get(b, 0) + positives

@@ -130,8 +130,12 @@ def render_report(report: AuditReport, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'md'")
 
 
-#: What a label's characters print as in a markdown table cell.
-_CELL_ESCAPES = str.maketrans({"|": "\\|", "\r": "\\r", "\n": "\\n"})
+#: What a label's characters print as in a markdown table cell. The
+#: backslash is escaped too, so that no two labels print alike and no
+#: label's own backslash turns an escaped '|' back into a column break.
+_CELL_ESCAPES = str.maketrans(
+    {"\\": "\\\\", "|": "\\|", "\r": "\\r", "\n": "\\n"}
+)
 
 
 def _render_markdown(report: AuditReport) -> str:

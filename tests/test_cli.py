@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -299,10 +300,13 @@ def test_commands_build_no_record_or_population(compas_csv, monkeypatch):
 
 def test_markdown_table_cells_escape_labels(tmp_path, capsys):
     # A '|' in a label would add a column and a line break would split a
-    # row; every table row keeps its header's column count.
+    # row; a backslash is escaped too, so that a label holding '\|' or the
+    # characters '\r' neither breaks a column nor prints like another.
     csv_path = write_csv(tmp_path / "labels.csv", [
         ("a|x", 2.0, 1, 3), ("a|x", 8.0, 6, 2),
         ("b\r\ny", 2.0, 2, 6), ("b\r\ny", 8.0, 3, 1),
+        ("c\\|z", 2.0, 1, 1), ("c\\|z", 8.0, 2, 2),
+        ("b\\r\\ny", 2.0, 1, 1), ("b\\r\\ny", 8.0, 2, 2),
     ])
     assert main(["equalize", "--input", csv_path,
                  "--bins", "1-4=lo|w,5-10=hi", "--threshold", "p=0.5",
@@ -310,12 +314,15 @@ def test_markdown_table_cells_escape_labels(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "| a\\|x | lo\\|w | 4 | 1 | 25.0% |" in text
     assert "| b\\r\\ny | hi | 4 | 3 | 75.0% |" in text
+    assert "| c\\\\\\|z | lo\\|w | 2 | 1 | 50.0% |" in text
+    assert "| b\\\\r\\\\ny | hi | 4 | 2 | 50.0% |" in text
     columns = None
     for line in text.splitlines():
         if not line.startswith("|"):
             columns = None
             continue
-        count = line.replace("\\|", "").count("|")
+        # Each backslash escapes the one character after it.
+        count = re.sub(r"\\.", "", line).count("|")
         columns = count if columns is None else columns
         assert count == columns, line
 
