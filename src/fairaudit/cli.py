@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .decision import optimal_threshold, policy_expected_disvalue
 from .domain import (
@@ -228,18 +228,28 @@ def _base_report(
     )
 
 
+#: A report is written in slices of this many characters: writing it whole
+#: would encode a copy of the whole report while the text is still held.
+_WRITE_SLICE = 1 << 14
+
+
+def _write(fh: TextIO, text: str) -> None:
+    for i in range(0, len(text), _WRITE_SLICE):
+        fh.write(text[i:i + _WRITE_SLICE])
+
+
 def _emit(report: AuditReport, args: argparse.Namespace) -> None:
     text = render_report(report, args.format)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _write(fh, text)
         except OSError as exc:
             raise AuditError(
                 f"cannot write report to {args.out!r}: {exc.strerror or exc}"
             ) from None
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, text)
 
 
 def cmd_audit(args: argparse.Namespace) -> int:

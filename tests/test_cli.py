@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import write_csv
-from fairaudit import scenario_spec
+from fairaudit import cli, scenario_spec
 from fairaudit.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -116,6 +116,33 @@ class TestAuditCommand:
         assert main(argv + ["--out", str(a)]) == EXIT_OK
         assert main(argv + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_report_longer_than_a_write_slice_is_written_whole(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Reports are written in slices; a multi-byte label must not be
+        # split or lost at a slice boundary, on stdout or in --out.
+        entries = []
+        for k in range(250):
+            group = f"gr\u00fcppe-{k:03d}"
+            entries += [(group, 2.0, 1, 2), (group, 8.0, 2, 1)]
+        csv_path = write_csv(tmp_path / "many.csv", entries)
+        rendered = []
+        render = cli.render_report
+        monkeypatch.setattr(
+            cli, "render_report",
+            lambda report, fmt: rendered.append(render(report, fmt))
+            or rendered[-1],
+        )
+        argv = ["audit", "--input", csv_path, "--bins", COMPAS_BINS,
+                "--format", "md"]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        path = tmp_path / "report.md"
+        assert main(argv + ["--out", str(path)]) == EXIT_OK
+        assert len(rendered[0]) > 2 * cli._WRITE_SLICE
+        assert out == rendered[0] == rendered[1]
+        assert path.read_text(encoding="utf-8") == rendered[0]
 
     def test_missing_file_exits_2(self, capsys):
         code = main([
