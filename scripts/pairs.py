@@ -16,8 +16,13 @@ CLI with ``PYTHONPATH`` set to the checkout's ``src``, and a longer path
 alone raises the peak RSS of a scenario run by ~0.1 MB.
 
 Prints each pair's end-to-end metrics and, per metric, the quartiles of
-each side and the number of pairs in which the change read lower, and
-writes all of it as JSON to ``--out``. Only the standard library is used.
+each side, the number of pairs in which the change read lower, and whether
+the gain rule holds, and writes all of it as JSON to ``--out``. The gain
+rule: the change reads better in at least nine tenths of the pairs, and
+its median is better than the parent's by more than the parent's
+interquartile range. Which way is better comes from the ``better`` field
+of the change's ``BENCHMARK.json``, which the script only reads. Only the
+standard library is used.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 SIDES = ("parent", "change")
 PAIRS = 10
@@ -68,9 +73,23 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict[str, Any]]) -> dict[str, Any]:
-    """Per metric: each side's quartiles, and in how many pairs the change
-    read lower, higher or the same."""
+def directions(checkout: Path) -> dict[str, str]:
+    """End-to-end metric name -> "lower" or "higher", the way it is
+    better, as the checkout's BENCHMARK.json declares it."""
+    declared = json.loads(
+        (checkout / "BENCHMARK.json").read_text(encoding="utf-8")
+    )
+    return {m["name"]: m["better"] for m in declared["end_to_end"]}
+
+
+def summarize(
+    pairs: list[dict[str, Any]], better: Mapping[str, str]
+) -> dict[str, Any]:
+    """Per metric: each side's quartiles, in how many pairs the change read
+    lower, higher or the same, and whether the gain rule holds. ``better``
+    gives the direction by metric name without its workload prefix
+    ("peak_rss_mb" for "equalize-cells.peak_rss_mb"); the rule is None for
+    a metric it does not name."""
     names = [
         name for name, value in pairs[0]["parent"].items()
         if type(value) in (int, float) and name not in ("attempted", "failed")
@@ -79,12 +98,25 @@ def summarize(pairs: list[dict[str, Any]]) -> dict[str, Any]:
     for name in names:
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
+        lower = sum(c < p for p, c in zip(parent, change))
+        higher = sum(c > p for p, c in zip(parent, change))
+        sides = {"parent": quartiles(parent), "change": quartiles(change)}
+        direction = better.get(name.rpartition(".")[2])
+        holds = None
+        if direction is not None:
+            drop = sides["parent"]["median"] - sides["change"]["median"]
+            wins = lower if direction == "lower" else higher
+            gain = drop if direction == "lower" else -drop
+            spread = sides["parent"]["q3"] - sides["parent"]["q1"]
+            # wins / pairs >= 9 / 10, in integers
+            holds = 10 * wins >= 9 * len(pairs) and gain > spread
         summary[name] = {
-            "parent": quartiles(parent),
-            "change": quartiles(change),
-            "change_lower_pairs": sum(c < p for p, c in zip(parent, change)),
-            "change_higher_pairs": sum(c > p for p, c in zip(parent, change)),
+            **sides,
+            "change_lower_pairs": lower,
+            "change_higher_pairs": higher,
             "pairs": len(pairs),
+            "better": direction,
+            "gain_rule_holds": holds,
         }
     return summary
 
@@ -125,13 +157,18 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name}: parent {parent}  change {pair['change'][name]}")
         sys.stdout.flush()
 
-    summary = summarize(pairs)
-    print("summary: change lower in k of n pairs")
+    summary = summarize(pairs, directions(checkouts["change"]))
+    print(
+        "summary: change lower in k of n pairs; gain rule: better in at "
+        "least 9 of 10 pairs and by more than the parent's IQR"
+    )
+    verdicts = {True: "holds", False: "does not hold", None: "no direction"}
     for name, s in summary.items():
         print(
             f"  {name}: {s['change_lower_pairs']} of {s['pairs']} "
             f"(median parent {s['parent']['median']:.5g}, "
-            f"change {s['change']['median']:.5g})"
+            f"change {s['change']['median']:.5g}); gain rule "
+            f"{verdicts[s['gain_rule_holds']]}"
         )
     result = {
         "command": [Path(sys.argv[0]).name, *(argv or sys.argv[1:])],

@@ -14,13 +14,10 @@ import math
 import sys
 from bisect import bisect_right
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .domain import AuditError, BinScheme, ValidationError
 from .metrics import CalibrationCurve, Tallies, curve_from_tallies
-
-if TYPE_CHECKING:
-    from array import array
 
 
 class IngestError(AuditError):
@@ -65,9 +62,8 @@ def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
     the bins' range, an outcome of 0 or 1, a nonempty group and an id no
     earlier row has. Errors name the row by the file line it ends on.
     """
-    # Here, so that a scenario run never loads them.
+    # Here, so that a scenario run never loads it.
     import csv
-    from array import array
 
     path = Path(config.path)
     if not path.is_file():
@@ -83,12 +79,14 @@ def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
     # Each group label is kept once, as a key here; a row adds one to a
     # plain int count, with no per-row key tuple and no per-cell list.
     tallies: dict[str, Tallies] = {}
-    # The hash of every id so far, 8 bytes a row, in buckets by its low
-    # byte, so that the repeat check's sets stay small; the id strings are
-    # freed with their rows. Only a repeated hash sends the file to be read
-    # again (see _raise_first_duplicate).
+    # The hash of every id so far, 8 bytes a row (a signed int in native
+    # byte order), in buckets by its low byte, so that the repeat check's
+    # sets stay small; the id strings are freed with their rows. Only a
+    # repeated hash sends the file to be read again (see
+    # _raise_first_duplicate).
     digest = _id_hash
-    digests = [array("q") for _ in range(256)]
+    order = sys.byteorder
+    digests = [bytearray() for _ in range(256)]
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -130,7 +128,7 @@ def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
                             f"got {raw_outcome!r}"
                         )
                     h = digest(row[id_at])
-                    digests[h & 255].append(h)
+                    digests[h & 255] += h.to_bytes(8, order, signed=True)
                     group = row[group_at]
                     counts = tallies.get(group)
                     if counts is None:
@@ -182,7 +180,7 @@ def _column(header: list[str], name: str) -> int:
 
 
 def _raise_first_duplicate(
-    path: Path, id_at: int, digests: list[array]
+    path: Path, id_at: int, digests: list[bytearray]
 ) -> None:
     """Raise the duplicate-id error of the first row whose id an earlier row
     has, among the rows whose id hashes are in ``digests``.
@@ -195,16 +193,18 @@ def _raise_first_duplicate(
 
     repeated = set()
     for bucket in digests:
-        if len(set(bucket)) != len(bucket):
+        # The signed ints the row loop wrote, 8 bytes each.
+        hashes = memoryview(bucket).cast("q")
+        if len(set(hashes)) != len(hashes):
             seen = set()
-            for h in bucket:
+            for h in hashes:
                 if h in seen:
                     repeated.add(h)
                 seen.add(h)
     if not repeated:
         return
     digest = _id_hash
-    rows = sum(map(len, digests))
+    rows = sum(map(len, digests)) // 8
     first: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)

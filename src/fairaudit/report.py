@@ -5,9 +5,10 @@ The markdown renderer prints one-decimal percentages using the published
 table's convention (round the decimal ``repr`` prints to two decimals, then
 to one, half away from zero), which is what turns 805/1795 into 44.9%.
 A gap between rates that is not zero but rounds to 0.0% prints as <0.05%.
-In a markdown table cell, a group or bin label prints ``|`` as ``\\|``
-and CR and LF as ``\\r`` and ``\\n``, so that no label adds a column or
-splits a row.
+In markdown, a group or bin label prints ``\\`` and ``|`` as ``\\\\``
+and ``\\|`` and CR and LF as ``\\r`` and ``\\n``, in table cells and in
+the policy and base-rate lines alike, so that no label adds a column or
+splits a line.
 """
 from __future__ import annotations
 
@@ -18,8 +19,6 @@ from .decision import PolicyAssessment, printed_decimal
 from .domain import ConfusionMatrix, OutcomeValues
 from .metrics import CalibrationCurve
 from .parity import EqualizationResult, ImpossibilityVerdict, LotteryResult
-
-REPORT_VERSION = 1
 
 
 def format_percent(x: float) -> str:
@@ -57,82 +56,27 @@ class AuditReport(NamedTuple):
     scenario: ScenarioSection | None = None
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict[str, Any]:
-        label = self.curve.bins.label
-        out: dict[str, Any] = {
-            "report_version": REPORT_VERSION,
-            "tool": {"name": "fairaudit", "version": __version__},
-            "action_benefits_subject": self.population_benefits,
-            "policy": {
-                "kind": self.policy_kind,
-                "thresholds": dict(self.thresholds),
-            },
-            "values": {
-                **self.values._asdict(), "defaulted": self.values_defaulted,
-            },
-            "groups": {
-                g: {
-                    key: getattr(cm, key)
-                    for key in (
-                        "n", "tp", "fp", "tn", "fn",
-                        "base_rate", "fpr", "fnr", "ppv",
-                    )
-                }
-                for g, cm in self.groups.items()
-            },
-            "calibration": {
-                "gap": self.calibration_gap,
-                "cells": {
-                    g: {
-                        label(cell.bin): {
-                            "count": cell.count,
-                            "positives": cell.positives,
-                            "p_score": cell.p_score,
-                        }
-                        for cell in cells
-                    }
-                    for g, cells in self.curve.by_group.items()
-                },
-            },
-            "assessment": _assessment_dict(self.assessment),
-            "notes": list(self.notes),
-        }
-        for key in ("impossibility", "equalization", "lottery", "scenario"):
-            section = getattr(self, key)
-            if section is not None:
-                out[key] = section._asdict()
-        return out
-
-
-def _assessment_dict(assessment: PolicyAssessment) -> dict[str, Any]:
-    def one(a) -> dict[str, Any]:
-        return {
-            **a._asdict(),
-            "expected_disvalue": a.expected_disvalue,
-            "realized_value": a.realized_value,
-        }
-
-    return {
-        "total": one(assessment.total),
-        "per_group": {g: one(a) for g, a in assessment.per_group.items()},
-    }
-
 
 def render_report(report: AuditReport, fmt: str) -> str:
     """Render to json (full precision, stable key order) or markdown
     (one-decimal percents)."""
     if fmt == "json":
-        import json  # here, so that a markdown run never loads it
+        # Here, so that a markdown run never loads them.
+        import json
 
-        return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        from .report_json import report_dict
+
+        text = json.dumps(report_dict(report), sort_keys=True, indent=2)
+        return text + "\n"
     if fmt == "md":
         return _render_markdown(report)
     raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'md'")
 
 
-#: What a label's characters print as in a markdown table cell. The
-#: backslash is escaped too, so that no two labels print alike and no
-#: label's own backslash turns an escaped '|' back into a column break.
+#: What a label's characters print as in markdown, in a table cell or
+#: not. The backslash is escaped too, so that no two labels print alike
+#: and no label's own backslash turns an escaped '|' back into a column
+#: break.
 _CELL_ESCAPES = str.maketrans(
     {"\\": "\\\\", "|": "\\|", "\r": "\\r", "\n": "\\n"}
 )
@@ -156,7 +100,7 @@ def _render_markdown(report: AuditReport) -> str:
         text = pct(x)
         return "<0.05%" if x and text == "0.0%" else text
 
-    # Each label is escaped once per render, not once per table cell.
+    # Each label is escaped once per render, not once per line it is on.
     curve = report.curve
     names = {g: g.translate(_CELL_ESCAPES) for g in curve.groups}
     label = curve.bins.label
@@ -177,7 +121,9 @@ def _render_markdown(report: AuditReport) -> str:
         f"Outcome values{defaulted}: TP={v.v_tp:g}, FP={v.v_fp:g}, "
         f"TN={v.v_tn:g}, FN={v.v_fn:g}."
     )
-    thr = ", ".join(f"{g}={t:g}" for g, t in sorted(report.thresholds.items()))
+    thr = ", ".join(
+        f"{names[g]}={t:g}" for g, t in sorted(report.thresholds.items())
+    )
     add(f"Policy ({report.policy_kind}): act when p_score >= threshold; {thr}.")
     add("")
     add("## Groups")
@@ -226,9 +172,11 @@ def _render_markdown(report: AuditReport) -> str:
             f"(gap {gap(imp.calibration_gap)})."
         )
         rates = ", ".join(
-            f"{g}={pct(r)}" for g, r in sorted(imp.base_rates.items())
+            f"{names[g]}={pct(r)}" for g, r in sorted(imp.base_rates.items())
         )
-        fprs = ", ".join(f"{g}={pct(r)}" for g, r in sorted(imp.fprs.items()))
+        fprs = ", ".join(
+            f"{names[g]}={pct(r)}" for g, r in sorted(imp.fprs.items())
+        )
         add(f"Base rates: {rates}. FPRs: {fprs}.")
         if imp.applicable:
             holds = "holds" if imp.ordering_holds else "VIOLATED"

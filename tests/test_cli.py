@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import write_csv
+from conftest import entries_of, write_csv
 from fairaudit import cli, scenario_spec
 from fairaudit.cli import (
     EXIT_INPUT,
@@ -343,6 +345,11 @@ def test_markdown_table_cells_escape_labels(tmp_path, capsys):
     assert "| b\\r\\ny | hi | 4 | 3 | 75.0% |" in text
     assert "| c\\\\\\|z | lo\\|w | 2 | 1 | 50.0% |" in text
     assert "| b\\\\r\\\\ny | hi | 4 | 2 | 50.0% |" in text
+    _assert_tables_keep_their_columns(text)
+
+
+def _assert_tables_keep_their_columns(text):
+    """Every markdown table row has as many unescaped '|' as its header."""
     columns = None
     for line in text.splitlines():
         if not line.startswith("|"):
@@ -352,6 +359,33 @@ def test_markdown_table_cells_escape_labels(tmp_path, capsys):
         count = re.sub(r"\\.", "", line).count("|")
         columns = count if columns is None else columns
         assert count == columns, line
+
+
+@pytest.mark.parametrize("threshold, policy", [
+    ("p=0.5", "Policy (uniform): act when p_score >= threshold; "
+              "a\\|x=0.5, b\\r\\ny=0.5."),
+    ("score>=5", "Policy (per_group): act when p_score >= threshold; "
+                 "a\\|x=0.75, b\\r\\ny=0.75."),
+])
+def test_markdown_lines_outside_tables_escape_labels(
+    tmp_path, capsys, threshold, policy
+):
+    # The policy line and the impossibility section's base-rate line print
+    # group labels too; a label's CR LF must not split them.
+    csv_path = write_csv(tmp_path / "labels.csv", [
+        ("a|x", 2.0, 1, 3), ("a|x", 8.0, 6, 2),
+        ("b\r\ny", 2.0, 2, 6), ("b\r\ny", 8.0, 3, 1),
+    ])
+    assert main(["audit", "--input", csv_path, "--bins", "1-4=lo|w,5-10=hi",
+                 "--threshold", threshold, "--format", "md"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert "\r" not in text and "\ny=" not in text
+    lines = text.split("\n")
+    assert policy in lines
+    assert (
+        "Base rates: a\\|x=58.3%, b\\r\\ny=41.7%. "
+        "FPRs: a\\|x=40.0%, b\\r\\ny=14.3%." in lines
+    )
 
 
 def test_impossibility_note_names_the_group_count(tmp_path, capsys):
@@ -438,20 +472,39 @@ def _modules_loaded_by(argv, watched):
     )
 
 
+#: What a markdown report never needs: json and the JSON report builder,
+#: and ingest keeps its id digests without the array extension.
+_JSON_REPORT_AND_ARRAY = ("array", "fairaudit.report_json", "json")
+
+
 def test_audit_loads_no_fixture_generator_or_decimal(compas_csv, tmp_path):
     # The scenario fixtures and the calibrated generator are code an audit
     # never runs, and percentages are rounded in integers.
     argv = ["audit", "--input", compas_csv, "--bins", COMPAS_BINS,
             "--out", str(tmp_path / "report.md")]
-    watched = ("decimal", "fairaudit.fixtures", "fairaudit.synthetic")
+    watched = ("decimal", "fairaudit.fixtures", "fairaudit.synthetic",
+               *_JSON_REPORT_AND_ARRAY)
     assert _modules_loaded_by(argv, watched) == "[]"
+
+
+@pytest.mark.parametrize("command, fmt, loaded", [
+    ("equalize", "md", []),
+    ("audit", "json", ["fairaudit.report_json", "json"]),
+])
+def test_only_a_json_report_loads_the_json_builder(
+    compas_csv, tmp_path, command, fmt, loaded
+):
+    argv = [command, "--input", compas_csv, "--bins", COMPAS_BINS,
+            "--format", fmt, "--out", str(tmp_path / "report")]
+    assert _modules_loaded_by(argv, _JSON_REPORT_AND_ARRAY) == str(loaded)
 
 
 def test_scenario_loads_no_csv_decimal_or_generator(tmp_path):
     argv = ["scenario", "stride_height", "--out", str(tmp_path / "report.md")]
-    # Ingest's csv and array modules are loaded by the function that reads
-    # a file, which a scenario run never calls.
-    watched = ("array", "csv", "decimal", "fairaudit.synthetic")
+    # Ingest's csv module is loaded by the function that reads a file,
+    # which a scenario run never calls.
+    watched = ("csv", "decimal", "fairaudit.synthetic",
+               *_JSON_REPORT_AND_ARRAY)
     assert _modules_loaded_by(argv, watched) == "[]"
 
 
@@ -736,3 +789,72 @@ def test_any_bin_spec_exits_0_or_2(spec, command):
                      "1,a,2.0,1\n2,a,7.0,0\n3,b,4.0,0\n4,b,8.0,1\n")
         code = main([command, "--input", str(f), f"--bins={spec}"])
     assert code in (EXIT_OK, EXIT_INPUT)
+
+
+#: Group labels, some with the characters a markdown report escapes.
+_LABELS = st.sampled_from(["a", "b", "c|d", "e\r\nf", "g\\"])
+
+
+@st.composite
+def _cli_runs(draw):
+    """A small CSV's records and an audit or equalize argv over them, with
+    every option the report's numbers depend on drawn at random. Most
+    draws are valid, so that most runs get as far as a report."""
+    edges = sorted(draw(st.sets(st.integers(0, 10), min_size=3, max_size=4)))
+    bins = ",".join(
+        f"{lo}-{hi}" + draw(st.sampled_from(["", f"=b{i}", f"=x|{i}",
+                                             f"=z\\{i}"]))
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:]))
+    )
+    score = st.integers(edges[0], edges[-1]).map(float)
+    groups = draw(st.lists(_LABELS, min_size=2, max_size=3, unique=True))
+    rows = [(g, draw(score), draw(st.booleans())) for g in groups] + draw(
+        st.lists(st.tuples(st.sampled_from(groups), score, st.booleans()),
+                 max_size=10))
+    command = draw(st.sampled_from(["audit", "equalize"]))
+    fmt = draw(st.sampled_from(["md", "json"]))
+    argv = [command, f"--bins={bins}", f"--format={fmt}"]
+    threshold = draw(st.none() | st.floats(0, 1).map("p={!r}".format)
+                     | st.integers(edges[0], edges[-1]).map("score>={}".format))
+    # TN > FP and TP > FN hold when each pair is drawn in order.
+    number = st.sampled_from([0.0, 1.0, -1.0, 2.5, 1e308, -1e308]) | st.floats(
+        -1e3, 1e3)
+    pair = st.lists(number, min_size=2, max_size=2, unique=True).map(sorted)
+    values = draw(st.none() | st.tuples(pair, pair).map(
+        lambda p: (p[0][1], p[1][0], p[1][1], p[0][0])))
+    tolerance = draw(st.none() | st.sampled_from([1e-9, 0.05, 0.5, 0.0])
+                     | st.floats(0, 2))
+    if threshold is not None:
+        argv.append(f"--threshold={threshold}")
+    if values is not None:
+        argv.append("--values=" + ",".join(map(repr, values)))
+    if tolerance is not None:
+        argv.append(f"--tolerance={tolerance!r}")
+    if command == "equalize" and draw(st.booleans()):
+        argv.append("--raise-thresholds")
+    return rows, argv, fmt
+
+
+def _reject_constant(name):
+    raise AssertionError(f"report JSON holds {name}")
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cli_runs())
+def test_any_cli_run_exits_0_or_2_with_a_well_formed_report(run):
+    rows, argv, fmt = run
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = write_csv(Path(tmp) / "run.csv", entries_of(rows))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--input", csv_path])
+    assert code in (EXIT_OK, EXIT_INPUT), err.getvalue()
+    if code != EXIT_OK:
+        return
+    text = out.getvalue()
+    if fmt == "json":
+        json.loads(text, parse_constant=_reject_constant)
+    else:
+        assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE), text
+        assert "\r" not in text
+        _assert_tables_keep_their_columns(text)
