@@ -24,7 +24,6 @@ _EXPORTS = {
                    "impossibility_check individual_error_risk"),
         ("scenarios", "SCENARIO_NAMES ScenarioSpec check_scenario "
                       "scenario_curve scenario_spec"),
-        ("synthetic", "calibrated_cells"),
         ("ingest", "DatasetConfig IngestError ingest_csv"),
     )
     for name in names.split()

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Sequence, TextIO
 
@@ -249,7 +250,18 @@ def _emit(report: AuditReport, args: argparse.Namespace) -> None:
                 f"cannot write report to {args.out!r}: {exc.strerror or exc}"
             ) from None
     else:
-        _write(sys.stdout, text)
+        try:
+            _write(sys.stdout, text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # What stdout still buffers would fail again in the flush at
+            # exit; it goes to the null device instead.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise AuditError(
+                f"cannot write report to stdout: {exc.strerror or exc}"
+            ) from None
 
 
 def cmd_audit(args: argparse.Namespace) -> int:

@@ -163,9 +163,17 @@ def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
         raise IngestError(
             f"{config.path}: row {reader.line_num}: {exc}"
         ) from None
+    except OSError as exc:
+        # Opening or reading the file, here or in _raise_first_duplicate.
+        raise _unreadable(path, exc) from None
     if not any(digests):
         raise IngestError(f"{config.path}: no data rows")
     return tallies
+
+
+def _unreadable(path: Path, exc: OSError) -> IngestError:
+    """The error for a dataset file that cannot be opened or read."""
+    return IngestError(f"cannot read {str(path)!r}: {exc.strerror or exc}")
 
 
 def _column(header: list[str], name: str) -> int:
@@ -233,22 +241,25 @@ def _undecodable_line(path: Path) -> int:
     decoder = codecs.getincrementaldecoder("utf-8")()
     line = 1
     after_cr = False  # the bytes counted so far end with CR
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_CHUNK_BYTES):
-            try:
-                decoder.decode(chunk)
-                good = len(chunk)
-            except UnicodeDecodeError as exc:
-                # exc.object is the bytes the decoder held back from the
-                # chunk before (never a CR or LF), then this chunk.
-                good = max(0, exc.start - len(exc.object) + len(chunk))
-            head = chunk[:good]
-            line += (head.count(b"\n") + head.count(b"\r")
-                     - head.count(b"\r\n"))
-            if after_cr and head.startswith(b"\n"):
-                line -= 1  # a CRLF split between two chunks
-            if good < len(chunk):
-                return line
-            after_cr = chunk.endswith(b"\r")
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(_CHUNK_BYTES):
+                try:
+                    decoder.decode(chunk)
+                    good = len(chunk)
+                except UnicodeDecodeError as exc:
+                    # exc.object is the bytes the decoder held back from the
+                    # chunk before (never a CR or LF), then this chunk.
+                    good = max(0, exc.start - len(exc.object) + len(chunk))
+                head = chunk[:good]
+                line += (head.count(b"\n") + head.count(b"\r")
+                         - head.count(b"\r\n"))
+                if after_cr and head.startswith(b"\n"):
+                    line -= 1  # a CRLF split between two chunks
+                if good < len(chunk):
+                    return line
+                after_cr = chunk.endswith(b"\r")
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
     # Only a character cut off by the end of the file is left.
     return line

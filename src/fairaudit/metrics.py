@@ -71,26 +71,24 @@ class CalibrationCurve(ValueObject):
     @cached_property
     def cells(self) -> Mapping[tuple[str, int], CurveCell]:
         """The nonempty cells keyed by (group, bin index), in (group, bin)
-        order: a view of ``by_group``, built on first use."""
+        order: a view of ``by_group``, built on first use. Nothing in the
+        package reads it; the benchmark's tracer does."""
         return {
             (g, cell.bin): cell
             for g, cells in self.by_group.items()
             for cell in cells
         }
 
-    def cell(self, group: str, bin_index: int) -> CurveCell | None:
-        return self.cells.get((group, bin_index))
-
     def p_score(self, group: str, bin_index: int) -> float:
-        cell = self.cell(group, bin_index)
-        if cell is None:
+        """The positive fraction of a group's cell in bin ``bin_index``,
+        found by bisecting the group's cells, which are in bin order."""
+        cells = self.by_group.get(group, ())
+        i = bisect_left(cells, bin_index, key=lambda cell: cell.bin)
+        if i == len(cells) or cells[i].bin != bin_index:
             raise ValidationError(
                 f"group {group!r} has no records in bin {bin_index}"
             )
-        return cell.p_score
-
-    def nonempty_bins(self, group: str) -> tuple[int, ...]:
-        return tuple(cell.bin for cell in self.by_group.get(group, ()))
+        return cells[i].p_score
 
     @cached_property
     def _sweeps(self) -> Mapping[str, Sweep]:

@@ -37,9 +37,21 @@ def tally(bins, rows):
     return cells
 
 
+def keyed_cells(curve):
+    """(group, bin) -> cell of a curve, in (group, bin) order, read off its
+    cell table ``curve.by_group``."""
+    return {
+        (g, cell.bin): cell
+        for g, cells in curve.by_group.items()
+        for cell in cells
+    }
+
+
 def cell_counts(curve):
     """(group, bin) -> (count, positives) of a curve's cells."""
-    return {key: (c.count, c.positives) for key, c in curve.cells.items()}
+    return {
+        key: (c.count, c.positives) for key, c in keyed_cells(curve).items()
+    }
 
 
 def write_csv(path, entries):

@@ -1,10 +1,11 @@
 """A generator of bin-exact calibrated two-group datasets, declared as exact
-integer counts. Only the tests use it; no command imports this module.
+integer counts: the input of the golden dataset cases, criterion 5's
+property and the generator's own tests. No command runs it.
 """
 import math
 
-from .domain import AuditError, BinScheme, ValidationError
-from .scenarios import Entry
+from fairaudit.domain import AuditError, BinScheme, ValidationError
+from fairaudit.scenarios import Entry
 
 
 def calibrated_cells(

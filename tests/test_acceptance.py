@@ -9,12 +9,11 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import records, write_csv
+from conftest import keyed_cells, records, write_csv
 from fairaudit import (
     OutcomeValues,
     SCENARIO_NAMES,
     ThresholdPolicy,
-    calibrated_cells,
     equalize_fpr,
     expected_values,
     fair_lottery,
@@ -28,6 +27,7 @@ from fairaudit.cli import scenario_report
 from fairaudit.ingest import DatasetConfig, ingest_csv
 from fairaudit.parity import RAISE_OTHERS
 from fairaudit.report import format_percent
+from synthetic import calibrated_cells
 
 
 @contextmanager
@@ -224,7 +224,7 @@ def test_criterion_08_no_preference_invariance(capfd):
             curve = scenario_curve(spec.bins, spec.cells)
             policy = ThresholdPolicy.uniform(spec.threshold)
             by_bin: dict[int, set[float]] = {}
-            for (g, b), cell in curve.cells.items():
+            for (g, b), cell in keyed_cells(curve).items():
                 p = cell.p_score
                 risk = individual_error_risk(curve, g, b, policy)
                 expected = 1.0 - p if p >= spec.threshold else p
@@ -238,7 +238,7 @@ def test_criterion_08_no_preference_invariance(capfd):
         curve = scenario_curve(spec.bins, spec.cells)
         policy = ThresholdPolicy.uniform(spec.threshold)
         b_cells = [
-            (g, b) for (g, b), cell in curve.cells.items()
+            (g, b) for (g, b), cell in keyed_cells(curve).items()
             if cell.p_score == 0.80
         ]
         risks = {

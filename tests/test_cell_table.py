@@ -11,7 +11,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import entries_of, tally
+from conftest import entries_of, keyed_cells, tally
 from fairaudit import (
     SYMMETRIC_VALUES,
     BinScheme,
@@ -127,7 +127,7 @@ def reference_gap(dataset):
 def draw_policy(data, dataset, curve):
     """A uniform or per-group policy whose thresholds are either arbitrary
     or exactly some cell's p_score, so ties at the threshold occur."""
-    ties = sorted({cell.p_score for cell in curve.cells.values()})
+    ties = sorted({cell.p_score for cell in keyed_cells(curve).values()})
     threshold = st.one_of(st.floats(0.0, 1.0), st.sampled_from(ties))
     if data.draw(st.booleans(), label="uniform"):
         return ThresholdPolicy.uniform(data.draw(threshold, label="threshold"))
@@ -270,7 +270,9 @@ def test_no_uniform_threshold_beats_p_star(dataset, integral, data):
     p_star = optimal_threshold(values)
     at_p_star = reference_value(p_star)
     tol = 0.0 if integral else 1e-9
-    candidates = {0.0, 1.0} | {cell.p_score for cell in curve.cells.values()}
+    candidates = {0.0, 1.0} | {
+        cell.p_score for cell in keyed_cells(curve).values()
+    }
     assert max(reference_value(t) for t in candidates) <= at_p_star + tol
     # The best value does not depend on the policy assessed.
     best = policy_expected_disvalue(
@@ -346,4 +348,4 @@ def test_post_curve_work_reads_each_cell_a_few_times(monkeypatch):
     monkeypatch.setattr(CurveCell, "p_score", property(counted))
     equalize_fpr(curve, policy, tolerance=1e-9)
     _base_report(curve, False, policy, SYMMETRIC_VALUES, False, 1e-9, [])
-    assert reads <= 4 * len(curve.cells)
+    assert reads <= 4 * len(keyed_cells(curve))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import entries_of, write_csv
-from fairaudit import cli, scenario_spec
+from fairaudit import SCENARIO_NAMES, cli, scenario_spec
 from fairaudit.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -407,7 +407,8 @@ def test_impossibility_note_names_the_group_count(tmp_path, capsys):
 def test_commands_keep_one_cell_table(tmp_path, monkeypatch):
     # The curve's cell table is by_group; no command builds the derived
     # (group, bin)-keyed view. The groups are calibrated with unequal base
-    # rates, so audit runs the likelihood-ratio dominance check.
+    # rates, so audit runs the likelihood-ratio dominance check; the named
+    # scenarios run equalization and, where they have one, the lottery.
     import fairaudit.cli as cli_mod
 
     csv_path = write_csv(tmp_path / "calibrated.csv", [
@@ -427,8 +428,12 @@ def test_commands_keep_one_cell_table(tmp_path, monkeypatch):
                      "--threshold", "p=0.5"]) == EXIT_OK
     assert [r.impossibility.applicable for r in reports] == [True, True]
     assert reports[1].equalization is not None
+    for name in SCENARIO_NAMES:
+        assert main(["scenario", name,
+                     "--out", str(tmp_path / "scenario.md")]) == EXIT_OK
+    assert len(reports) == 2 + len(SCENARIO_NAMES)
     for report in reports:
-        assert "cells" not in report.curve.__dict__
+        assert "cells" not in vars(report.curve)
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -478,12 +483,11 @@ _JSON_REPORT_AND_ARRAY = ("array", "fairaudit.report_json", "json")
 
 
 def test_audit_loads_no_fixture_generator_or_decimal(compas_csv, tmp_path):
-    # The scenario fixtures and the calibrated generator are code an audit
-    # never runs, and percentages are rounded in integers.
+    # The scenario fixtures are code an audit never runs, and percentages
+    # are rounded in integers.
     argv = ["audit", "--input", compas_csv, "--bins", COMPAS_BINS,
             "--out", str(tmp_path / "report.md")]
-    watched = ("decimal", "fairaudit.fixtures", "fairaudit.synthetic",
-               *_JSON_REPORT_AND_ARRAY)
+    watched = ("decimal", "fairaudit.fixtures", *_JSON_REPORT_AND_ARRAY)
     assert _modules_loaded_by(argv, watched) == "[]"
 
 
@@ -503,8 +507,7 @@ def test_scenario_loads_no_csv_decimal_or_generator(tmp_path):
     argv = ["scenario", "stride_height", "--out", str(tmp_path / "report.md")]
     # Ingest's csv module is loaded by the function that reads a file,
     # which a scenario run never calls.
-    watched = ("csv", "decimal", "fairaudit.synthetic",
-               *_JSON_REPORT_AND_ARRAY)
+    watched = ("csv", "decimal", *_JSON_REPORT_AND_ARRAY)
     assert _modules_loaded_by(argv, watched) == "[]"
 
 
@@ -515,7 +518,7 @@ def test_package_import_loads_no_submodule():
     ) == "[]"
 
 
-#: Every name the package exported when it imported its submodules eagerly.
+#: Every name the package exports.
 _EXPORTED = (
     "AuditError BinScheme ConfusionMatrix OutcomeValues SYMMETRIC_VALUES "
     "ThresholdPolicy ValidationError CalibrationCurve calibration_gap "
@@ -523,7 +526,7 @@ _EXPORTED = (
     "PolicyAssessment expected_values optimal_threshold "
     "policy_expected_disvalue EqualizationResult ImpossibilityVerdict "
     "LOWER_OTHERS RAISE_OTHERS equalize_fpr fair_lottery impossibility_check "
-    "individual_error_risk SCENARIO_NAMES ScenarioSpec calibrated_cells "
+    "individual_error_risk SCENARIO_NAMES ScenarioSpec "
     "check_scenario scenario_curve scenario_spec DatasetConfig IngestError "
     "ingest_csv"
 ).split()
@@ -537,6 +540,12 @@ def test_package_exports_resolve_lazily(name):
     exec(f"from fairaudit import {name}", namespace)
     assert namespace[name] is getattr(fairaudit, name)
     assert name in dir(fairaudit) and name in fairaudit.__all__
+
+
+def test_package_exports_only_the_listed_names():
+    import fairaudit
+
+    assert sorted(fairaudit.__all__) == sorted(_EXPORTED)
 
 
 def test_unknown_package_name_raises_attribute_error():
@@ -569,6 +578,108 @@ def test_markdown_run_never_imports_json():
     first, _, rest = result.stdout.partition("\n")
     assert first == f"{EXIT_OK} False"
     assert json.loads(rest)["scenario"]["passed"] is True
+
+
+def _cli_process(argv, env=None, **kwargs):
+    """Start ``python -m fairaudit.cli argv`` with the package on its path;
+    ``env`` entries set to None are removed."""
+    import fairaudit
+
+    src = str(Path(fairaudit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, **(env or {})}
+    return subprocess.Popen(
+        [sys.executable, "-m", "fairaudit.cli", *argv],
+        env={k: v for k, v in env.items() if v is not None},
+        stderr=subprocess.PIPE, text=True, **kwargs,
+    )
+
+
+def _only_error_line(stderr, message):
+    """stderr is the one line ``error: <message>``: no traceback, and no
+    'Exception ignored' from a flush at exit."""
+    assert stderr.splitlines() == [f"error: {message}"], stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_report_into_a_full_device_exits_2(unbuffered):
+    # Buffered (the variable unset; any nonempty value means unbuffered),
+    # the report fits stdout's buffer and fails only when flushed.
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(["scenario", "stride_height"],
+                            env={"PYTHONUNBUFFERED": unbuffered}, stdout=full)
+        _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_INPUT
+    _only_error_line(
+        stderr, "cannot write report to stdout: No space left on device"
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_report_into_a_pipe_closed_after_one_line_exits_2(
+    tmp_path, unbuffered
+):
+    # Thousands of groups make a report several times a pipe's buffer, so
+    # the writer is still writing when the reader goes.
+    entries = []
+    for k in range(3000):
+        entries += [(f"g{k:04d}", 2.0, 1, 2), (f"g{k:04d}", 8.0, 2, 1)]
+    csv_path = write_csv(tmp_path / "many.csv", entries)
+    proc = _cli_process(["audit", "--input", csv_path, "--bins", COMPAS_BINS],
+                        env={"PYTHONUNBUFFERED": unbuffered},
+                        stdout=subprocess.PIPE)
+    assert proc.stdout.readline().startswith("# Fairness audit report")
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_INPUT
+    _only_error_line(stderr, "cannot write report to stdout: Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/mem"),
+                    reason="no /proc/self/mem")
+def test_input_whose_read_fails_exits_2_naming_it():
+    # The file opens, and its first read fails with EIO.
+    proc = _cli_process(["audit", "--input", "/proc/self/mem",
+                         "--bins", COMPAS_BINS], stdout=subprocess.PIPE)
+    stdout, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stdout) == (EXIT_INPUT, "")
+    _only_error_line(
+        stderr, "cannot read '/proc/self/mem': Input/output error"
+    )
+
+
+@pytest.mark.parametrize("data, failing_open", [
+    # The row loop's own open.
+    (b"1,a,2.0,1\n2,b,7.0,0\n", 1),
+    # The re-read that looks for the first repeated id.
+    (b"1,a,2.0,1\n1,b,7.0,0\n", 2),
+    # The binary read that finds the line of an undecodable byte.
+    (b"1,a\xe9,2.0,1\n2,b,7.0,0\n", 2),
+])
+def test_input_that_cannot_be_opened_exits_2_naming_it(
+    tmp_path, monkeypatch, capsys, data, failing_open
+):
+    import errno
+    from fairaudit import ingest
+
+    f = tmp_path / "data.csv"
+    f.write_bytes(b"id,group,score,outcome\n" + data)
+    opened = []
+
+    def fake_open(*args, **kwargs):
+        opened.append(args)
+        if len(opened) == failing_open:
+            raise OSError(errno.EIO, "Input/output error")
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "open", fake_open, raising=False)
+    assert main(["audit", "--input", str(f), "--bins", COMPAS_BINS]) == (
+        EXIT_INPUT
+    )
+    assert len(opened) == failing_open
+    _only_error_line(
+        capsys.readouterr().err, f"cannot read '{f}': Input/output error"
+    )
 
 
 class TestEqualizeCommand:

@@ -229,9 +229,9 @@ class TestPolicyExpectedDisvalue:
         ).total.expected_disvalue
         candidates = {i / 100 for i in range(101)}
         candidates.update(
-            curve.p_score(g, b)
-            for g in curve.groups
-            for b in curve.nonempty_bins(g)
+            curve.p_score(g, cell.bin)
+            for g, cells in curve.by_group.items()
+            for cell in cells
         )
         for t in sorted(candidates):
             cost = policy_expected_disvalue(

@@ -77,7 +77,9 @@ class TestValidatePopulation:
             COMPAS_BINS, [("a", 0, 0, 1), ("a", 1, 0, 1), ("b", 1, 1, 0)]
         )
         assert curve.groups == ("a", "b")
-        assert sum(cell.count for cell in curve.cells.values()) == 3
+        assert sum(
+            cell.count for cells in curve.by_group.values() for cell in cells
+        ) == 3
 
     def test_single_group_rejected(self):
         # A group whose entries sum to no records is no group.

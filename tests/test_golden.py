@@ -17,8 +17,9 @@ import tempfile
 import pytest
 
 from conftest import write_csv
-from fairaudit import SCENARIO_NAMES, calibrated_cells
+from fairaudit import SCENARIO_NAMES
 from fairaudit.cli import EXIT_OK, main
+from synthetic import calibrated_cells
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

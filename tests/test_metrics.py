@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import records
 from fairaudit import (
+    BinScheme,
     ConfusionMatrix,
     calibration_gap,
     chance_miscalibration_bound,
+    curve_from_counts,
     scenario_curve,
     scenario_spec,
 )
@@ -145,15 +147,36 @@ class TestCalibrationCurve:
         spec = scenario_spec("certainty_lottery")
         curve = scenario_curve(spec.bins, spec.cells)
         for g in curve.groups:
-            assert curve.nonempty_bins(g) == (0,)
+            assert [cell.bin for cell in curve.by_group[g]] == [0]
             assert curve.p_score(g, 0) == base_rate("certainty_lottery", g)
 
     def test_empty_cells_absent_not_zero(self):
         spec = scenario_spec("miscalibrated_compas")
         curve = scenario_curve(spec.bins, spec.cells)
-        assert curve.cell("white", 0) is None
+        assert 0 not in [cell.bin for cell in curve.by_group["white"]]
         with pytest.raises(ValidationError):
             curve.p_score("white", 0)
+
+    @settings(deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from("abc"), st.integers(0, 7),
+                  st.integers(0, 3), st.integers(0, 3)),
+        max_size=30,
+    ))
+    def test_p_score_reads_each_cell_and_only_cells(self, counts):
+        # Group "c" may have no cells at all; bins -1 and 8 are outside
+        # the scheme.
+        counts += [("a", 0, 1, 0), ("b", 7, 0, 1)]
+        curve = curve_from_counts(BinScheme(edges=tuple(range(9))), counts)
+        for g in "abc":
+            cells = curve.by_group.get(g, ())
+            for cell in cells:
+                p = cell.positives / cell.count
+                assert curve.p_score(g, cell.bin) == p
+            for b in set(range(-1, 9)) - {cell.bin for cell in cells}:
+                with pytest.raises(ValidationError,
+                                   match=f"has no records in bin {b}$"):
+                    curve.p_score(g, b)
 
 
 class TestCalibrationGap:

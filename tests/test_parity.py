@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import records
+from conftest import keyed_cells, records
 from fairaudit import (
     AuditError,
     BinScheme,
@@ -121,7 +121,7 @@ def calibrated_tables(draw):
 def test_applicable_verdict_always_finds_the_ordering(table, data):
     bins, entries = table
     curve = curve_from_counts(bins, entries)
-    p_scores = sorted({cell.p_score for cell in curve.cells.values()})
+    p_scores = sorted({cell.p_score for cell in keyed_cells(curve).values()})
     threshold = data.draw(
         st.sampled_from(p_scores) | st.floats(0.0, 1.0), label="threshold"
     )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fairaudit.report
+from conftest import keyed_cells
 from fairaudit import (
     SYMMETRIC_VALUES,
     BinScheme,
@@ -75,9 +76,9 @@ def test_markdown_formats_each_distinct_rate_once(monkeypatch):
     monkeypatch.setattr(fairaudit.report, "format_percent", counted)
     text = render_report(report, "md")
     assert len(formatted) == len(set(formatted))
-    assert len(formatted) < len(curve.cells) // 4
+    assert len(formatted) < len(keyed_cells(curve)) // 4
     lines = set(text.splitlines())
-    for (g, b), cell in curve.cells.items():
+    for (g, b), cell in keyed_cells(curve).items():
         assert (
             f"| {g} | {curve.bins.label(b)} | {cell.count} | "
             f"{cell.positives} | {format_percent(cell.p_score)} |"
@@ -88,7 +89,7 @@ def test_json_cells_are_the_curve_cells():
     report = many_cell_report()
     curve = report.curve
     recount = {}
-    for (g, b), cell in curve.cells.items():
+    for (g, b), cell in keyed_cells(curve).items():
         recount.setdefault(g, {})[curve.bins.label(b)] = {
             "count": cell.count,
             "positives": cell.positives,

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cell_counts, records, tally
+from conftest import cell_counts, keyed_cells, records, tally
 from fairaudit import (
     AuditError,
     SCENARIO_NAMES,
@@ -9,7 +9,6 @@ from fairaudit import (
     BinScheme,
     ThresholdPolicy,
     ValidationError,
-    calibrated_cells,
     calibration_gap,
     check_scenario,
     curve_from_counts,
@@ -18,6 +17,7 @@ from fairaudit import (
 )
 from fairaudit.cli import EXIT_OK, _base_report, main, scenario_report
 from fairaudit.scenarios import Check, scenario_figure
+from synthetic import calibrated_cells
 
 
 class TestNamedScenarios:
@@ -123,7 +123,7 @@ def test_equiv_threshold_is_the_smallest_acted_p_score(data):
     curve = curve_from_counts(BinScheme(edges=tuple(range(7))), counts)
     p_scores = {
         g: [cell.positives / cell.count
-            for (group, _b), cell in curve.cells.items() if group == g]
+            for (group, _b), cell in keyed_cells(curve).items() if group == g]
         for g in curve.groups
     }
     thresholds = {}
@@ -177,7 +177,7 @@ class TestRandomCalibratedPopulation:
             n_per_group=400, bins=3, base_rate_a=0.6, base_rate_b=0.4
         )
         curve = scenario_curve(bins, cells)
-        for (g, b), cell in curve.cells.items():
+        for (g, b), cell in keyed_cells(curve).items():
             # Each bin is built from whole units of bins+1 records.
             assert cell.count % 4 == 0
             assert cell.positives * 4 == cell.count * (b + 1), (g, b, cell)
@@ -225,9 +225,9 @@ class TestRandomCalibratedPopulation:
         assert curve.groups == ("a", "b")
         assert bins.n_bins == n_bins and (bins.lo, bins.hi) == (0.0, 1.0)
         for g, rate in (("a", rate_a), ("b", rate_b)):
-            assert curve.nonempty_bins(g) == tuple(range(n_bins))
-            for b in range(n_bins):
-                cell = curve.cell(g, b)
+            cells = curve.by_group[g]
+            assert tuple(cell.bin for cell in cells) == tuple(range(n_bins))
+            for b, cell in enumerate(cells):
                 assert cell.positives * (n_bins + 1) == cell.count * (b + 1)
             cm = curve.confusion(g, 0.5)
             assert cm.n == n
