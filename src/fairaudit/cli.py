@@ -161,10 +161,6 @@ def parse_threshold(
 
 
 def _dataset_config(args: argparse.Namespace) -> DatasetConfig:
-    if args.input is None:
-        raise ValidationError("--input is required")
-    if args.bins is None:
-        raise ValidationError("--bins is required")
     if not args.tolerance > 0:
         raise ValidationError("tolerance must be positive")
     return DatasetConfig(
@@ -241,27 +237,24 @@ def _write(fh: TextIO, text: str) -> None:
 
 def _emit(report: AuditReport, args: argparse.Namespace) -> None:
     text = render_report(report, args.format)
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 _write(fh, text)
-        except OSError as exc:
-            raise AuditError(
-                f"cannot write report to {args.out!r}: {exc.strerror or exc}"
-            ) from None
-    else:
-        try:
+        else:
             _write(sys.stdout, text)
             sys.stdout.flush()
-        except OSError as exc:
+    except OSError as exc:
+        if not args.out:
             # What stdout still buffers would fail again in the flush at
             # exit; it goes to the null device instead.
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            raise AuditError(
-                f"cannot write report to stdout: {exc.strerror or exc}"
-            ) from None
+        target = repr(args.out) if args.out else "stdout"
+        raise AuditError(
+            f"cannot write report to {target}: {exc.strerror or exc}"
+        ) from None
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
@@ -396,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_values(
     args: argparse.Namespace, notes: list[str]
 ) -> tuple[OutcomeValues, bool]:
-    if getattr(args, "values", None):
+    if args.values:
         return parse_values(args.values), False
     notes.append(DEFAULT_VALUES_NOTE)
     return SYMMETRIC_VALUES, True

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import codecs
 import math
+import os
+import stat
 import sys
 from bisect import bisect_right
-from pathlib import Path
 from typing import NamedTuple
 
 from .domain import AuditError, BinScheme, ValidationError
@@ -50,7 +51,12 @@ def ingest_csv(config: DatasetConfig) -> CalibrationCurve:
     """Stream a dataset into its calibration curve, keeping only the
     per-(group, bin) counts. Raises IngestError naming the file line of the
     first row that fails a check (see :func:`_count_cells`)."""
-    return curve_from_tallies(config.bins, _count_cells(config))
+    try:
+        tallies = _count_cells(config)
+    except OSError as exc:
+        # A stat, open or read in any of _count_cells' passes over the file.
+        raise _unreadable(config.path, exc) from None
+    return curve_from_tallies(config.bins, tallies)
 
 
 def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
@@ -65,9 +71,7 @@ def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
     # Here, so that a scenario run never loads it.
     import csv
 
-    path = Path(config.path)
-    if not path.is_file():
-        raise IngestError(f"no such file: {config.path}")
+    path = config.path
     bins = config.bins
     edges = bins.edges
     # The range test below, clamped to the finite floats: an infinite score
@@ -88,6 +92,9 @@ def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
     order = sys.byteorder
     digests = [bytearray() for _ in range(256)]
     try:
+        # Checked before it is opened: opening a FIFO would block.
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise _unreadable(path)
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
@@ -149,31 +156,32 @@ def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
                             ) from None
                     tally = counts[slot]
                     tally[b] = tally.get(b, 0) + 1
-            except (IngestError, csv.Error, UnicodeDecodeError):
+            finally:
                 # A repeated id on an earlier row is the first bad row.
                 _raise_first_duplicate(path, id_at, digests)
-                raise
-            _raise_first_duplicate(path, id_at, digests)
     except UnicodeDecodeError as exc:
         raise IngestError(
-            f"{config.path}: row {_undecodable_line(path)}: not UTF-8 "
+            f"{path}: row {_undecodable_line(path)}: not UTF-8 "
             f"({exc.reason})"
         ) from None
     except csv.Error as exc:
         raise IngestError(
-            f"{config.path}: row {reader.line_num}: {exc}"
+            f"{path}: row {reader.line_num}: {exc}"
         ) from None
-    except OSError as exc:
-        # Opening or reading the file, here or in _raise_first_duplicate.
-        raise _unreadable(path, exc) from None
     if not any(digests):
-        raise IngestError(f"{config.path}: no data rows")
+        raise IngestError(f"{path}: no data rows")
     return tallies
 
 
-def _unreadable(path: Path, exc: OSError) -> IngestError:
-    """The error for a dataset file that cannot be opened or read."""
-    return IngestError(f"cannot read {str(path)!r}: {exc.strerror or exc}")
+def _unreadable(path: str, exc: OSError | None = None) -> IngestError:
+    """The error for a dataset path that is not a regular file (``exc`` is
+    None), or whose stat, open or read raised ``exc``."""
+    path = os.fspath(path)
+    if exc is None:
+        return IngestError(f"not a regular file: {path}")
+    if isinstance(exc, FileNotFoundError):
+        return IngestError(f"no such file: {path}")
+    return IngestError(f"cannot read {path!r}: {exc.strerror or exc}")
 
 
 def _column(header: list[str], name: str) -> int:
@@ -188,7 +196,7 @@ def _column(header: list[str], name: str) -> int:
 
 
 def _raise_first_duplicate(
-    path: Path, id_at: int, digests: list[bytearray]
+    path: str, id_at: int, digests: list[bytearray]
 ) -> None:
     """Raise the duplicate-id error of the first row whose id an earlier row
     has, among the rows whose id hashes are in ``digests``.
@@ -233,7 +241,7 @@ def _raise_first_duplicate(
                 return
 
 
-def _undecodable_line(path: Path) -> int:
+def _undecodable_line(path: str) -> int:
     """File line of the first byte that is not UTF-8, read in chunks of
     ``_CHUNK_BYTES``. Lines end at LF, CR or CRLF, as they do for the csv
     reader. No byte of a byte-order mark or of a multi-byte character is a
@@ -241,25 +249,22 @@ def _undecodable_line(path: Path) -> int:
     decoder = codecs.getincrementaldecoder("utf-8")()
     line = 1
     after_cr = False  # the bytes counted so far end with CR
-    try:
-        with open(path, "rb") as fh:
-            while chunk := fh.read(_CHUNK_BYTES):
-                try:
-                    decoder.decode(chunk)
-                    good = len(chunk)
-                except UnicodeDecodeError as exc:
-                    # exc.object is the bytes the decoder held back from the
-                    # chunk before (never a CR or LF), then this chunk.
-                    good = max(0, exc.start - len(exc.object) + len(chunk))
-                head = chunk[:good]
-                line += (head.count(b"\n") + head.count(b"\r")
-                         - head.count(b"\r\n"))
-                if after_cr and head.startswith(b"\n"):
-                    line -= 1  # a CRLF split between two chunks
-                if good < len(chunk):
-                    return line
-                after_cr = chunk.endswith(b"\r")
-    except OSError as exc:
-        raise _unreadable(path, exc) from None
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_CHUNK_BYTES):
+            try:
+                decoder.decode(chunk)
+                good = len(chunk)
+            except UnicodeDecodeError as exc:
+                # exc.object is the bytes the decoder held back from the
+                # chunk before (never a CR or LF), then this chunk.
+                good = max(0, exc.start - len(exc.object) + len(chunk))
+            head = chunk[:good]
+            line += (head.count(b"\n") + head.count(b"\r")
+                     - head.count(b"\r\n"))
+            if after_cr and head.startswith(b"\n"):
+                line -= 1  # a CRLF split between two chunks
+            if good < len(chunk):
+                return line
+            after_cr = chunk.endswith(b"\r")
     # Only a character cut off by the end of the file is left.
     return line

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -151,7 +152,9 @@ class TestAuditCommand:
             "audit", "--input", "/no/such/file.csv", "--bins", COMPAS_BINS,
         ])
         assert code == EXIT_INPUT
-        assert "error:" in capsys.readouterr().err
+        _only_error_line(
+            capsys.readouterr().err, "no such file: /no/such/file.csv"
+        )
 
     def test_single_group_file_exits_2(self, tmp_path, capsys):
         f = tmp_path / "one.csv"
@@ -454,13 +457,14 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert result.stdout.strip() == "[]"
 
 
-def _fresh_interpreter(code):
-    """What ``code`` prints when run in a fresh interpreter."""
+def _fresh_interpreter(code, flags=()):
+    """What ``code`` prints when run in a fresh interpreter started with
+    the command-line ``flags``."""
     import fairaudit
 
     src = str(Path(fairaudit.__file__).resolve().parents[1])
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert result.returncode == 0, result.stderr
@@ -468,12 +472,15 @@ def _fresh_interpreter(code):
 
 
 def _modules_loaded_by(argv, watched):
-    """The ``watched`` modules in ``sys.modules`` after ``cli.main(argv)``."""
+    """The ``watched`` modules in ``sys.modules`` after ``cli.main(argv)``,
+    run without the site module (``-S``): a site ``.pth`` file can preload
+    modules, such as ``pathlib``, that the package never imports."""
     return _fresh_interpreter(
         "import sys\n"
         "from fairaudit.cli import main\n"
         f"assert main({list(argv)!r}) == 0\n"
-        f"print(sorted({set(watched)!r} & set(sys.modules)))\n"
+        f"print(sorted({set(watched)!r} & set(sys.modules)))\n",
+        flags=("-S",),
     )
 
 
@@ -481,13 +488,17 @@ def _modules_loaded_by(argv, watched):
 #: and ingest keeps its id digests without the array extension.
 _JSON_REPORT_AND_ARRAY = ("array", "fairaudit.report_json", "json")
 
+#: What no command needs: ingest takes its dataset path as a string.
+_PATHLIB = ("pathlib", "urllib.parse")
+
 
 def test_audit_loads_no_fixture_generator_or_decimal(compas_csv, tmp_path):
     # The scenario fixtures are code an audit never runs, and percentages
     # are rounded in integers.
     argv = ["audit", "--input", compas_csv, "--bins", COMPAS_BINS,
             "--out", str(tmp_path / "report.md")]
-    watched = ("decimal", "fairaudit.fixtures", *_JSON_REPORT_AND_ARRAY)
+    watched = ("decimal", "fairaudit.fixtures", *_JSON_REPORT_AND_ARRAY,
+               *_PATHLIB)
     assert _modules_loaded_by(argv, watched) == "[]"
 
 
@@ -507,7 +518,7 @@ def test_scenario_loads_no_csv_decimal_or_generator(tmp_path):
     argv = ["scenario", "stride_height", "--out", str(tmp_path / "report.md")]
     # Ingest's csv module is loaded by the function that reads a file,
     # which a scenario run never calls.
-    watched = ("csv", "decimal", *_JSON_REPORT_AND_ARRAY)
+    watched = ("csv", "decimal", *_JSON_REPORT_AND_ARRAY, *_PATHLIB)
     assert _modules_loaded_by(argv, watched) == "[]"
 
 
@@ -648,6 +659,48 @@ def test_input_whose_read_fails_exits_2_naming_it():
     )
 
 
+@pytest.mark.parametrize("kind", [
+    "directory",
+    pytest.param("fifo", marks=pytest.mark.skipif(
+        not hasattr(os, "mkfifo"), reason="no os.mkfifo")),
+])
+def test_input_that_is_not_a_regular_file_exits_2_naming_it(tmp_path, kind):
+    # Opening a FIFO with no writer would block, so the path is checked
+    # first; the timeout turns a block into a failure.
+    path = tmp_path / kind
+    if kind == "fifo":
+        os.mkfifo(path)
+    else:
+        path.mkdir()
+    with _cli_process(["audit", "--input", str(path), "--bins", COMPAS_BINS],
+                      stdout=subprocess.PIPE) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            pytest.fail(f"audit blocked on a {kind}")
+    assert (proc.returncode, stdout) == (EXIT_INPUT, "")
+    _only_error_line(stderr, f"not a regular file: {path}")
+
+
+def test_input_whose_stat_fails_exits_2_naming_it(
+    compas_csv, monkeypatch, capsys
+):
+    stat = os.stat
+
+    def fake_stat(path, *args, **kwargs):
+        if path == compas_csv:
+            raise PermissionError(errno.EACCES, "Permission denied")
+        return stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", fake_stat)
+    assert main(["audit", "--input", compas_csv, "--bins", COMPAS_BINS]) == (
+        EXIT_INPUT
+    )
+    _only_error_line(capsys.readouterr().err,
+                     f"cannot read '{compas_csv}': Permission denied")
+
+
 @pytest.mark.parametrize("data, failing_open", [
     # The row loop's own open.
     (b"1,a,2.0,1\n2,b,7.0,0\n", 1),
@@ -659,7 +712,6 @@ def test_input_whose_read_fails_exits_2_naming_it():
 def test_input_that_cannot_be_opened_exits_2_naming_it(
     tmp_path, monkeypatch, capsys, data, failing_open
 ):
-    import errno
     from fairaudit import ingest
 
     f = tmp_path / "data.csv"

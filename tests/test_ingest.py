@@ -64,6 +64,18 @@ class TestIngest:
         with pytest.raises(IngestError, match="no such file"):
             ingest_csv(config_for("/nonexistent/data.csv", ten_bins))
 
+    def test_unreadable_path_object_is_named_by_its_string(
+        self, tmp_path, ten_bins
+    ):
+        f = tmp_path / "data.csv"
+        f.write_text(SAMPLE)
+        failure = PermissionError(13, "Permission denied")
+        with mock.patch.object(ingest, "open", side_effect=failure,
+                               create=True):
+            with pytest.raises(IngestError) as caught:
+                ingest_csv(DatasetConfig(path=f, bins=ten_bins))
+        assert str(caught.value) == f"cannot read '{f}': Permission denied"
+
     def test_missing_column(self, tmp_path, ten_bins):
         f = tmp_path / "data.csv"
         f.write_text("id,group,score\nr1,a,2.0\n")
