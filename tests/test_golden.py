@@ -26,7 +26,8 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 #: Ten bins of width 0.1 over [0, 1], matching calibrated_cells.
 TENTHS = ",".join(f"{j / 10:g}-{(j + 1) / 10:g}" for j in range(10))
 
-#: (case name, argv without --format; "{csv}" stands for the generated CSV).
+#: (case name, argv without --format; "{csv}" and "{csv4}" stand for the
+#: generated two-group and four-group CSVs).
 CASES = [
     (f"scenario_{name}", ["scenario", name]) for name in SCENARIO_NAMES
 ] + [
@@ -40,30 +41,44 @@ CASES = [
         ["audit", "--input", "{csv}", "--bins", TENTHS,
          "--threshold", "score>=0.5"],
     ),
+    (
+        "equalize_four_groups",
+        ["equalize", "--input", "{csv4}", "--bins", TENTHS],
+    ),
 ]
 FORMATS = ("md", "json")
 
 
-def dataset_csv(directory: pathlib.Path) -> str:
-    """The calibrated two-group, ten-bin CSV the dataset cases read."""
+def dataset_csvs(directory: pathlib.Path) -> dict[str, str]:
+    """The calibrated ten-bin CSVs the dataset cases read, by the argument
+    that stands for each: groups a and b, and those two plus groups c and d
+    with other base rates."""
     _bins, cells = calibrated_cells(
         n_per_group=1100, bins=10, base_rate_a=0.3, base_rate_b=0.55
     )
-    return write_csv(directory / "calibrated.csv", cells)
+    _bins, more = calibrated_cells(
+        n_per_group=1100, bins=10, base_rate_a=0.2, base_rate_b=0.7
+    )
+    renamed = {"a": "c", "b": "d"}
+    more = tuple((renamed[g], *rest) for g, *rest in more)
+    return {
+        "{csv}": write_csv(directory / "calibrated.csv", cells),
+        "{csv4}": write_csv(directory / "four_groups.csv", cells + more),
+    }
 
 
-def run_case(argv, fmt, csv_path):
+def run_case(argv, fmt, csvs):
     """(exit code, stdout) of one CLI invocation."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([a.replace("{csv}", csv_path) for a in argv] + ["--format", fmt])
+        code = main([csvs.get(a, a) for a in argv] + ["--format", fmt])
     return code, out.getvalue()
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
 def test_cli_output_matches_golden(name, argv, fmt, tmp_path):
-    code, out = run_case(argv, fmt, dataset_csv(tmp_path))
+    code, out = run_case(argv, fmt, dataset_csvs(tmp_path))
     assert code == EXIT_OK
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
@@ -71,10 +86,10 @@ def test_cli_output_matches_golden(name, argv, fmt, tmp_path):
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        csv_path = dataset_csv(pathlib.Path(tmp))
+        csvs = dataset_csvs(pathlib.Path(tmp))
         for name, argv in CASES:
             for fmt in FORMATS:
-                code, out = run_case(argv, fmt, csv_path)
+                code, out = run_case(argv, fmt, csvs)
                 if code != EXIT_OK:
                     raise SystemExit(f"{name}.{fmt} exited {code}")
                 (GOLDEN / f"{name}.{fmt}").write_bytes(out.encode("utf-8"))
