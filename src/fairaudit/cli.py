@@ -160,19 +160,6 @@ def parse_threshold(
     )
 
 
-def _dataset_config(args: argparse.Namespace) -> DatasetConfig:
-    if not args.tolerance > 0:
-        raise ValidationError("tolerance must be positive")
-    return DatasetConfig(
-        path=args.input,
-        bins=parse_bins(args.bins),
-        id_col=args.id_col,
-        group_col=args.group_col,
-        score_col=args.score_col,
-        outcome_col=args.outcome_col,
-    )
-
-
 def _base_report(
     curve: CalibrationCurve,
     action_benefits_subject: bool,
@@ -182,38 +169,34 @@ def _base_report(
     tolerance: float,
     notes: list[str],
 ) -> AuditReport:
-    groups = {
-        g: curve.confusion(g, policy.threshold_for(g)) for g in curve.groups
-    }
+    thresholds = policy.thresholds(curve.groups)
+    groups = {g: curve.confusion(g, t) for g, t in thresholds.items()}
     impossibility = None
-    if len(curve.groups) == 2:
-        thresholds = policy.thresholds(curve.groups)
-        uniform = len(set(thresholds.values())) == 1
-        if uniform:
-            try:
-                impossibility = impossibility_check(
-                    curve,
-                    next(iter(thresholds.values())),
-                    calib_tolerance=tolerance,
-                    notes=notes,
-                )
-            except AuditError as exc:
-                notes.append(f"Impossibility check skipped: {exc}")
-        else:
-            notes.append(
-                "Impossibility check skipped: it applies to uniform "
-                "thresholds only."
-            )
-    else:
+    if len(groups) != 2:
         notes.append(
             "Impossibility check skipped: it is pairwise and the input has "
-            f"{len(curve.groups)} groups."
+            f"{len(groups)} groups."
         )
+    elif len(set(thresholds.values())) != 1:
+        notes.append(
+            "Impossibility check skipped: it applies to uniform "
+            "thresholds only."
+        )
+    else:
+        try:
+            impossibility = impossibility_check(
+                curve,
+                next(iter(thresholds.values())),
+                calib_tolerance=tolerance,
+                notes=notes,
+            )
+        except AuditError as exc:
+            notes.append(f"Impossibility check skipped: {exc}")
     assessment = policy_expected_disvalue(curve, policy, values)
     return AuditReport(
         population_benefits=action_benefits_subject,
         policy_kind="uniform" if policy.is_uniform else "per_group",
-        thresholds=policy.thresholds(curve.groups),
+        thresholds=thresholds,
         values=values,
         values_defaulted=values_defaulted,
         groups=groups,
@@ -261,8 +244,22 @@ def cmd_audit(args: argparse.Namespace) -> int:
     """Run ``audit``, or ``equalize``: the same report with an FPR
     equalization section."""
     notes: list[str] = []
-    values, defaulted = _resolve_values(args, notes)
-    curve = ingest_csv(_dataset_config(args))
+    defaulted = not args.values
+    if defaulted:
+        values = SYMMETRIC_VALUES
+        notes.append(DEFAULT_VALUES_NOTE)
+    else:
+        values = parse_values(args.values)
+    if not args.tolerance > 0:
+        raise ValidationError("tolerance must be positive")
+    curve = ingest_csv(DatasetConfig(
+        path=args.input,
+        bins=parse_bins(args.bins),
+        id_col=args.id_col,
+        group_col=args.group_col,
+        score_col=args.score_col,
+        outcome_col=args.outcome_col,
+    ))
     policy = parse_threshold(args.threshold, curve, values, notes)
     equalization = None
     if args.command == "equalize":
@@ -302,17 +299,7 @@ def scenario_report(name: str) -> AuditReport:
         counts = {g: cm.n for g, cm in report.groups.items()}
         extras["lottery"] = fair_lottery(counts, spec.exclusion_quota)
     report = report._replace(**extras, notes=tuple(notes))
-    checks = [
-        {
-            "label": check.label,
-            "expected": check.expected,
-            "actual": actual,
-            "tolerance": check.tol,
-            "rendered": check.rendered,
-            "passed": ok,
-        }
-        for check, actual, ok in check_scenario(report, spec)
-    ]
+    checks = check_scenario(report, spec)
     return report._replace(scenario=ScenarioSection(
         name=spec.name,
         description=spec.description,
@@ -384,15 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sc)
     p_sc.set_defaults(func=cmd_scenario)
     return parser
-
-
-def _resolve_values(
-    args: argparse.Namespace, notes: list[str]
-) -> tuple[OutcomeValues, bool]:
-    if args.values:
-        return parse_values(args.values), False
-    notes.append(DEFAULT_VALUES_NOTE)
-    return SYMMETRIC_VALUES, True
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -34,9 +34,13 @@ class GroupAssessment(NamedTuple):
 
     n: int
     acted: int
-    refrained: int
     expected_value: float
     best_expected_value: float
+
+    @property
+    def refrained(self) -> int:
+        """Records not acted on."""
+        return self.n - self.acted
 
     @property
     def realized_value(self) -> float:
@@ -61,7 +65,6 @@ class PolicyAssessment(NamedTuple):
         return GroupAssessment(
             n=sum(g.n for g in gs),
             acted=sum(g.acted for g in gs),
-            refrained=sum(g.refrained for g in gs),
             expected_value=sum(g.expected_value for g in gs),
             best_expected_value=sum(g.best_expected_value for g in gs),
         )
@@ -134,7 +137,6 @@ def policy_expected_disvalue(
         per_group[g] = GroupAssessment(
             n=cm.n,
             acted=cm.acted,
-            refrained=cm.n - cm.acted,
             expected_value=values.value_of(cm),
             best_expected_value=values.value_of(curve.confusion(g, p_star)),
         )

@@ -112,14 +112,6 @@ class BinScheme(ValueObject):
     def n_bins(self) -> int:
         return len(self.edges) - 1
 
-    @property
-    def lo(self) -> float:
-        return self.edges[0]
-
-    @property
-    def hi(self) -> float:
-        return self.edges[-1]
-
     def label(self, index: int) -> str:
         if self.labels is not None:
             return self.labels[index]

@@ -53,20 +53,29 @@ class CalibrationCurve(ValueObject):
     """
 
     # No __slots__: the cached properties below are kept in __dict__.
-    _fields = ("bins", "groups", "by_group")
+    _fields = ("bins", "by_group")
     bins: BinScheme
-    groups: tuple[str, ...]
     by_group: Mapping[str, tuple[CurveCell, ...]]
 
     def __init__(
         self,
         bins: BinScheme,
-        groups: tuple[str, ...],
         by_group: Mapping[str, tuple[CurveCell, ...]],
     ) -> None:
         object.__setattr__(self, "bins", bins)
-        object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "by_group", by_group)
+        # An audit compares groups. Checked here, so that no copy of a
+        # curve can hold fewer than two.
+        if len(by_group) < 2:
+            raise ValidationError(
+                f"need at least 2 groups, found {len(by_group)}: "
+                f"{list(by_group)}"
+            )
+
+    @cached_property
+    def groups(self) -> tuple[str, ...]:
+        """The groups, in report order: the keys of ``by_group``."""
+        return tuple(self.by_group)
 
     @cached_property
     def cells(self) -> Mapping[tuple[str, int], CurveCell]:
@@ -144,9 +153,9 @@ def curve_from_tallies(
     """The curve of group -> (positives_by_bin, negatives_by_bin) counts.
 
     Every curve is built here, so group order (sorted, the order of every
-    report), cell order and the two-group rule are decided in one place:
-    an audit compares groups, so fewer than two is a ValidationError. A
-    cell with no records is left out, and so is a group with none.
+    report) and cell order are decided in one place. A cell with no
+    records is left out, and so is a group with none; the constructor
+    refuses a curve of fewer than two groups.
     """
     by_group: dict[str, tuple[CurveCell, ...]] = {}
     for g in sorted(tallies):
@@ -159,12 +168,7 @@ def curve_from_tallies(
                 cells.append(CurveCell(b, count, p))
         if cells:
             by_group[g] = tuple(cells)
-    groups = tuple(by_group)
-    if len(groups) < 2:
-        raise ValidationError(
-            f"need at least 2 groups, found {len(groups)}: {list(groups)}"
-        )
-    return CalibrationCurve(bins=bins, groups=groups, by_group=by_group)
+    return CalibrationCurve(bins=bins, by_group=by_group)
 
 
 def curve_from_counts(

@@ -100,6 +100,12 @@ def equalize_fpr(
     ref = baseline[reference]
     ref_neg = ref.fp + ref.tn
 
+    def gap(cm: ConfusionMatrix) -> int:
+        # |fp/neg - ref.fp/ref_neg|, ranked by its numerator over the common
+        # denominator, which is fixed within a group: gaps that are equal as
+        # fractions tie exactly.
+        return abs(cm.fp * ref_neg - ref.fp * (cm.fp + cm.tn))
+
     thresholds: dict[str, float] = {}
     chosen: dict[str, ConfusionMatrix] = {}
     for g in groups:
@@ -107,22 +113,17 @@ def equalize_fpr(
         if g == reference:
             thresholds[g], chosen[g] = t0, baseline[g]
             continue
-        best: tuple[int, float, float] | None = None
         # FPR is a step function of the threshold; only the group's cut
         # points (plus the extremes and the baseline itself) can change the
         # acted set. 1.0 plays the role of "never act" unless some cell has
-        # p_score exactly 1.
-        for t in sorted({0.0, 1.0, t0, *curve.cut_points(g)}):
-            cm = curve.confusion(g, t)
-            # Prefer the smallest gap; break ties toward the baseline
-            # threshold so an already-equal group is left untouched. The
-            # gap |fp/neg - ref.fp/ref_neg| is ranked by its numerator over
-            # the common denominator, which is fixed within the group, so
-            # gaps that are equal as fractions tie exactly.
-            gap = abs(cm.fp * ref_neg - ref.fp * (cm.fp + cm.tn))
-            key = (gap, abs(t - t0), t)
-            if best is None or key < best:
-                best, thresholds[g], chosen[g] = key, t, cm
+        # p_score exactly 1. The smallest gap wins; ties break toward the
+        # baseline threshold, so an already-equal group is left untouched,
+        # and then toward the lower threshold. No two keys are equal.
+        t = min(
+            {0.0, 1.0, t0, *curve.cut_points(g)},
+            key=lambda t: (gap(curve.confusion(g, t)), abs(t - t0), t),
+        )
+        thresholds[g], chosen[g] = t, curve.confusion(g, t)
 
     fprs = {g: cm.fpr for g, cm in chosen.items()}
     residual = max(fprs.values()) - min(fprs.values())

@@ -66,6 +66,7 @@ def _assessment_dict(assessment: PolicyAssessment) -> dict[str, Any]:
     def one(a) -> dict[str, Any]:
         return {
             **a._asdict(),
+            "refrained": a.refrained,
             "expected_disvalue": a.expected_disvalue,
             "realized_value": a.realized_value,
         }

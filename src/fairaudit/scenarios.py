@@ -8,7 +8,7 @@ The fixtures themselves live in :mod:`fairaudit.fixtures`, which
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple
 
 from .domain import AuditError, BinScheme
 from .metrics import CalibrationCurve, curve_from_counts
@@ -159,9 +159,10 @@ def scenario_figure(report: AuditReport, label: str) -> float:
 
 def check_scenario(
     report: AuditReport, spec: ScenarioSpec
-) -> list[tuple[Check, float, bool]]:
-    """Evaluate every check against the figures in ``report``; returns
-    (check, actual, passed) triples, one per check."""
+) -> list[dict[str, Any]]:
+    """Evaluate every check against the figures in ``report``; returns one
+    record per check, as the report's scenario section holds it: label,
+    expected, actual, tolerance, rendered and passed."""
     from .report import format_percent
 
     results = []
@@ -170,5 +171,12 @@ def check_scenario(
         ok = abs(actual - check.expected) <= check.tol
         if check.rendered is not None:
             ok = ok and format_percent(actual) == check.rendered
-        results.append((check, actual, ok))
+        results.append({
+            "label": check.label,
+            "expected": check.expected,
+            "actual": actual,
+            "tolerance": check.tol,
+            "rendered": check.rendered,
+            "passed": ok,
+        })
     return results

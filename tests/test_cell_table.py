@@ -7,6 +7,7 @@ curve under test is summed from one entry per record, and the references
 bin and walk the records themselves.
 """
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from fairaudit import (
 )
 from fairaudit.cli import _base_report
 from fairaudit.metrics import CurveCell
+from fairaudit.parity import LOWER_OTHERS, RAISE_OTHERS
 
 
 @st.composite
@@ -244,6 +246,49 @@ def test_equalization_counts_match_the_per_record_reference(dataset, data):
     assert result.residual_gap == max(
         abs(result.fprs[a] - result.fprs[b]) for a in groups for b in groups
     )
+
+
+@settings(deadline=None)
+@given(datasets(), st.sampled_from([LOWER_OTHERS, RAISE_OTHERS]), st.data())
+def test_equalization_picks_the_best_candidate_of_each_group(
+    dataset, direction, data
+):
+    # Brute force over the records' own cells: for each group other than the
+    # reference, of 0, 1, its baseline threshold and its p_scores, the
+    # threshold with the smallest exact FPR gap to the reference, then the
+    # one nearest the baseline, then the lowest.
+    curve = curve_of(dataset)
+    policy = draw_policy(data, dataset, curve)
+    if has_no_negatives(dataset):
+        return  # a group without negatives has no FPR to equalize
+    cells = tally(*dataset)
+
+    def fpr(group, threshold):
+        fp = negatives = 0
+        for (g, _b), (count, pos) in cells.items():
+            if g == group:
+                negatives += count - pos
+                fp += (count - pos) * (pos / count >= threshold)
+        return Fraction(fp, negatives)
+
+    groups = groups_of(dataset)
+    baseline = {g: fpr(g, policy.threshold_for(g)) for g in groups}
+    pick = max if direction == LOWER_OTHERS else min
+    reference = pick(groups, key=lambda g: (baseline[g], g))
+    result = equalize_fpr(curve, policy, tolerance=1e-9, direction=direction)
+    assert result.reference_group == reference
+    for g in groups:
+        t0 = policy.threshold_for(g)
+        if g == reference:
+            assert result.thresholds[g] == t0
+            continue
+        candidates = {0.0, 1.0, t0} | {
+            pos / count for (g2, _b), (count, pos) in cells.items() if g2 == g
+        }
+        best = min(candidates, key=lambda t: (
+            abs(fpr(g, t) - baseline[reference]), abs(t - t0), t
+        ))
+        assert result.thresholds[g] == best
 
 
 def has_no_negatives(dataset):

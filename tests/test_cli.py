@@ -871,8 +871,7 @@ class TestScenarioCommand:
 
         def sabotage(report, spec):
             results = real(report, spec)
-            check, actual, _ok = results[0]
-            return [(check, actual, False)] + results[1:]
+            return [{**results[0], "passed": False}] + results[1:]
 
         monkeypatch.setattr(cli_mod, "check_scenario", sabotage)
         code = main(["scenario", "stride_height", "--format", "json"])

@@ -62,7 +62,7 @@ class TestBinScheme:
             b
             for b in range(scheme.n_bins)
             if (scheme.edges[b] <= score < scheme.edges[b + 1])
-            or (b == scheme.n_bins - 1 and score == scheme.hi)
+            or (b == scheme.n_bins - 1 and score == scheme.edges[-1])
         ]
         assert hits == [index]
 
@@ -140,7 +140,7 @@ class TestConfusionMatrix:
 
 def _assessment():
     return GroupAssessment(
-        n=10, acted=4, refrained=6, expected_value=7.0, best_expected_value=8.0,
+        n=10, acted=4, expected_value=7.0, best_expected_value=8.0,
     )
 
 
@@ -159,7 +159,8 @@ VALUE_OBJECTS = [
     (lambda: CurveCell(bin=0, count=4, positives=1), "count", None, None),
     (lambda: curve_from_counts(
         BinScheme(edges=(0.0, 1.0, 2.0)), [("a", 0, 1, 1), ("b", 1, 2, 0)],
-    ), "by_group", None, None),
+    ), "by_group", {"by_group": {"a": (CurveCell(0, 2, 1),)}},
+     r"need at least 2 groups, found 1: \['a'\]"),
     (lambda: DecisionEV(ev_act=0.25, ev_refrain=0.75), "ev_act", None, None),
     (_assessment, "acted", None, None),
     (lambda: PolicyAssessment(per_group={"a": _assessment()}),
@@ -256,3 +257,19 @@ class TestValueObjects:
     def test_invalid_copy_raises(self, make, changes, message):
         with pytest.raises(ValidationError, match=message):
             make()._replace(**changes)
+
+    def test_curve_copies_read_their_groups_off_their_table(self):
+        # A three-group copy of a two-group curve, copied again or pickled,
+        # reads three groups.
+        curve = curve_from_counts(
+            COMPAS_BINS, [("a", 0, 1, 1), ("b", 1, 2, 0)]
+        )
+        assert curve.groups == ("a", "b")
+        three = curve._replace(
+            by_group={**curve.by_group, "c": curve.by_group["a"]}
+        )
+        for copied in (
+            three, copy.deepcopy(three), pickle.loads(pickle.dumps(three))
+        ):
+            assert copied.groups == tuple(copied.by_group) == ("a", "b", "c")
+            assert copied.confusion("c", 0.0) == curve.confusion("a", 0.0)

@@ -503,7 +503,8 @@ def test_binning_at_and_around_every_edge_matches_bin_of(edges, data):
         s for e in edges
         for s in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))
     })
-    inside = [s for s in near if bins.lo <= s <= bins.hi]
+    lo, hi = edges[0], edges[-1]
+    inside = [s for s in near if lo <= s <= hi]
     rows = [
         (group, score, data.draw(st.booleans()))
         for score in inside for group in ("a", "b")
@@ -516,8 +517,7 @@ def test_binning_at_and_around_every_edge_matches_bin_of(edges, data):
         # One score just outside the range, anywhere in the file, exits 2
         # naming its row and the range.
         bad = data.draw(st.sampled_from(
-            [math.nextafter(bins.lo, -math.inf),
-             math.nextafter(bins.hi, math.inf)]
+            [math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
         ))
         at = data.draw(st.integers(0, len(rows)))
         rows.insert(at, ("b", bad, False))
@@ -531,5 +531,5 @@ def test_binning_at_and_around_every_edge_matches_bin_of(edges, data):
     assert code == EXIT_INPUT
     assert err.getvalue() == (
         f"error: row {at + 2}: score {bad!r} outside declared range "
-        f"[{bins.lo}, {bins.hi}]\n"
+        f"[{lo}, {hi}]\n"
     )

@@ -27,9 +27,9 @@ class TestNamedScenarios:
         results = check_scenario(scenario_report(name), spec)
         assert len(results) == len(spec.checks)
         failures = [
-            f"{c.label}: expected {c.expected}, got {actual}"
-            for c, actual, ok in results
-            if not ok
+            f"{r['label']}: expected {r['expected']}, got {r['actual']}"
+            for r in results
+            if not r["passed"]
         ]
         assert not failures, "; ".join(failures)
 
@@ -76,7 +76,10 @@ class TestNamedScenarios:
         doctored = report._replace(
             groups={**report.groups, "men": men._replace(tp=161)},
         )
-        results = {c.label: (a, ok) for c, a, ok in check_scenario(doctored, spec)}
+        results = {
+            r["label"]: (r["actual"], r["passed"])
+            for r in check_scenario(doctored, spec)
+        }
         assert results["tp:men"] == (161.0, False)
         assert all(ok for label, (_a, ok) in results.items() if label != "tp:men")
 
@@ -223,7 +226,7 @@ class TestRandomCalibratedPopulation:
         bins, cells = calibrated_cells(n, n_bins, rate_a, rate_b)
         curve = scenario_curve(bins, cells)
         assert curve.groups == ("a", "b")
-        assert bins.n_bins == n_bins and (bins.lo, bins.hi) == (0.0, 1.0)
+        assert bins.n_bins == n_bins and (bins.edges[0], bins.edges[-1]) == (0.0, 1.0)
         for g, rate in (("a", rate_a), ("b", rate_b)):
             cells = curve.by_group[g]
             assert tuple(cell.bin for cell in cells) == tuple(range(n_bins))
