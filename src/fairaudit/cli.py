@@ -138,8 +138,7 @@ def parse_threshold(
             raise ValidationError(f"bad threshold spec {spec!r}") from None
         first_bin = curve.bins.bin_of(boundary)
         thresholds: dict[str, float] = {}
-        for g in curve.groups:
-            cells = curve.by_group.get(g, ())
+        for g, cells in curve.by_group.items():
             acted = [cell.p_score for cell in cells if cell.bin >= first_bin]
             if not acted:
                 raise ValidationError(
