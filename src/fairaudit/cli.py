@@ -170,6 +170,12 @@ def _base_report(
 ) -> AuditReport:
     thresholds = policy.thresholds(curve.groups)
     groups = {g: curve.confusion(g, t) for g, t in thresholds.items()}
+    # A group whose threshold is p* has its best matrix in ``groups``.
+    p_star = optimal_threshold(values)
+    best = {
+        g: cm if thresholds[g] == p_star else curve.confusion(g, p_star)
+        for g, cm in groups.items()
+    }
     impossibility = None
     if len(groups) != 2:
         notes.append(
@@ -191,7 +197,7 @@ def _base_report(
             )
         except AuditError as exc:
             notes.append(f"Impossibility check skipped: {exc}")
-    assessment = policy_expected_disvalue(curve, policy, values)
+    assessment = policy_expected_disvalue(groups, best, values)
     return AuditReport(
         population_benefits=action_benefits_subject,
         policy_kind="uniform" if policy.is_uniform else "per_group",

@@ -8,12 +8,11 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple
 
 from .domain import (
+    ConfusionMatrix,
     OutcomeValues,
-    ThresholdPolicy,
     ValidationError,
     finite_value,
 )
-from .metrics import CalibrationCurve
 
 
 class DecisionEV(NamedTuple):
@@ -114,31 +113,30 @@ def printed_decimal(x: float) -> tuple[int, int]:
 
 
 def policy_expected_disvalue(
-    curve: CalibrationCurve,
-    policy: ThresholdPolicy,
+    matrices: Mapping[str, ConfusionMatrix],
+    best: Mapping[str, ConfusionMatrix],
     values: OutcomeValues,
 ) -> PolicyAssessment:
     """Expected and realized value of a policy, per group and in total.
 
-    Value is linear in the confusion counts, so a group's value under the
-    policy is ``values.value_of`` of its confusion matrix. Acting on a cell
-    beats refraining exactly when its p_score is at least p*
-    (:func:`optimal_threshold`), so the best value is the value of the
-    confusion matrix at p*; the difference from the chosen one is the
-    policy's expected disvalue. A value sum that is not finite is a
-    ValidationError (see :func:`~fairaudit.domain.finite_value`).
+    ``matrices`` holds each group's confusion matrix under the policy, and
+    ``best`` each group's matrix at p* (:func:`optimal_threshold`). Value
+    is linear in the confusion counts, so a group's value under the policy
+    is ``values.value_of`` of its matrix. Acting on a cell beats refraining
+    exactly when its p_score is at least p*, so the best value is the value
+    of the matrix at p*; the difference is the policy's expected disvalue.
+    A value sum that is not finite is a ValidationError (see
+    :func:`~fairaudit.domain.finite_value`).
     """
-    if not policy.covers(curve.groups):
-        raise ValidationError("policy does not cover every group")
-    p_star = optimal_threshold(values)
+    if matrices.keys() != best.keys():
+        raise ValidationError("matrices and best name different groups")
     per_group: dict[str, GroupAssessment] = {}
-    for g in curve.groups:
-        cm = curve.confusion(g, policy.threshold_for(g))
+    for g, cm in matrices.items():
         per_group[g] = GroupAssessment(
             n=cm.n,
             acted=cm.acted,
             expected_value=values.value_of(cm),
-            best_expected_value=values.value_of(curve.confusion(g, p_star)),
+            best_expected_value=values.value_of(best[g]),
         )
     assessment = PolicyAssessment(per_group=per_group)
     # Each group's value sums are finite (value_of checks them). A

@@ -297,10 +297,5 @@ class ThresholdPolicy(ValueObject):
             return self._uniform
         raise ValidationError(f"policy has no threshold for group {group!r}")
 
-    def covers(self, groups: Sequence[str]) -> bool:
-        if self._uniform is not None:
-            return True
-        return all(g in self._per_group for g in groups)
-
     def thresholds(self, groups: Sequence[str]) -> dict[str, float]:
         return {g: self.threshold_for(g) for g in groups}

@@ -197,7 +197,7 @@ def calibration_gap(curve: CalibrationCurve, *groups: str) -> float:
     equals the largest pairwise gap. 0.0 when no two groups share a bin.
     """
     for g in groups:
-        if g not in curve.groups:
+        if g not in curve.by_group:
             raise ValidationError(f"unknown group {g!r}")
     spread: dict[int, tuple[float, float]] = {}
     for g in groups:

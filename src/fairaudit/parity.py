@@ -119,11 +119,11 @@ def equalize_fpr(
         # p_score exactly 1. The smallest gap wins; ties break toward the
         # baseline threshold, so an already-equal group is left untouched,
         # and then toward the lower threshold. No two keys are equal.
-        t = min(
-            {0.0, 1.0, t0, *curve.cut_points(g)},
-            key=lambda t: (gap(curve.confusion(g, t)), abs(t - t0), t),
+        thresholds[g], chosen[g] = min(
+            ((t, curve.confusion(g, t))
+             for t in {0.0, 1.0, t0, *curve.cut_points(g)}),
+            key=lambda tc: (gap(tc[1]), abs(tc[0] - t0), tc[0]),
         )
-        thresholds[g], chosen[g] = t, curve.confusion(g, t)
 
     fprs = {g: cm.fpr for g, cm in chosen.items()}
     residual = max(fprs.values()) - min(fprs.values())

@@ -1,12 +1,15 @@
 """Test helpers shared by the suite and by ``tests/test_golden.py`` run as a
 script: the per-record view of declared counts, which the tests' oracles
-walk, and the one writer of CSV input.
+walk, the one writer of CSV input, and a policy's value assessment read off
+a curve.
 
 Counts are declared as (group, score, positives, negatives) entries, the
 shape of ``ScenarioSpec.cells``; a record is a (group, score, positive)
 tuple.
 """
 import csv
+
+from fairaudit import optimal_threshold, policy_expected_disvalue
 
 
 def records(entries):
@@ -68,3 +71,14 @@ def write_csv(path, entries):
         for i, (group, score, positive) in enumerate(records(entries)):
             writer.writerow((f"{group}-{i}", group, repr(score), int(positive)))
     return str(path)
+
+
+def assess(curve, policy, values):
+    """``policy_expected_disvalue`` of a policy on a curve: each group's
+    confusion matrix at its policy threshold and at p*."""
+    p_star = optimal_threshold(values)
+    return policy_expected_disvalue(
+        {g: curve.confusion(g, policy.threshold_for(g)) for g in curve.groups},
+        {g: curve.confusion(g, p_star) for g in curve.groups},
+        values,
+    )

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import keyed_cells, records, write_csv
+from conftest import assess, keyed_cells, records, write_csv
 from fairaudit import (
     OutcomeValues,
     SCENARIO_NAMES,
@@ -19,7 +19,6 @@ from fairaudit import (
     fair_lottery,
     individual_error_risk,
     optimal_threshold,
-    policy_expected_disvalue,
     scenario_curve,
     scenario_spec,
 )
@@ -183,9 +182,7 @@ def test_criterion_06_disvalue_dominance(capfd):
             spec = scenario_spec(name)
             curve = scenario_curve(spec.bins, spec.cells)
             baseline = ThresholdPolicy.uniform(p_star)
-            base_cost = policy_expected_disvalue(
-                curve, baseline, values
-            ).total.expected_disvalue
+            base_cost = assess(curve, baseline, values).total.expected_disvalue
             for direction in ("lower_others", "raise_others"):
                 result = equalize_fpr(
                     curve, baseline, tolerance=1e-9,

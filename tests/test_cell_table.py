@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import entries_of, keyed_cells, tally
+from conftest import assess, entries_of, keyed_cells, tally
 from fairaudit import (
     SYMMETRIC_VALUES,
     BinScheme,
@@ -24,7 +24,6 @@ from fairaudit import (
     equalize_fpr,
     impossibility_check,
     optimal_threshold,
-    policy_expected_disvalue,
     scenario_curve,
     scenario_spec,
 )
@@ -145,7 +144,7 @@ def test_cell_sums_match_the_per_record_reference(dataset, integral, data):
     policy = draw_policy(data, dataset, curve)
     values = data.draw(outcome_values(integral), label="values")
     ref = reference_assessment(dataset, policy, values)
-    assessment = policy_expected_disvalue(curve, policy, values)
+    assessment = assess(curve, policy, values)
 
     for g in groups_of(dataset):
         cm = curve.confusion(g, policy.threshold_for(g))
@@ -320,7 +319,7 @@ def test_no_uniform_threshold_beats_p_star(dataset, integral, data):
     }
     assert max(reference_value(t) for t in candidates) <= at_p_star + tol
     # The best value does not depend on the policy assessed.
-    best = policy_expected_disvalue(
+    best = assess(
         curve, ThresholdPolicy.uniform(0.5), values
     ).total.best_expected_value
     assert best == pytest.approx(at_p_star, rel=0, abs=tol)
@@ -339,7 +338,7 @@ def test_disvalue_delta_is_the_difference_of_the_two_policies(
     result = equalize_fpr(curve, policy, tolerance=1e-9, values=values)
     equalized = ThresholdPolicy.per_group(result.thresholds)
     costs = [
-        policy_expected_disvalue(curve, p, values).total.expected_disvalue
+        assess(curve, p, values).total.expected_disvalue
         for p in (policy, equalized)
     ]
     if integral:
@@ -356,7 +355,7 @@ def test_post_curve_quantities_never_rebin_a_record(monkeypatch):
         return (
             [curve.confusion(g, policy.threshold_for(g)) for g in curve.groups],
             calibration_gap(curve, *curve.groups),
-            policy_expected_disvalue(curve, policy, SYMMETRIC_VALUES),
+            assess(curve, policy, SYMMETRIC_VALUES),
             equalize_fpr(curve, policy, tolerance=1e-9),
             impossibility_check(curve, spec.threshold),
         )
@@ -394,3 +393,26 @@ def test_post_curve_work_reads_each_cell_a_few_times(monkeypatch):
     equalize_fpr(curve, policy, tolerance=1e-9)
     _base_report(curve, False, policy, SYMMETRIC_VALUES, False, 1e-9, [])
     assert reads <= 4 * len(keyed_cells(curve))
+
+
+def test_report_checks_group_membership_without_scanning_the_groups():
+    # A scan of curve.groups per group would make the report quadratic in
+    # the number of groups: 2000 groups would compare ~2 million entries.
+    counts = [(f"g{g:04d}", b, 1, 1 + (g + b) % 3)
+              for g in range(2000) for b in range(2)]
+    curve = curve_from_counts(BinScheme(edges=(0.0, 1.0, 2.0)), counts)
+    scanned = 0
+
+    class ScanCountingTuple(tuple):
+        def __contains__(self, item):
+            nonlocal scanned
+            for entry in self:
+                scanned += 1
+                if entry == item:
+                    return True
+            return False
+
+    curve.__dict__["groups"] = ScanCountingTuple(curve.groups)
+    policy = ThresholdPolicy.uniform(0.5)
+    _base_report(curve, False, policy, SYMMETRIC_VALUES, False, 1e-9, [])
+    assert scanned <= 2 * len(curve.groups)

@@ -7,12 +7,14 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import entries_of, write_csv
+from test_golden import TENTHS, dataset_csvs
 from fairaudit import SCENARIO_NAMES, cli, scenario_spec
 from fairaudit.cli import (
     EXIT_INPUT,
@@ -23,6 +25,7 @@ from fairaudit.cli import (
     parse_values,
 )
 from fairaudit.domain import ValidationError
+from fairaudit.metrics import CalibrationCurve
 
 
 @pytest.fixture
@@ -437,6 +440,36 @@ def test_commands_keep_one_cell_table(tmp_path, monkeypatch):
     assert len(reports) == 2 + len(SCENARIO_NAMES)
     for report in reports:
         assert "cells" not in vars(report.curve)
+
+
+@pytest.mark.parametrize("values,thresholds", [
+    (None, [0.5]),
+    # p* = (3 - -1) / ((3 - -1) + (2 - 0)) = 2/3.
+    ("2,-1,3,0", [0.5, 2 / 3]),
+])
+def test_audit_builds_each_group_matrix_once_per_threshold(
+    tmp_path, monkeypatch, values, thresholds
+):
+    # The report's group matrices at the policy threshold are also the
+    # assessment's; a matrix at p* is built only where p* differs from it.
+    # The four groups skip the pairwise impossibility check.
+    builds = Counter()
+    confusion = CalibrationCurve.confusion
+
+    def counted(self, group, threshold):
+        builds[group, threshold] += 1
+        return confusion(self, group, threshold)
+
+    monkeypatch.setattr(CalibrationCurve, "confusion", counted)
+    argv = ["audit", "--input", dataset_csvs(tmp_path)["{csv4}"],
+            "--bins", TENTHS, "--threshold", "p=0.5",
+            "--out", str(tmp_path / "report.md")]
+    if values is not None:
+        argv.append(f"--values={values}")
+    assert main(argv) == EXIT_OK
+    assert builds == Counter({
+        (g, t): 1 for g in ("a", "b", "c", "d") for t in thresholds
+    })
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -1001,6 +1034,23 @@ def _reject_constant(name):
     raise AssertionError(f"report JSON holds {name}")
 
 
+def _assert_sections_agree(report):
+    """Every section that restates a group's matrix at its policy threshold
+    restates the one in ``groups``."""
+    for g, cm in report["groups"].items():
+        acted = cm["tp"] + cm["fp"]
+        a = report["assessment"]["per_group"][g]
+        assert (a["n"], a["acted"]) == (cm["n"], acted)
+        if "equalization" in report:
+            eq = report["equalization"]
+            assert eq["baseline_fprs"][g] == cm["fpr"]
+            assert eq["acted_baseline"][g] == acted
+        if "impossibility" in report:
+            imp = report["impossibility"]
+            assert imp["fprs"][g] == cm["fpr"]
+            assert imp["base_rates"][g] == cm["base_rate"]
+
+
 @settings(max_examples=80, deadline=None)
 @given(_cli_runs())
 def test_any_cli_run_exits_0_or_2_with_a_well_formed_report(run):
@@ -1015,7 +1065,8 @@ def test_any_cli_run_exits_0_or_2_with_a_well_formed_report(run):
         return
     text = out.getvalue()
     if fmt == "json":
-        json.loads(text, parse_constant=_reject_constant)
+        report = json.loads(text, parse_constant=_reject_constant)
+        _assert_sections_agree(report)
     else:
         assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE), text
         assert "\r" not in text

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import records
+from conftest import assess, records
 from fairaudit import (
     BinScheme,
     OutcomeValues,
@@ -199,16 +199,14 @@ class TestPolicyExpectedDisvalue:
         spec = scenario_spec("certainty_lottery")
         curve = scenario_curve(spec.bins, spec.cells)
         values = OutcomeValues(v_tp=1, v_fp=0, v_tn=1, v_fn=0)
-        assessment = policy_expected_disvalue(
-            curve, ThresholdPolicy.uniform(0.5), values
-        )
+        assessment = assess(curve, ThresholdPolicy.uniform(0.5), values)
         assert assessment.total.realized_value == len(records(spec.cells)) * values.v_tn
         assert assessment.total.expected_disvalue == 0.0
 
     def test_totals_are_group_sums(self):
         spec = scenario_spec("compas_synthetic")
         curve = scenario_curve(spec.bins, spec.cells)
-        a = policy_expected_disvalue(
+        a = assess(
             curve, ThresholdPolicy.uniform(0.5), OutcomeValues(1, 0, 1, 0)
         )
         total = a.total
@@ -217,6 +215,15 @@ class TestPolicyExpectedDisvalue:
             sum(g.expected_value for g in a.per_group.values())
         )
 
+    def test_matrices_and_best_must_name_the_same_groups(self):
+        spec = scenario_spec("compas_synthetic")
+        curve = scenario_curve(spec.bins, spec.cells)
+        matrices = {g: curve.confusion(g, 0.5) for g in curve.groups}
+        a, b = curve.groups
+        for best in ({a: matrices[a]}, {**matrices, "c": matrices[a]}):
+            with pytest.raises(ValidationError, match="different groups"):
+                policy_expected_disvalue(matrices, best, ASYMMETRIC)
+
     @pytest.mark.parametrize("scenario", ["stride_height", "compas_synthetic"])
     def test_uniform_p_star_minimizes_expected_disvalue(self, scenario):
         # Exhaustive threshold sweep: no uniform threshold beats p*.
@@ -224,7 +231,7 @@ class TestPolicyExpectedDisvalue:
         curve = scenario_curve(spec.bins, spec.cells)
         values = OutcomeValues(1, 0, 1, 0)
         p_star = optimal_threshold(values)
-        best = policy_expected_disvalue(
+        best = assess(
             curve, ThresholdPolicy.uniform(p_star), values
         ).total.expected_disvalue
         candidates = {i / 100 for i in range(101)}
@@ -234,7 +241,7 @@ class TestPolicyExpectedDisvalue:
             for cell in cells
         )
         for t in sorted(candidates):
-            cost = policy_expected_disvalue(
+            cost = assess(
                 curve, ThresholdPolicy.uniform(t), values
             ).total.expected_disvalue
             assert cost >= best - 1e-9
@@ -250,6 +257,6 @@ def test_value_sums_past_the_largest_float_are_rejected():
     policy = ThresholdPolicy.uniform(0.5)
     assert values.value_of(curve.confusion("a", 0.5)) == 1e308
     with pytest.raises(ValidationError, match="rescale --values"):
-        policy_expected_disvalue(curve, policy, values)
+        assess(curve, policy, values)
     with pytest.raises(ValidationError, match="rescale --values"):
         equalize_fpr(curve, policy, tolerance=1e-9, values=values)
