@@ -190,10 +190,7 @@ def _base_report(
     else:
         try:
             impossibility = impossibility_check(
-                curve,
-                next(iter(thresholds.values())),
-                calib_tolerance=tolerance,
-                notes=notes,
+                curve, groups, calib_tolerance=tolerance, notes=notes
             )
         except AuditError as exc:
             notes.append(f"Impossibility check skipped: {exc}")

@@ -35,13 +35,13 @@ class EqualizationResult(NamedTuple):
 
 
 class ImpossibilityVerdict(NamedTuple):
-    """Outcome of checking the central impossibility on a two-group
-    population: when the groups are calibrated, their base rates differ and
-    the higher-base-rate group dominates the other in likelihood ratio, the
+    """Outcome of checking the central impossibility on a pair of groups:
+    when the groups are calibrated, their base rates differ and the
+    higher-base-rate group dominates the other in likelihood ratio, the
     higher-base-rate group has the higher FPR at every uniform threshold.
 
     ``ordering_holds`` is asserted only when ``applicable`` is true, i.e.
-    the population is calibrated within tolerance, base rates differ, the
+    the pair is calibrated within tolerance, base rates differ, the
     threshold splits each group's bins nontrivially, and the dominance
     holds. Calibration and unequal base rates alone do not order the FPRs.
     """
@@ -120,7 +120,7 @@ def equalize_fpr(
         # baseline threshold, so an already-equal group is left untouched,
         # and then toward the lower threshold. No two keys are equal.
         thresholds[g], chosen[g] = min(
-            ((t, curve.confusion(g, t))
+            ((t, baseline[g] if t == t0 else curve.confusion(g, t))
              for t in {0.0, 1.0, t0, *curve.cut_points(g)}),
             key=lambda tc: (gap(tc[1]), abs(tc[0] - t0), tc[0]),
         )
@@ -152,34 +152,30 @@ def equalize_fpr(
 
 def impossibility_check(
     curve: CalibrationCurve,
-    uniform_threshold: float,
+    matrices: Mapping[str, ConfusionMatrix],
     calib_tolerance: float = 1e-9,
     notes: list[str] | None = None,
 ) -> ImpossibilityVerdict:
-    """Check the central impossibility on a two-group population.
-
-    With more than two groups, the ``audit`` and ``equalize`` reports skip
-    it and say so in a note. When every precondition but the
-    likelihood-ratio dominance holds, a note naming the bins where it fails
-    is appended to ``notes``.
+    """Check the central impossibility on a pair of groups of ``curve``:
+    the two keys of ``matrices``, which maps each to its confusion matrix
+    at one uniform threshold. The uniform threshold is the caller's
+    precondition; the ``audit`` and ``equalize`` reports enforce it, and
+    skip the check, with a note, on more than two groups. When every
+    precondition but the likelihood-ratio dominance holds, a note naming
+    the bins where it fails is appended to ``notes``.
     """
     if not calib_tolerance >= 0:
         raise ValidationError("calibration tolerance must be nonnegative")
-    if not 0.0 <= uniform_threshold <= 1.0:
+    if len(matrices) != 2:
         raise ValidationError(
-            f"threshold {uniform_threshold!r} outside [0, 1]"
+            f"impossibility check is pairwise; got {len(matrices)} groups"
         )
-    groups = curve.groups
-    if len(groups) != 2:
-        raise ValidationError(
-            f"impossibility check is pairwise; got {len(groups)} groups"
-        )
-    gap = calibration_gap(curve, *groups)
+    a, b = matrices
+    gap = calibration_gap(curve, a, b)
     rates: dict[str, float] = {}
     fprs: dict[str, float] = {}
     split = True
-    for g in groups:
-        cm = curve.confusion(g, uniform_threshold)
+    for g, cm in matrices.items():
         rates[g] = cm.base_rate
         fpr = cm.fpr
         if fpr is None:
@@ -191,7 +187,6 @@ def impossibility_check(
             split = False
 
     calibrated = gap <= calib_tolerance
-    a, b = groups
     higher = None
     if rates[a] != rates[b]:
         higher = a if rates[a] > rates[b] else b

@@ -1,7 +1,7 @@
 """Test helpers shared by the suite and by ``tests/test_golden.py`` run as a
 script: the per-record view of declared counts, which the tests' oracles
-walk, the one writer of CSV input, and a policy's value assessment read off
-a curve.
+walk, the one writer of CSV input, and a policy's value assessment and a
+pair's impossibility verdict read off a curve.
 
 Counts are declared as (group, score, positives, negatives) entries, the
 shape of ``ScenarioSpec.cells``; a record is a (group, score, positive)
@@ -9,7 +9,11 @@ tuple.
 """
 import csv
 
-from fairaudit import optimal_threshold, policy_expected_disvalue
+from fairaudit import (
+    impossibility_check,
+    optimal_threshold,
+    policy_expected_disvalue,
+)
 
 
 def records(entries):
@@ -81,4 +85,15 @@ def assess(curve, policy, values):
         {g: curve.confusion(g, policy.threshold_for(g)) for g in curve.groups},
         {g: curve.confusion(g, p_star) for g in curve.groups},
         values,
+    )
+
+
+def check_pair(curve, threshold, *pair, **options):
+    """``impossibility_check`` of a pair of groups at one uniform threshold:
+    each group's confusion matrix there. The pair defaults to the curve's
+    groups; ``options`` are the check's keyword arguments."""
+    return impossibility_check(
+        curve,
+        {g: curve.confusion(g, threshold) for g in pair or curve.groups},
+        **options,
     )

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assess, entries_of, keyed_cells, tally
+from conftest import assess, check_pair, entries_of, keyed_cells, tally
 from fairaudit import (
     SYMMETRIC_VALUES,
     BinScheme,
@@ -22,7 +22,6 @@ from fairaudit import (
     calibration_gap,
     curve_from_counts,
     equalize_fpr,
-    impossibility_check,
     optimal_threshold,
     scenario_curve,
     scenario_spec,
@@ -357,7 +356,7 @@ def test_post_curve_quantities_never_rebin_a_record(monkeypatch):
             calibration_gap(curve, *curve.groups),
             assess(curve, policy, SYMMETRIC_VALUES),
             equalize_fpr(curve, policy, tolerance=1e-9),
-            impossibility_check(curve, spec.threshold),
+            check_pair(curve, spec.threshold),
         )
 
     expected = run(scenario_curve(spec.bins, spec.cells))
@@ -396,8 +395,9 @@ def test_post_curve_work_reads_each_cell_a_few_times(monkeypatch):
 
 
 def test_report_checks_group_membership_without_scanning_the_groups():
-    # A scan of curve.groups per group would make the report quadratic in
-    # the number of groups: 2000 groups would compare ~2 million entries.
+    # A scan of curve.groups per group would make the report or the
+    # equalization search quadratic in the number of groups: 2000 groups
+    # would compare ~2 million entries.
     counts = [(f"g{g:04d}", b, 1, 1 + (g + b) % 3)
               for g in range(2000) for b in range(2)]
     curve = curve_from_counts(BinScheme(edges=(0.0, 1.0, 2.0)), counts)
@@ -415,4 +415,5 @@ def test_report_checks_group_membership_without_scanning_the_groups():
     curve.__dict__["groups"] = ScanCountingTuple(curve.groups)
     policy = ThresholdPolicy.uniform(0.5)
     _base_report(curve, False, policy, SYMMETRIC_VALUES, False, 1e-9, [])
+    equalize_fpr(curve, policy, tolerance=1e-9)
     assert scanned <= 2 * len(curve.groups)

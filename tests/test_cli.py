@@ -442,17 +442,20 @@ def test_commands_keep_one_cell_table(tmp_path, monkeypatch):
         assert "cells" not in vars(report.curve)
 
 
-@pytest.mark.parametrize("values,thresholds", [
-    (None, [0.5]),
+@pytest.mark.parametrize("csv,groups,values,thresholds", [
+    pytest.param("{csv4}", "abcd", None, [0.5], id="None-thresholds0"),
     # p* = (3 - -1) / ((3 - -1) + (2 - 0)) = 2/3.
-    ("2,-1,3,0", [0.5, 2 / 3]),
+    pytest.param("{csv4}", "abcd", "2,-1,3,0", [0.5, 2 / 3],
+                 id="2,-1,3,0-thresholds1"),
+    # Two groups run the impossibility check, on the same matrices.
+    pytest.param("{csv}", "ab", None, [0.5], id="two-groups"),
 ])
 def test_audit_builds_each_group_matrix_once_per_threshold(
-    tmp_path, monkeypatch, values, thresholds
+    tmp_path, monkeypatch, csv, groups, values, thresholds
 ):
     # The report's group matrices at the policy threshold are also the
     # assessment's; a matrix at p* is built only where p* differs from it.
-    # The four groups skip the pairwise impossibility check.
+    # Four groups skip the pairwise impossibility check.
     builds = Counter()
     confusion = CalibrationCurve.confusion
 
@@ -461,15 +464,13 @@ def test_audit_builds_each_group_matrix_once_per_threshold(
         return confusion(self, group, threshold)
 
     monkeypatch.setattr(CalibrationCurve, "confusion", counted)
-    argv = ["audit", "--input", dataset_csvs(tmp_path)["{csv4}"],
+    argv = ["audit", "--input", dataset_csvs(tmp_path)[csv],
             "--bins", TENTHS, "--threshold", "p=0.5",
             "--out", str(tmp_path / "report.md")]
     if values is not None:
         argv.append(f"--values={values}")
     assert main(argv) == EXIT_OK
-    assert builds == Counter({
-        (g, t): 1 for g in ("a", "b", "c", "d") for t in thresholds
-    })
+    assert builds == Counter({(g, t): 1 for g in groups for t in thresholds})
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import keyed_cells, records
+from conftest import check_pair, keyed_cells, records
 from fairaudit import (
     AuditError,
     BinScheme,
@@ -9,7 +9,6 @@ from fairaudit import (
     curve_from_counts,
     equalize_fpr,
     fair_lottery,
-    impossibility_check,
     individual_error_risk,
     scenario_curve,
     scenario_spec,
@@ -37,7 +36,7 @@ class TestImpossibilityCheck:
     def test_stride_ordering(self):
         spec = scenario_spec("stride_height")
         curve = scenario_curve(spec.bins, spec.cells)
-        verdict = impossibility_check(curve, spec.threshold)
+        verdict = check_pair(curve, spec.threshold)
         assert verdict.calibrated
         assert verdict.higher_base_rate_group == "men"
         assert verdict.applicable
@@ -48,7 +47,7 @@ class TestImpossibilityCheck:
     def test_section_grades_ordering(self):
         spec = scenario_spec("section_grades")
         curve = scenario_curve(spec.bins, spec.cells)
-        verdict = impossibility_check(
+        verdict = check_pair(
             curve, spec.threshold, calib_tolerance=spec.calib_tolerance
         )
         assert verdict.applicable
@@ -59,7 +58,7 @@ class TestImpossibilityCheck:
     def test_miscalibrated_population_not_applicable(self):
         spec = scenario_spec("miscalibrated_compas")
         curve = scenario_curve(spec.bins, spec.cells)
-        verdict = impossibility_check(curve, spec.threshold)
+        verdict = check_pair(curve, spec.threshold)
         assert not verdict.calibrated
         assert not verdict.applicable
         assert verdict.calibration_gap == pytest.approx(0.20)
@@ -68,10 +67,16 @@ class TestImpossibilityCheck:
     def test_rejects_bad_calibration_tolerance(self, tolerance):
         spec = scenario_spec("stride_height")
         with pytest.raises(ValidationError, match="tolerance"):
-            impossibility_check(
+            check_pair(
                 scenario_curve(spec.bins, spec.cells), spec.threshold,
                 calib_tolerance=tolerance,
             )
+
+    def test_matrices_name_a_pair(self):
+        spec = scenario_spec("stride_height")
+        curve = scenario_curve(spec.bins, spec.cells)
+        with pytest.raises(ValidationError, match="pairwise; got 1 groups"):
+            check_pair(curve, spec.threshold, "men")
 
     def test_requires_exactly_two_groups(self):
         spec = scenario_spec("stride_height")
@@ -82,7 +87,7 @@ class TestImpossibilityCheck:
     def test_fprs_match_direct_counts(self):
         spec = scenario_spec("compas_synthetic")
         curve = scenario_curve(spec.bins, spec.cells)
-        verdict = impossibility_check(
+        verdict = check_pair(
             curve, spec.threshold, calib_tolerance=spec.calib_tolerance
         )
         for g in curve.groups:
@@ -116,6 +121,25 @@ def calibrated_tables(draw):
     return BinScheme(edges=tuple(range(len(fractions) + 1))), entries
 
 
+@st.composite
+def tables_with_a_third_group(draw):
+    """(bins, entries): a calibrated table of groups a and b, and a group c
+    over the same bins whose positives and negatives per bin are drawn
+    freely, so that it is seldom calibrated with either."""
+    bins, entries = draw(calibrated_tables())
+    third = [
+        ("c", j, positives, negatives)
+        for j in range(len(bins.edges) - 1)
+        for positives, negatives in [
+            draw(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                 label=f"c{j}")
+        ]
+        if positives + negatives
+    ]
+    assume(third)
+    return bins, entries + third
+
+
 @settings(max_examples=300, deadline=None)
 @given(calibrated_tables(), st.data())
 def test_applicable_verdict_always_finds_the_ordering(table, data):
@@ -125,10 +149,27 @@ def test_applicable_verdict_always_finds_the_ordering(table, data):
     threshold = data.draw(
         st.sampled_from(p_scores) | st.floats(0.0, 1.0), label="threshold"
     )
-    verdict = impossibility_check(curve, threshold)
+    verdict = check_pair(curve, threshold)
     assert verdict.calibrated
     if verdict.applicable:
         assert verdict.ordering_holds, verdict
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_with_a_third_group(), st.data())
+def test_a_pairs_verdict_depends_only_on_that_pair(table, data):
+    bins, entries = table
+    three = curve_from_counts(bins, entries)
+    two = curve_from_counts(bins, [e for e in entries if e[0] != "c"])
+    p_scores = sorted({cell.p_score for cell in keyed_cells(two).values()})
+    threshold = data.draw(
+        st.sampled_from(p_scores) | st.floats(0.0, 1.0), label="threshold"
+    )
+    notes_three: list[str] = []
+    notes_two: list[str] = []
+    verdict = check_pair(three, threshold, "a", "b", notes=notes_three)
+    assert verdict == check_pair(two, threshold, notes=notes_two)
+    assert notes_three == notes_two
 
 
 class TestEqualizeFpr:
