@@ -5,7 +5,8 @@ Input is comma-delimited UTF-8 with a header row; outcomes are encoded 0/1
 not parse aborts with its row number, because silently dropping rows would
 corrupt base rates. One parse loop runs every check and tallies the rows
 per group and bin; :func:`ingest_csv` hands those tallies, not the rows, to
-the curve constructor.
+the curve constructor, and keeps them in a cache keyed by the file's
+content (see :mod:`fairaudit.cellcache`) for the next run on the same file.
 """
 from __future__ import annotations
 
@@ -50,13 +51,30 @@ _id_hash = hash
 def ingest_csv(config: DatasetConfig) -> CalibrationCurve:
     """Stream a dataset into its calibration curve, keeping only the
     per-(group, bin) counts. Raises IngestError naming the file line of the
-    first row that fails a check (see :func:`_count_cells`)."""
+    first row that fails a check (see :func:`_count_cells`).
+
+    The counts of an input ingested before with the same settings come from
+    the cache of :mod:`fairaudit.cellcache` instead of a parse; only a
+    successful ingest is stored there."""
+    # Here, so that a scenario run never loads it.
+    from . import cellcache
+
+    path = config.path
     try:
+        # Checked before it is opened: opening a FIFO would block.
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise _unreadable(path)
+        key = cellcache.key_of(config)
+        tallies = cellcache.load(key, config.bins.n_bins)
+        if tallies is not None:
+            return curve_from_tallies(config.bins, tallies)
         tallies = _count_cells(config)
     except OSError as exc:
-        # A stat, open or read in any of _count_cells' passes over the file.
-        raise _unreadable(config.path, exc) from None
-    return curve_from_tallies(config.bins, tallies)
+        # A stat, open or read in any of the passes over the file.
+        raise _unreadable(path, exc) from None
+    curve = curve_from_tallies(config.bins, tallies)
+    cellcache.store(key, config, tallies)
+    return curve
 
 
 def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
@@ -66,7 +84,8 @@ def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
     A leading byte-order mark is ignored and blank lines are skipped. Every
     other row must have as many fields as the header, a finite score inside
     the bins' range, an outcome of 0 or 1, a nonempty group and an id no
-    earlier row has. Errors name the row by the file line it ends on.
+    earlier row has. Errors name the row by the file line it ends on. The
+    path must name a regular file (:func:`ingest_csv` checks it).
     """
     # Here, so that a scenario run never loads it.
     import csv
@@ -92,9 +111,6 @@ def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
     order = sys.byteorder
     digests = [bytearray() for _ in range(256)]
     try:
-        # Checked before it is opened: opening a FIFO would block.
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            raise _unreadable(path)
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])

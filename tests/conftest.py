@@ -1,7 +1,8 @@
 """Test helpers shared by the suite and by ``tests/test_golden.py`` run as a
 script: the per-record view of declared counts, which the tests' oracles
 walk, the one writer of CSV input, and a policy's value assessment and a
-pair's impossibility verdict read off a curve.
+pair's impossibility verdict read off a curve; and, for every test, a
+cell-table cache of its own.
 
 Counts are declared as (group, score, positives, negatives) entries, the
 shape of ``ScenarioSpec.cells``; a record is a (group, score, positive)
@@ -9,11 +10,21 @@ tuple.
 """
 import csv
 
+import pytest
+
 from fairaudit import (
     impossibility_check,
     optimal_threshold,
     policy_expected_disvalue,
 )
+
+
+@pytest.fixture(autouse=True)
+def private_cache(tmp_path, monkeypatch):
+    """Point the cell-table cache at the test's own empty directory: no test
+    reads or fills the user's cache, and the first ingest of each file in a
+    test parses it."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg-cache"))
 
 
 def records(entries):

@@ -61,6 +61,36 @@ class TestParseBins:
     def test_negative_and_exponent_bounds(self):
         assert parse_bins("-3--1,-1-2").edges == (-3.0, -1.0, 2.0)
         assert parse_bins("0-1e-05,1e-05-1").edges == (0.0, 1e-05, 1.0)
+
+
+class TestValuesThatStartWithAMinus:
+    # argparse takes a separate argument that starts with '-' (and is not a
+    # plain negative number) for a flag, so such a value needs the '=' form.
+    @pytest.fixture
+    def negative_csv(self, tmp_path):
+        return write_csv(tmp_path / "negative.csv",
+                         [("a", -2.0, 1, 1), ("a", 0.5, 1, 1),
+                          ("b", -2.5, 0, 2), ("b", 1.0, 2, 1)])
+
+    def test_equals_forms_exit_0(self, negative_csv, tmp_path):
+        out = ["--out", str(tmp_path / "report.md")]
+        for command in ("audit", "equalize"):
+            dataset = [command, "--input", negative_csv, "--bins=-3--1,-1-2"]
+            assert main([*dataset, *out]) == EXIT_OK
+            assert main([*dataset, "--values=-1,-5,0,-3", *out]) == EXIT_OK
+
+    @pytest.mark.parametrize("flags", [
+        ["--bins", "-3--1,-1-2"],
+        ["--bins=-3--1,-1-2", "--values", "-1,-5,0,-3"],
+    ])
+    def test_space_separated_forms_exit_2(self, negative_csv, capsys, flags):
+        with pytest.raises(SystemExit) as exit_:
+            main(["audit", "--input", negative_csv, *flags])
+        assert exit_.value.code == 2
+        flag = flags[-2]
+        assert f"argument {flag}: expected one argument" in (
+            capsys.readouterr().err
+        )
         assert parse_bins("-1e+2--5e1=lo,-50-0=hi").edges == (-100.0, -50.0, 0.0)
 
     def test_gap_belongs_to_the_segment_below(self):
@@ -554,6 +584,23 @@ def test_scenario_loads_no_csv_decimal_or_generator(tmp_path):
     # which a scenario run never calls.
     watched = ("csv", "decimal", *_JSON_REPORT_AND_ARRAY, *_PATHLIB)
     assert _modules_loaded_by(argv, watched) == "[]"
+
+
+def test_scenario_loads_no_cache_code(tmp_path):
+    # The cell-table cache is imported by the function that ingests a file.
+    argv = ["scenario", "stride_height", "--out", str(tmp_path / "report.md")]
+    assert _modules_loaded_by(argv, ("fairaudit.cellcache",)) == "[]"
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("audit", "md"), ("audit", "json"), ("equalize", "md"),
+])
+def test_no_command_loads_hashlib(compas_csv, tmp_path, command, fmt):
+    # Importing hashlib loads OpenSSL; the cache sums its input with zlib.
+    argv = [command, "--input", compas_csv, "--bins", COMPAS_BINS,
+            "--format", fmt, "--out", str(tmp_path / "report")]
+    for _ in range(2):  # a miss, then a hit
+        assert _modules_loaded_by(argv, ("hashlib",)) == "[]"
 
 
 def test_package_import_loads_no_submodule():
