@@ -61,6 +61,11 @@ class TestParseBins:
     def test_negative_and_exponent_bounds(self):
         assert parse_bins("-3--1,-1-2").edges == (-3.0, -1.0, 2.0)
         assert parse_bins("0-1e-05,1e-05-1").edges == (0.0, 1e-05, 1.0)
+        assert parse_bins("-1e+2--5e1=lo,-50-0=hi").edges == (-100.0, -50.0, 0.0)
+
+    def test_gap_belongs_to_the_segment_below(self):
+        bins = parse_bins(COMPAS_BINS)
+        assert bins.label(bins.bin_of(4.5)) == "low"
 
 
 class TestValuesThatStartWithAMinus:
@@ -91,11 +96,6 @@ class TestValuesThatStartWithAMinus:
         assert f"argument {flag}: expected one argument" in (
             capsys.readouterr().err
         )
-        assert parse_bins("-1e+2--5e1=lo,-50-0=hi").edges == (-100.0, -50.0, 0.0)
-
-    def test_gap_belongs_to_the_segment_below(self):
-        bins = parse_bins(COMPAS_BINS)
-        assert bins.label(bins.bin_of(4.5)) == "low"
 
 
 class TestParseValues:
