@@ -2,10 +2,10 @@
 counts, so that an input audited again is not parsed again.
 
 A table depends only on the input's bytes and the ingest settings, and is
-stored under a key of both: the input's size, CRC-32 and Adler-32, the four
-column names, the bin edges, the entry format, the package version, and the
-size and modification time of the modules that compute the table (editing
-one invalidates every entry). Entries live in ``$XDG_CACHE_HOME/fairaudit``
+stored under a key of both: the input's BLAKE2b digest, the four column
+names, the bin edges, the entry format, the package version, and the size
+and modification time of the modules that compute the table (editing one
+invalidates every entry). Entries live in ``$XDG_CACHE_HOME/fairaudit``
 (``~/.cache/fairaudit`` by default), a directory of mode 0o700, at most
 :data:`MAX_ENTRIES` of them; storing one more removes the oldest.
 
@@ -16,6 +16,7 @@ message never depends on what the cache holds.
 """
 from __future__ import annotations
 
+import marshal
 import os
 import stat
 import zlib
@@ -23,23 +24,41 @@ import zlib
 from . import __version__, domain, ingest
 from .metrics import Tallies
 
+try:
+    # The digest hashlib would give, without the OpenSSL that hashlib loads.
+    from _blake2 import blake2b
+except ImportError:  # a build without it caches nothing
+    blake2b = None
+
 #: Names the layout of an entry; part of every key.
-FORMAT = "fairaudit cell table 1"
+FORMAT = "fairaudit cell table 2"
 
 #: Entries kept in the cache directory.
 MAX_ENTRIES = 64
+
+#: Bytes of the BLAKE2b digest of an input.
+DIGEST_BYTES = 32
 
 #: Bytes read at a time when summing an input.
 _CHUNK_BYTES = 1 << 16
 
 
-def key_of(config: ingest.DatasetConfig) -> str | None:
-    """The cache key of ingesting ``config``, or None when the modules that
-    compute the table cannot be stat'ed (then nothing is cached).
+def key_of(config: ingest.DatasetConfig) -> tuple | None:
+    """The cache key of ingesting ``config``, its first item the input's
+    digest; or None when nothing can be cached (no BLAKE2b, or the modules
+    that compute the table cannot be stat'ed).
 
     Reads the whole input; an OSError doing so is the input's and is
     raised."""
-    digest = _content_digest(config.path)
+    if blake2b is None:
+        return None
+    summed = blake2b(digest_size=DIGEST_BYTES)
+    buffer = bytearray(_CHUNK_BYTES)
+    view = memoryview(buffer)
+    with open(config.path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buffer):
+            summed.update(view[:n])
+    digest = summed.digest()
     try:
         code = tuple(
             (st.st_size, st.st_mtime_ns)
@@ -47,56 +66,44 @@ def key_of(config: ingest.DatasetConfig) -> str | None:
         )
     except OSError:
         return None
-    # repr escapes line breaks, so the key is one line of an entry.
-    return repr((
-        FORMAT, __version__, code, digest, config.id_col, config.group_col,
+    return (
+        digest, FORMAT, __version__, code, config.id_col, config.group_col,
         config.score_col, config.outcome_col, config.bins.edges,
-    ))
+    )
 
 
-def load(key: str | None, n_bins: int) -> dict[str, Tallies] | None:
+def load(key: tuple | None) -> dict[str, Tallies] | None:
     """The tallies stored under ``key``, or None on a miss."""
     if key is None:
         return None
     try:
         path = os.path.join(_directory(create=False), _entry_name(key))
         with open(path, "rb") as fh:
-            return _decode(fh.read(), key, n_bins)
-    except (OSError, ValueError):
+            data = fh.read()
+        body, crc = data[:-4], data[-4:]
+        if crc != zlib.crc32(body).to_bytes(4, "big"):
+            return None
+        stored_key, tallies = marshal.loads(body)
+    except (OSError, EOFError, ValueError, TypeError):
         return None
+    return tallies if stored_key == key else None
 
 
 def store(
-    key: str | None, config: ingest.DatasetConfig, tallies: dict[str, Tallies]
+    key: tuple | None, tallies: dict[str, Tallies], parsed: bytes
 ) -> None:
-    """Store the tallies parsed from ``config.path`` under ``key``, unless
-    the input changed since ``key`` was taken from it: then the tallies may
-    be of other bytes than the key's."""
-    if key is None:
+    """Store the tallies under ``key``, unless ``parsed``, the digest of the
+    bytes they were counted from, is not the key's: then the input changed
+    between the two reads."""
+    if key is None or key[0] != parsed:
         return
     try:
         directory = _directory(create=True)
-        if key_of(config) != key:
-            return
         path = os.path.join(directory, _entry_name(key))
         _write_replace(path, _encode(key, tallies))
         _evict(directory)
-    except (OSError, ValueError):
+    except OSError:
         pass
-
-
-def _content_digest(path: str) -> tuple[int, int, int]:
-    """(size, CRC-32, Adler-32) of the file's bytes."""
-    size, crc, adler = 0, 0, 1
-    buffer = bytearray(_CHUNK_BYTES)
-    view = memoryview(buffer)
-    with open(path, "rb", buffering=0) as fh:
-        while n := fh.readinto(buffer):
-            chunk = view[:n]
-            crc = zlib.crc32(chunk, crc)
-            adler = zlib.adler32(chunk, adler)
-            size += n
-    return size, crc, adler
 
 
 def _directory(create: bool) -> str:
@@ -117,53 +124,14 @@ def _directory(create: bool) -> str:
     return directory
 
 
-def _entry_name(key: str) -> str:
-    data = key.encode()
-    return f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
+def _entry_name(key: tuple) -> str:
+    return blake2b(repr(key).encode(), digest_size=16).hexdigest()
 
 
-def _encode(key: str, tallies: dict[str, Tallies]) -> bytes:
-    """An entry: the key's line, then one line per group (its label's
-    length, the label, and each nonempty cell's bin, positives and
-    negatives), then the CRC-32 of all of that in hex."""
-    lines = [key, "\n"]
-    for group, (positives, negatives) in tallies.items():
-        cells = " ".join(
-            f"{b} {positives.get(b, 0)} {negatives.get(b, 0)}"
-            for b in positives.keys() | negatives.keys()
-        )
-        lines.append(f"{len(group)} {group} {cells}\n")
-    data = "".join(lines).encode()
-    return data + b"%08x" % zlib.crc32(data)
-
-
-def _decode(data: bytes, key: str, n_bins: int) -> dict[str, Tallies] | None:
-    """The tallies of an entry, or None unless it is an intact entry of
-    ``key``. Raises ValueError for some entries that are not."""
-    body, crc = data[:-8], data[-8:]
-    if crc != b"%08x" % zlib.crc32(body):
-        return None
-    text = body.decode()
-    stored_key, _, text = text.partition("\n")
-    if stored_key != key:
-        return None
-    tallies: dict[str, Tallies] = {}
-    at = 0
-    while at < len(text):
-        space = text.index(" ", at)
-        end = space + 1 + int(text[at:space])
-        line_end = text.index("\n", end)
-        numbers = list(map(int, text[end:line_end].split()))
-        bins = numbers[0::3]
-        if (not numbers or len(numbers) % 3 or min(numbers) < 0
-                or max(bins) >= n_bins):
-            return None
-        # A zero count is kept; the curve leaves out a cell of no records.
-        tallies[text[space + 1:end]] = (
-            dict(zip(bins, numbers[1::3])), dict(zip(bins, numbers[2::3]))
-        )
-        at = line_end + 1
-    return tallies
+def _encode(key: tuple, tallies: dict[str, Tallies]) -> bytes:
+    """An entry: the key and the tallies, marshalled, then their CRC-32."""
+    data = marshal.dumps((key, tallies))
+    return data + zlib.crc32(data).to_bytes(4, "big")
 
 
 def _write_replace(path: str, data: bytes) -> None:

@@ -6,6 +6,7 @@ import errno
 import io
 import os
 import tempfile
+import zlib
 from pathlib import Path
 from unittest import mock
 
@@ -66,9 +67,9 @@ def parses(monkeypatch):
     """The path of each parse ``ingest_csv`` makes, in order."""
     calls = []
 
-    def counted(config):
+    def counted(config, summed=None):
         calls.append(config.path)
-        return _count_cells(config)
+        return _count_cells(config, summed)
 
     monkeypatch.setattr(ingest, "_count_cells", counted)
     return calls
@@ -173,11 +174,11 @@ class TestMisses:
         lambda data: data[:-1],
         lambda data: b"",
         lambda data: bytes(range(256)) * 4,
-        # One flipped bit in a count.
-        lambda data: data.replace(b" 2 1", b" 3 1", 1),
+        # One flipped bit in the last tally.
+        lambda data: data[:-6] + bytes([data[-6] ^ 1]) + data[-5:],
         # An intact entry of another key under this one's name.
-        lambda data: cellcache._encode("another key", {"a": ({0: 1}, {})}),
-    ], ids=["half", "last_byte_cut", "empty", "garbage", "flipped_count",
+        lambda data: cellcache._encode(("another key",), {"a": ({0: 1}, {})}),
+    ], ids=["half", "last_byte_cut", "empty", "garbage", "flipped_bit",
             "foreign"])
     def test_a_damaged_entry_is_a_miss_and_is_replaced(
         self, data_csv, parses, damage
@@ -281,19 +282,25 @@ def test_an_input_that_changes_during_the_parse_is_not_stored(
     data_csv, monkeypatch
 ):
     # The entry is stored under the key of the bytes read before the parse;
-    # tallies of other bytes are not.
+    # tallies of other bytes, here of an edit made after the key was taken,
+    # are not.
     config = DatasetConfig(data_csv, BINS)
 
-    def edited_after_parse(config):
-        tallies = _count_cells(config)
+    def edited_before_parse(config, summed=None):
         edit_in_place(config.path, b",1\r\n", b",0\r\n")
-        return tallies
+        return _count_cells(config, summed)
 
-    monkeypatch.setattr(ingest, "_count_cells", edited_after_parse)
-    before = ingest_csv(config)
+    original = Path(data_csv).read_bytes()
+    expected = parsed(config)
+    monkeypatch.setattr(ingest, "_count_cells", edited_before_parse)
+    edited = ingest_csv(config)
     monkeypatch.setattr(ingest, "_count_cells", _count_cells)
+    assert edited == parsed(config) != expected
     assert cached_files() == []
-    assert ingest_csv(config) == parsed(config) != before
+    # Stored under the key, the edit's tallies would be read for the
+    # original bytes.
+    Path(data_csv).write_bytes(original)
+    assert ingest_csv(config) == expected
 
 
 class TestCacheFailuresAreMisses:
@@ -385,6 +392,25 @@ def test_a_path_that_is_not_a_regular_file_is_never_opened(
     with pytest.raises(IngestError, match="^not a regular file: "):
         ingest_csv(DatasetConfig(str(tmp_path), BINS))
     assert opened == []
+
+
+def test_inputs_whose_checksums_collide_are_told_apart(
+    tmp_path, parses, monkeypatch
+):
+    # A file can be made on purpose to share its size, CRC-32 and Adler-32
+    # with another. Here every input shares them; a second file is still a
+    # miss, because the key holds the input's BLAKE2b digest.
+    monkeypatch.setattr(zlib, "crc32", lambda data, value=0: 0)
+    monkeypatch.setattr(zlib, "adler32", lambda data, value=1: 1)
+    first = write_csv(tmp_path / "first.csv", ENTRIES)
+    # One outcome flipped: the same size, and the same ids.
+    second = write_csv(tmp_path / "second.csv",
+                       [*ENTRIES[:-1], ("b", 9.0, 2, 0)])
+    assert os.path.getsize(first) == os.path.getsize(second)
+    first_curve = ingest_csv(DatasetConfig(first, BINS))
+    config = DatasetConfig(second, BINS)
+    assert ingest_csv(config) == parsed(config) != first_curve
+    assert parses == [first, second]
 
 
 def test_entries_are_capped_and_the_oldest_go(tmp_path, parses, monkeypatch):
