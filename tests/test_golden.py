@@ -11,6 +11,7 @@ After a deliberate output change, regenerate them with
 """
 import contextlib
 import io
+import os
 import pathlib
 import tempfile
 
@@ -86,6 +87,9 @@ def test_cli_output_matches_golden(name, argv, fmt, tmp_path):
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
+        # A cell-table cache of this run's own, as each test has one: the
+        # user's is neither read nor filled.
+        os.environ["XDG_CACHE_HOME"] = os.path.join(tmp, "xdg-cache")
         csvs = dataset_csvs(pathlib.Path(tmp))
         for name, argv in CASES:
             for fmt in FORMATS:
