@@ -36,23 +36,20 @@ FORMAT = "fairaudit cell table 2"
 #: Entries kept in the cache directory.
 MAX_ENTRIES = 64
 
-#: Bytes of the BLAKE2b digest of an input.
-DIGEST_BYTES = 32
-
 #: Bytes read at a time when summing an input.
 _CHUNK_BYTES = 1 << 16
 
 
 def key_of(config: ingest.DatasetConfig) -> tuple | None:
-    """The cache key of ingesting ``config``, its first item the input's
-    digest; or None when nothing can be cached (no BLAKE2b, or the modules
-    that compute the table cannot be stat'ed).
+    """The cache key of ingesting ``config``, or None when nothing can be
+    cached (no BLAKE2b, or the modules that compute the table cannot be
+    stat'ed).
 
     Reads the whole input; an OSError doing so is the input's and is
     raised."""
     if blake2b is None:
         return None
-    summed = blake2b(digest_size=DIGEST_BYTES)
+    summed = blake2b(digest_size=32)
     buffer = bytearray(_CHUNK_BYTES)
     view = memoryview(buffer)
     with open(config.path, "rb", buffering=0) as fh:
@@ -90,15 +87,18 @@ def load(key: tuple | None) -> dict[str, Tallies] | None:
 
 
 def store(
-    key: tuple | None, tallies: dict[str, Tallies], parsed: bytes
+    key: tuple | None, config: ingest.DatasetConfig,
+    tallies: dict[str, Tallies],
 ) -> None:
-    """Store the tallies under ``key``, unless ``parsed``, the digest of the
-    bytes they were counted from, is not the key's: then the input changed
-    between the two reads."""
-    if key is None or key[0] != parsed:
+    """Store the tallies parsed from ``config.path`` under ``key``, unless
+    the input changed since ``key`` was taken from it: then the tallies may
+    be of other bytes than the key's."""
+    if key is None:
         return
     try:
         directory = _directory(create=True)
+        if key_of(config) != key:
+            return
         path = os.path.join(directory, _entry_name(key))
         _write_replace(path, _encode(key, tallies))
         _evict(directory)

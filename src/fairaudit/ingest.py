@@ -11,7 +11,6 @@ content (see :mod:`fairaudit.cellcache`) for the next run on the same file.
 from __future__ import annotations
 
 import codecs
-import io
 import math
 import os
 import stat
@@ -69,25 +68,18 @@ def ingest_csv(config: DatasetConfig) -> CalibrationCurve:
         tallies = cellcache.load(key)
         if tallies is not None:
             return curve_from_tallies(config.bins, tallies)
-        # The parse sums what it reads, so that only a table of the key's
-        # bytes is stored.
-        summed = None if key is None else cellcache.blake2b(
-            digest_size=cellcache.DIGEST_BYTES
-        )
-        tallies = _count_cells(config, summed)
+        tallies = _count_cells(config)
     except OSError as exc:
         # A stat, open or read in any of the passes over the file.
         raise _unreadable(path, exc) from None
     curve = curve_from_tallies(config.bins, tallies)
-    if summed is not None:
-        cellcache.store(key, tallies, summed.digest())
+    cellcache.store(key, config, tallies)
     return curve
 
 
-def _count_cells(config: DatasetConfig, summed=None) -> dict[str, Tallies]:
+def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
     """Tally the data rows into group -> (positives_by_bin, negatives_by_bin),
-    each a dict of bin index -> rows. Each byte read is also passed to
-    ``summed.update``, when ``summed`` (a digest) is given.
+    each a dict of bin index -> rows.
 
     A leading byte-order mark is ignored and blank lines are skipped. Every
     other row must have as many fields as the header, a finite score inside
@@ -119,12 +111,7 @@ def _count_cells(config: DatasetConfig, summed=None) -> dict[str, Tallies]:
     order = sys.byteorder
     digests = [bytearray() for _ in range(256)]
     try:
-        raw = open(path, "rb", buffering=0)
-        if summed is not None:
-            raw = _Summing(raw, summed)
-        with io.TextIOWrapper(
-            io.BufferedReader(raw), encoding="utf-8-sig", newline=""
-        ) as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             id_at, group_at, score_at, outcome_at = (
@@ -200,26 +187,6 @@ def _count_cells(config: DatasetConfig, summed=None) -> dict[str, Tallies]:
     if not any(digests):
         raise IngestError(f"{path}: no data rows")
     return tallies
-
-
-class _Summing(io.RawIOBase):
-    """A binary file, read through; each byte read also goes to a digest."""
-
-    def __init__(self, raw: io.RawIOBase, summed) -> None:
-        self._raw, self._summed = raw, summed
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int | None:
-        n = self._raw.readinto(buffer)
-        if n:
-            self._summed.update(memoryview(buffer)[:n])
-        return n
-
-    def close(self) -> None:
-        self._raw.close()
-        super().close()
 
 
 def _unreadable(path: str, exc: OSError | None = None) -> IngestError:

@@ -68,9 +68,9 @@ def parses(monkeypatch):
     """The path of each parse ``ingest_csv`` makes, in order."""
     calls = []
 
-    def counted(config, summed=None):
+    def counted(config):
         calls.append(config.path)
-        return _count_cells(config, summed)
+        return _count_cells(config)
 
     monkeypatch.setattr(ingest, "_count_cells", counted)
     return calls
@@ -295,9 +295,9 @@ def test_an_input_that_changes_during_the_parse_is_not_stored(
     # are not.
     config = DatasetConfig(data_csv, BINS)
 
-    def edited_before_parse(config, summed=None):
+    def edited_before_parse(config):
         edit_in_place(config.path, b",1\r\n", b",0\r\n")
-        return _count_cells(config, summed)
+        return _count_cells(config)
 
     original = Path(data_csv).read_bytes()
     expected = parsed(config)
