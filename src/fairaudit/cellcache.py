@@ -56,10 +56,10 @@ def key_of(config: ingest.DatasetConfig) -> tuple | None:
         while n := fh.readinto(buffer):
             summed.update(view[:n])
     digest = summed.digest()
+    modules = (ingest.__file__, domain.__file__, __file__)
     try:
         code = tuple(
-            (st.st_size, st.st_mtime_ns)
-            for st in map(os.stat, (ingest.__file__, domain.__file__, __file__))
+            (st.st_size, st.st_mtime_ns) for st in map(os.stat, modules)
         )
     except OSError:
         return None
