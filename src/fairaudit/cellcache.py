@@ -10,9 +10,10 @@ invalidates every entry). Entries live in ``$XDG_CACHE_HOME/fairaudit``
 :data:`MAX_ENTRIES` of them; storing one more removes the oldest.
 
 Every failure of the cache is a miss: a missing, unwritable or foreign
-directory, or an entry that is missing, truncated or corrupt. A miss parses
-the input as if there were no cache, so a report, an exit code or an error
-message never depends on what the cache holds.
+directory, a home directory that is not an absolute path, or an entry that
+is missing, truncated or corrupt. A miss parses the input as if there were
+no cache, so a report, an exit code or an error message never depends on
+what the cache holds.
 """
 from __future__ import annotations
 
@@ -109,10 +110,13 @@ def store(
 def _directory(create: bool) -> str:
     """The cache directory, made with mode 0o700 if ``create``. Raises
     OSError unless it is a directory of this user's that no one else may
-    read or write."""
+    read or write, or when the home directory it falls back to is not an
+    absolute path."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.join(os.path.expanduser("~"), ".cache")
+        if not os.path.isabs(base):
+            raise OSError(f"home directory is not absolute: {base}")
     directory = os.path.join(base, "fairaudit")
     if create:
         os.makedirs(directory, mode=0o700, exist_ok=True)

@@ -1,24 +1,46 @@
 """The worked examples' fixtures, declared as exact integer counts, never
 sampled: their published statistics are bookkeeping identities and must
-reproduce exactly. Only :func:`fairaudit.scenarios.scenario_spec` imports
-this module, so a command that runs no scenario never compiles it.
+reproduce exactly. :data:`SPECS` maps each scenario's name to its spec.
+Only :func:`fairaudit.scenarios.scenario_spec` imports this module, so a
+command that runs no scenario never compiles it.
 """
 from .domain import BinScheme
 from .parity import LOWER_OTHERS, RAISE_OTHERS
-from .scenarios import (
-    CERTAINTY_LOTTERY, COMPAS_BENEFIT, COMPAS_SYNTHETIC, MISCALIBRATED_COMPAS,
-    SECTION_GRADES, STRIDE_HEIGHT, Check, ScenarioSpec,
+from .scenarios import Check, ScenarioSpec
+
+# Integer completion of the published aggregates, anchored on the exact
+# false-positive counts 805/1795 and 349/1488. Positive totals chosen so
+# every published rate reproduces under the report's rounding:
+#   black: 1868 positives -> base rate 1868/3663 = .50996, fnr 523/1868 = .27998
+#   white:  951 positives -> base rate  951/2439 = .38991, fnr 454/951  = .47739
+_COMPAS_COUNTS = {
+    "black": {"tp": 1345, "fp": 805, "tn": 990, "fn": 523},
+    "white": {"tp": 497, "fp": 349, "tn": 1139, "fn": 454},
+}
+
+#: Integer scores 1..10, one bin each.
+_TEN_SCORES = BinScheme(
+    edges=tuple(s + 0.5 for s in range(0, 11)),
+    labels=tuple(str(s) for s in range(1, 11)),
 )
 
+# The benefit variant's population: ten bins, bin-exact calibrated (bin s
+# has positive fraction s/10), with the black group weighted toward high
+# scores.
+_BENEFIT_CELLS = tuple(
+    (group, float(s), n * s // 10, n - n * s // 10)
+    for s in range(1, 11)
+    for group, n in zip(("black", "white"), (10, 30) if s <= 5 else (30, 10))
+)
 
-def _stride_height() -> ScenarioSpec:
+SPECS = {spec.name: spec for spec in (
     # Published quantities: FPR women 20/100, FPR men 40/80, p_score of the
     # long-stride bin 0.80 for both sexes. Positives per bin are completed
     # with the smallest integers consistent with those constraints (high bin
     # must be 4:1 positive, and the stated tn counts fix the low-bin
     # negatives; low-bin positives of 20 and 10 make both groups 0.20 there).
-    return ScenarioSpec(
-        name=STRIDE_HEIGHT,
+    ScenarioSpec(
+        name="stride_height",
         description=(
             "Stride-length predictor of being too tall for a spelunking "
             "trip; excluding acts on the long-stride bin."
@@ -49,14 +71,11 @@ def _stride_height() -> ScenarioSpec:
             Check("p:long:women", 0.80),
             Check("calibration_gap", 0.0),
         ),
-    )
-
-
-def _section_grades() -> ScenarioSpec:
+    ),
     # Section 1: 10 true-B papers, 20 true-A; 10 Bs assigned, 2 false.
     # Section 2: 20 true-B papers, 10 true-A; 20 Bs assigned, 4 false.
-    return ScenarioSpec(
-        name=SECTION_GRADES,
+    ScenarioSpec(
+        name="section_grades",
         description=(
             "Fallible grader assigning B grades across two course sections "
             "with different shares of true-B papers."
@@ -87,24 +106,9 @@ def _section_grades() -> ScenarioSpec:
             Check("p:B:section2", 0.80),
             Check("ppv:section2", 0.80),
         ),
-    )
-
-
-# Integer completion of the published aggregates, anchored on the exact
-# false-positive counts 805/1795 and 349/1488. Positive totals chosen so
-# every published rate reproduces under the report's rounding:
-#   black: 1868 positives -> base rate 1868/3663 = .50996, fnr 523/1868 = .27998
-#   white:  951 positives -> base rate  951/2439 = .38991, fnr 454/951  = .47739
-_COMPAS_COUNTS = {
-    "black": {"tp": 1345, "fp": 805, "tn": 990, "fn": 523},
-    "white": {"tp": 497, "fp": 349, "tn": 1139, "fn": 454},
-}
-
-
-def _compas_synthetic() -> ScenarioSpec:
-    c_b, c_w = _COMPAS_COUNTS["black"], _COMPAS_COUNTS["white"]
-    return ScenarioSpec(
-        name=COMPAS_SYNTHETIC,
+    ),
+    ScenarioSpec(
+        name="compas_synthetic",
         description=(
             "Synthetic reconstruction of the ProPublica Broward County "
             "aggregates with the 1-4 / 5-10 risk binning; detaining acts on "
@@ -128,8 +132,8 @@ def _compas_synthetic() -> ScenarioSpec:
             Check("tn:white", 1139),
             Check("fpr:black", 805 / 1795, rendered="44.9%"),
             Check("fpr:white", 349 / 1488, rendered="23.5%"),
-            Check("fnr:black", c_b["fn"] / (c_b["fn"] + c_b["tp"]), rendered="28.0%"),
-            Check("fnr:white", c_w["fn"] / (c_w["fn"] + c_w["tp"]), rendered="47.7%"),
+            Check("fnr:black", 523 / 1868, rendered="28.0%"),
+            Check("fnr:white", 454 / 951, rendered="47.7%"),
             Check("base_rate:black", 0.51, tol=0.005),
             Check("base_rate:white", 0.39, tol=0.005),
         ),
@@ -138,35 +142,17 @@ def _compas_synthetic() -> ScenarioSpec:
             "published rates and the two exact count anchors; the actual "
             "Broward County totals may differ.",
         ),
-    )
-
-
-#: Integer scores 1..10, one bin each.
-_TEN_SCORES = BinScheme(
-    edges=tuple(s + 0.5 for s in range(0, 11)),
-    labels=tuple(str(s) for s in range(1, 11)),
-)
-
-
-def _compas_benefit() -> ScenarioSpec:
+    ),
     # The benefit variant: act = give a cash transfer to high-risk
-    # defendants. A ten-bin, bin-exact calibrated population (bin s has
-    # positive fraction s/10) with the black group weighted toward high
-    # scores.
-    cells = []
-    for s in range(1, 11):
-        n_black = 10 if s <= 5 else 30
-        n_white = 30 if s <= 5 else 10
-        cells.append(("black", float(s), n_black * s // 10, n_black - n_black * s // 10))
-        cells.append(("white", float(s), n_white * s // 10, n_white - n_white * s // 10))
-    return ScenarioSpec(
-        name=COMPAS_BENEFIT,
+    # defendants.
+    ScenarioSpec(
+        name="compas_benefit",
         description=(
             "COMPAS + benefit: the act is giving a benefit to high-risk "
             "defendants, over a calibrated ten-bin score."
         ),
         bins=_TEN_SCORES,
-        cells=tuple(cells),
+        cells=_BENEFIT_CELLS,
         action_benefits_subject=True,
         threshold=0.5,
         calib_tolerance=1e-9,
@@ -187,14 +173,11 @@ def _compas_benefit() -> ScenarioSpec:
             "higher-base-rate group, so strictly fewer of its members "
             "receive the benefit than under the uniform baseline.",
         ),
-    )
-
-
-def _certainty_lottery() -> ScenarioSpec:
+    ),
     # Everyone is a known negative; the only fair procedure is an equal
     # lottery over the exclusion quota.
-    return ScenarioSpec(
-        name=CERTAINTY_LOTTERY,
+    ScenarioSpec(
+        name="certainty_lottery",
         description=(
             "Certainty + lottery: 50 men and 100 women, all known to be "
             "under the height limit; 30 of the 150 must be excluded."
@@ -217,16 +200,13 @@ def _certainty_lottery() -> ScenarioSpec:
             "exact ratio is reported and the slip documented rather than "
             "matched.",
         ),
-    )
-
-
-def _miscalibrated_compas() -> ScenarioSpec:
+    ),
     # Score 8 corresponds to an 80% rearrest frequency for white defendants
     # but only 60% for black defendants. Detaining at score 8 and above is
     # then equivalent to calibrated scores with per-group probability
     # thresholds 0.8 (white) and 0.6 (black).
-    return ScenarioSpec(
-        name=MISCALIBRATED_COMPAS,
+    ScenarioSpec(
+        name="miscalibrated_compas",
         description=(
             "Miscalibrated risk score: the same nominal score carries "
             "different true rearrest frequencies by race, which implements "
@@ -255,15 +235,5 @@ def _miscalibrated_compas() -> ScenarioSpec:
             "defendant's 60% true risk the way it treats a white "
             "defendant's 80%: an implicit differential threshold.",
         ),
-    )
-
-
-#: Scenario name -> the function that builds its spec.
-BUILDERS = {
-    STRIDE_HEIGHT: _stride_height,
-    SECTION_GRADES: _section_grades,
-    COMPAS_SYNTHETIC: _compas_synthetic,
-    COMPAS_BENEFIT: _compas_benefit,
-    CERTAINTY_LOTTERY: _certainty_lottery,
-    MISCALIBRATED_COMPAS: _miscalibrated_compas,
-}
+    ),
+)}

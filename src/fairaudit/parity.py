@@ -127,9 +127,7 @@ def equalize_fpr(
 
     fprs = {g: cm.fpr for g, cm in chosen.items()}
     residual = max(fprs.values()) - min(fprs.values())
-    exact = all(
-        cm.fp * ref_neg == ref.fp * (cm.fp + cm.tn) for cm in chosen.values()
-    )
+    exact = all(gap(cm) == 0 for cm in chosen.values())
     if not exact and residual <= tolerance and notes is not None:
         notes.append(
             f"FPR equalization: the residual gap {residual:.6g} is within "
@@ -206,7 +204,7 @@ def impossibility_check(
                     f"{below!r} to bin {above!r}. Calibration alone does not "
                     "order the FPRs."
                 )
-    ordering = applicable and fprs[higher] >= fprs[lower] if higher else False
+    ordering = applicable and fprs[higher] >= fprs[lower]
     return ImpossibilityVerdict(
         calibrated=calibrated,
         calibration_gap=gap,

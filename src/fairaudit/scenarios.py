@@ -16,20 +16,11 @@ from .metrics import CalibrationCurve, curve_from_counts
 if TYPE_CHECKING:
     from .report import AuditReport
 
-STRIDE_HEIGHT = "stride_height"
-SECTION_GRADES = "section_grades"
-COMPAS_SYNTHETIC = "compas_synthetic"
-COMPAS_BENEFIT = "compas_benefit"
-CERTAINTY_LOTTERY = "certainty_lottery"
-MISCALIBRATED_COMPAS = "miscalibrated_compas"
-
+#: The scenarios' names, in the order of ``fixtures.SPECS``: the CLI offers
+#: them without compiling the fixtures.
 SCENARIO_NAMES = (
-    STRIDE_HEIGHT,
-    SECTION_GRADES,
-    COMPAS_SYNTHETIC,
-    COMPAS_BENEFIT,
-    CERTAINTY_LOTTERY,
-    MISCALIBRATED_COMPAS,
+    "stride_height", "section_grades", "compas_synthetic", "compas_benefit",
+    "certainty_lottery", "miscalibrated_compas",
 )
 
 
@@ -68,15 +59,14 @@ class ScenarioSpec(NamedTuple):
 
 def scenario_spec(name: str) -> ScenarioSpec:
     """The named scenario's fixture and expected figures."""
-    from .fixtures import BUILDERS
+    from .fixtures import SPECS
 
     try:
-        builder = BUILDERS[name]
+        return SPECS[name]
     except KeyError:
         raise AuditError(
             f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}"
         ) from None
-    return builder()
 
 
 def scenario_curve(

@@ -372,6 +372,18 @@ class TestCacheFailuresAreMisses:
         assert not (tmp_path / "relative").exists()
         assert len(os.listdir(tmp_path / "home" / ".cache" / "fairaudit")) == 1
 
+    def test_relative_home_is_a_miss(self, data_csv, parses, monkeypatch,
+                                     tmp_path):
+        # With no XDG_CACHE_HOME, a home directory that is not an absolute
+        # path would put the cache under the working directory.
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setenv("HOME", "relhome")
+        monkeypatch.chdir(tmp_path)
+        config = DatasetConfig(data_csv, BINS)
+        assert ingest_csv(config) == ingest_csv(config) == parsed(config)
+        assert parses == [data_csv, data_csv]
+        assert os.listdir(tmp_path) == ["data.csv"]
+
 
 def test_reading_the_input_fails_with_the_message_of_a_parse(
     data_csv, monkeypatch

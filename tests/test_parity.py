@@ -44,6 +44,16 @@ class TestImpossibilityCheck:
         assert verdict.fprs["men"] == pytest.approx(0.5)
         assert verdict.fprs["women"] == pytest.approx(0.2)
 
+    def test_a_group_named_by_the_empty_string(self):
+        # Ingest rejects an empty label, but a library caller may use one.
+        spec = scenario_spec("stride_height")
+        renamed = {"men": "", "women": "w"}
+        cells = [(renamed[g], *rest) for g, *rest in spec.cells]
+        verdict = check_pair(scenario_curve(spec.bins, cells), spec.threshold)
+        assert verdict.higher_base_rate_group == ""
+        assert verdict.applicable
+        assert verdict.ordering_holds
+
     def test_section_grades_ordering(self):
         spec = scenario_spec("section_grades")
         curve = scenario_curve(spec.bins, spec.cells)

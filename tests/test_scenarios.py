@@ -15,6 +15,7 @@ from fairaudit import (
     scenario_curve,
     scenario_spec,
 )
+from fairaudit import fixtures
 from fairaudit.cli import EXIT_OK, _base_report, main, scenario_report
 from fairaudit.scenarios import Check, scenario_figure
 from synthetic import calibrated_cells
@@ -105,6 +106,12 @@ class TestNamedScenarios:
     def test_unknown_scenario(self):
         with pytest.raises(AuditError, match="unknown scenario"):
             scenario_spec("trolley_problem")
+
+    def test_specs_are_one_table_keyed_by_name(self):
+        assert tuple(fixtures.SPECS) == SCENARIO_NAMES
+        for name, spec in fixtures.SPECS.items():
+            assert spec.name == name
+            assert scenario_spec(name) is spec
 
     def test_building_is_deterministic(self):
         a, b = (scenario_spec("compas_synthetic") for _ in range(2))
