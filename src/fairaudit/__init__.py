@@ -15,13 +15,12 @@ _EXPORTS = {
     for module, names in (
         ("domain", "AuditError BinScheme ConfusionMatrix OutcomeValues "
                    "SYMMETRIC_VALUES ThresholdPolicy ValidationError"),
-        ("metrics", "CalibrationCurve calibration_gap "
-                    "chance_miscalibration_bound curve_from_counts"),
-        ("decision", "DecisionEV PolicyAssessment expected_values "
-                     "optimal_threshold policy_expected_disvalue"),
+        ("metrics", "CalibrationCurve calibration_gap curve_from_counts"),
+        ("decision", "PolicyAssessment optimal_threshold "
+                     "policy_expected_disvalue"),
         ("parity", "EqualizationResult ImpossibilityVerdict LOWER_OTHERS "
                    "RAISE_OTHERS equalize_fpr fair_lottery "
-                   "impossibility_check individual_error_risk"),
+                   "impossibility_check"),
         ("scenarios", "SCENARIO_NAMES ScenarioSpec check_scenario "
                       "scenario_curve scenario_spec"),
         ("ingest", "DatasetConfig IngestError ingest_csv"),

@@ -1,4 +1,6 @@
-"""Expected-value decision theory over the four outcomes.
+"""Expected-value decisions over the four outcomes: the optimal threshold
+p* of a value profile, and a policy's expected value and disvalue by group,
+read off confusion matrices.
 
 The decision-maker's credence for a record is identified with the p_score of
 its bin; nothing else enters. Ties at the threshold resolve toward acting.
@@ -13,13 +15,6 @@ from .domain import (
     ValidationError,
     finite_value,
 )
-
-
-class DecisionEV(NamedTuple):
-    """Expected values of the two available actions at one credence level."""
-
-    ev_act: float
-    ev_refrain: float
 
 
 class GroupAssessment(NamedTuple):
@@ -67,16 +62,6 @@ class PolicyAssessment(NamedTuple):
             expected_value=sum(g.expected_value for g in gs),
             best_expected_value=sum(g.best_expected_value for g in gs),
         )
-
-
-def expected_values(p: float, values: OutcomeValues) -> DecisionEV:
-    """EV of acting and of refraining at credence p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"credence {p!r} outside [0, 1]")
-    return DecisionEV(
-        ev_act=p * values.v_tp + (1.0 - p) * values.v_fp,
-        ev_refrain=(1.0 - p) * values.v_tn + p * values.v_fn,
-    )
 
 
 def optimal_threshold(values: OutcomeValues) -> float:

@@ -55,7 +55,19 @@ def ingest_csv(config: DatasetConfig) -> CalibrationCurve:
 
     The counts of an input ingested before with the same settings come from
     the cache of :mod:`fairaudit.cellcache` instead of a parse; only a
-    successful ingest is stored there."""
+    successful ingest is stored there.
+
+    Each of the four columns must be named for one role only: a score read
+    from the outcome column would audit the outcomes against themselves."""
+    roles: dict[str, str] = {}
+    for role in ("id", "group", "score", "outcome"):
+        name = getattr(config, f"{role}_col")
+        if name in roles:
+            raise IngestError(
+                f"column {name!r} is named both as the {roles[name]} column "
+                f"and as the {role} column"
+            )
+        roles[name] = role
     # Here, so that a scenario run never loads it.
     from . import cellcache
 

@@ -206,19 +206,3 @@ def calibration_gap(curve: CalibrationCurve, *groups: str) -> float:
             lo, hi = spread.get(cell.bin, (p, p))
             spread[cell.bin] = (min(lo, p), max(hi, p))
     return max((hi - lo for lo, hi in spread.values()), default=0.0)
-
-
-def chance_miscalibration_bound(n: int, p: float, gap: float) -> float:
-    """Chebyshev upper bound on a per-bin deviation >= gap arising by chance.
-
-    For n records with true positive rate p, the probability that the
-    observed fraction deviates from p by at least gap is at most
-    p(1-p) / (n * gap^2), clamped to 1.
-    """
-    if not n >= 1:
-        raise ValidationError("n must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError("p must lie in [0, 1]")
-    if not gap > 0.0:
-        raise ValidationError("gap must be positive")
-    return min(1.0, p * (1.0 - p) / (n * gap * gap))

@@ -1,5 +1,5 @@
-"""FPR equalization, the calibration/base-rate impossibility check,
-individual error risk, and the certainty-case fair lottery.
+"""FPR equalization, the calibration/base-rate impossibility check, and
+the certainty-case fair lottery.
 """
 from __future__ import annotations
 
@@ -249,24 +249,6 @@ def _dominance_failure(
         if h1 * l0 < h0 * l1:
             return b0, b1
     return None
-
-
-def individual_error_risk(
-    curve: CalibrationCurve,
-    group: str,
-    bin_index: int,
-    policy: ThresholdPolicy,
-) -> float:
-    """Probability that the decision applied to a member of ``group`` in
-    bin ``bin_index`` is wrong, conditional on the cell's p_score: 1 - p if
-    acted on, p if refrained.
-
-    Group membership enters only through the threshold applied, so under a
-    uniform policy two cells with the same p_score carry identical risk.
-    """
-    p = curve.p_score(group, bin_index)
-    acted = p >= policy.threshold_for(group)
-    return 1.0 - p if acted else p
 
 
 class LotteryResult(NamedTuple):

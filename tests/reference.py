@@ -1,0 +1,75 @@
+"""Test oracles: per-credence and per-cell quantities that no command
+reports, each computed the direct way so the tests can hold the package to
+it.
+
+- :func:`expected_values` is the expected value of acting and of refraining
+  at one credence. Acceptance criterion 4 (threshold oracle) finds p* as
+  the crossover of the two on a grid and holds
+  :func:`fairaudit.optimal_threshold` to it; ``tests/test_decision.py``
+  uses it the same way.
+- :func:`individual_error_risk` is the chance that the decision on a record
+  of one (group, bin) cell is wrong. Acceptance criterion 8 (individual
+  error risk is group-blind) checks that under a uniform policy two cells
+  with the same p_score carry the same risk. It returns to the package only
+  with a command that reports it, such as a per-cell ``--explain``.
+- :func:`chance_miscalibration_bound` is the Chebyshev bound on a per-bin
+  calibration gap arising by chance; ``tests/test_metrics.py`` holds it to
+  the exact binomial tail.
+"""
+from __future__ import annotations
+
+from typing import NamedTuple
+
+from fairaudit.domain import OutcomeValues, ThresholdPolicy, ValidationError
+from fairaudit.metrics import CalibrationCurve
+
+
+class DecisionEV(NamedTuple):
+    """Expected values of the two available actions at one credence level."""
+
+    ev_act: float
+    ev_refrain: float
+
+
+def expected_values(p: float, values: OutcomeValues) -> DecisionEV:
+    """EV of acting and of refraining at credence p."""
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"credence {p!r} outside [0, 1]")
+    return DecisionEV(
+        ev_act=p * values.v_tp + (1.0 - p) * values.v_fp,
+        ev_refrain=(1.0 - p) * values.v_tn + p * values.v_fn,
+    )
+
+
+def individual_error_risk(
+    curve: CalibrationCurve,
+    group: str,
+    bin_index: int,
+    policy: ThresholdPolicy,
+) -> float:
+    """Probability that the decision applied to a member of ``group`` in
+    bin ``bin_index`` is wrong, conditional on the cell's p_score: 1 - p if
+    acted on, p if refrained.
+
+    Group membership enters only through the threshold applied, so under a
+    uniform policy two cells with the same p_score carry identical risk.
+    """
+    p = curve.p_score(group, bin_index)
+    acted = p >= policy.threshold_for(group)
+    return 1.0 - p if acted else p
+
+
+def chance_miscalibration_bound(n: int, p: float, gap: float) -> float:
+    """Chebyshev upper bound on a per-bin deviation >= gap arising by chance.
+
+    For n records with true positive rate p, the probability that the
+    observed fraction deviates from p by at least gap is at most
+    p(1-p) / (n * gap^2), clamped to 1.
+    """
+    if not n >= 1:
+        raise ValidationError("n must be >= 1")
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError("p must lie in [0, 1]")
+    if not gap > 0.0:
+        raise ValidationError("gap must be positive")
+    return min(1.0, p * (1.0 - p) / (n * gap * gap))

@@ -15,9 +15,7 @@ from fairaudit import (
     SCENARIO_NAMES,
     ThresholdPolicy,
     equalize_fpr,
-    expected_values,
     fair_lottery,
-    individual_error_risk,
     optimal_threshold,
     scenario_curve,
     scenario_spec,
@@ -26,6 +24,7 @@ from fairaudit.cli import scenario_report
 from fairaudit.ingest import DatasetConfig, ingest_csv
 from fairaudit.parity import RAISE_OTHERS
 from fairaudit.report import format_percent
+from reference import expected_values, individual_error_risk
 from synthetic import calibrated_cells
 
 

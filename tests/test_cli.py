@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -227,6 +228,17 @@ class TestAuditCommand:
         f.write_text("id,group,score,outcome,note,note\n"
                      "1,a,2.0,1,x,y\n2,b,7.0,0,x,y\n")
         assert main(["audit", "--input", str(f), "--bins", COMPAS_BINS]) == EXIT_OK
+
+    def test_score_read_from_the_outcome_column_exits_2(
+        self, compas_csv, capsys
+    ):
+        code = main(["audit", "--input", compas_csv, "--bins", "0-0.5,0.5-1",
+                     "--score-col", "outcome", "--threshold", "p=0.5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        _only_error_line(captured.err, "column 'outcome' is named both as "
+                         "the score column and as the outcome column")
 
     def test_nan_score_exits_2_naming_the_row(self, tmp_path, capsys):
         f = tmp_path / "nan.csv"
@@ -616,13 +628,11 @@ def test_package_import_loads_no_submodule():
 _EXPORTED = (
     "AuditError BinScheme ConfusionMatrix OutcomeValues SYMMETRIC_VALUES "
     "ThresholdPolicy ValidationError CalibrationCurve calibration_gap "
-    "chance_miscalibration_bound curve_from_counts DecisionEV "
-    "PolicyAssessment expected_values optimal_threshold "
+    "curve_from_counts PolicyAssessment optimal_threshold "
     "policy_expected_disvalue EqualizationResult ImpossibilityVerdict "
     "LOWER_OTHERS RAISE_OTHERS equalize_fpr fair_lottery impossibility_check "
-    "individual_error_risk SCENARIO_NAMES ScenarioSpec "
-    "check_scenario scenario_curve scenario_spec DatasetConfig IngestError "
-    "ingest_csv"
+    "SCENARIO_NAMES ScenarioSpec check_scenario scenario_curve scenario_spec "
+    "DatasetConfig IngestError ingest_csv"
 ).split()
 
 
@@ -640,6 +650,40 @@ def test_package_exports_only_the_listed_names():
     import fairaudit
 
     assert sorted(fairaudit.__all__) == sorted(_EXPORTED)
+
+
+def test_every_exported_function_runs_in_a_command(tmp_path):
+    # The package holds what its commands run; a quantity only the tests
+    # compute lives in tests/reference.py. Classes are not counted.
+    import fairaudit
+
+    csv_path = write_csv(tmp_path / "two.csv", [
+        ("a", 2.0, 1, 3), ("a", 7.0, 3, 1), ("b", 2.0, 1, 1), ("b", 7.0, 2, 1),
+    ])
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [
+            main(["scenario", "certainty_lottery"]),
+            main(["equalize", "--input", csv_path, "--bins", COMPAS_BINS]),
+        ]
+    finally:
+        sys.setprofile(previous)
+    assert codes == [EXIT_OK, EXIT_OK]
+    functions = {
+        name: value for name in fairaudit._EXPORTS
+        if isinstance(value := getattr(fairaudit, name), types.FunctionType)
+    }
+    assert "fair_lottery" in functions and "ingest_csv" in functions
+    assert sorted(
+        name for name, f in functions.items() if f.__code__ not in called
+    ) == []
 
 
 def test_unknown_package_name_raises_attribute_error():

@@ -11,13 +11,13 @@ from fairaudit import (
     ThresholdPolicy,
     curve_from_counts,
     equalize_fpr,
-    expected_values,
     optimal_threshold,
     policy_expected_disvalue,
     scenario_curve,
     scenario_spec,
 )
 from fairaudit.domain import ValidationError
+from reference import expected_values
 
 ASYMMETRIC = OutcomeValues(v_tp=0.0, v_fp=-3.0, v_tn=0.0, v_fn=-1.0)
 

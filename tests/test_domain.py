@@ -13,12 +13,13 @@ from fairaudit import (
     curve_from_counts,
 )
 from fairaudit.cli import scenario_report
-from fairaudit.decision import DecisionEV, GroupAssessment, PolicyAssessment
+from fairaudit.decision import GroupAssessment, PolicyAssessment
 from fairaudit.ingest import DatasetConfig
 from fairaudit.metrics import CurveCell
 from fairaudit.parity import EqualizationResult, ImpossibilityVerdict, LotteryResult
 from fairaudit.report import ScenarioSection
 from fairaudit.scenarios import Check, scenario_spec
+from reference import DecisionEV
 
 COMPAS_BINS = BinScheme(edges=(1.0, 5.0, 10.0), labels=("low", "high"))
 

@@ -243,6 +243,19 @@ class TestIngest:
         )
         assert ingest_csv(cfg).groups == ("a", "b")
 
+    @pytest.mark.parametrize("first, second", [
+        ("id", "group"), ("id", "score"), ("id", "outcome"),
+        ("group", "score"), ("group", "outcome"), ("score", "outcome"),
+    ])
+    def test_one_column_named_for_two_roles(self, ten_bins, first, second):
+        # Checked before the file is looked at: this one does not exist.
+        cfg = DatasetConfig(path="/nonexistent/data.csv", bins=ten_bins,
+                            **{f"{first}_col": "x", f"{second}_col": "x"})
+        message = (f"^column 'x' is named both as the {first} column and "
+                   f"as the {second} column$")
+        with pytest.raises(IngestError, match=message):
+            ingest_csv(cfg)
+
 
 def _reference_count_cells(path, bins):
     """The reference row loop: it keeps every id string, as a dict's keys,

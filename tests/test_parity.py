@@ -9,12 +9,12 @@ from fairaudit import (
     curve_from_counts,
     equalize_fpr,
     fair_lottery,
-    individual_error_risk,
     scenario_curve,
     scenario_spec,
 )
 from fairaudit.domain import ValidationError
 from fairaudit.parity import LOWER_OTHERS, RAISE_OTHERS
+from reference import individual_error_risk
 
 
 def direct_fpr(spec, group, threshold):
@@ -81,6 +81,37 @@ class TestImpossibilityCheck:
                 scenario_curve(spec.bins, spec.cells), spec.threshold,
                 calib_tolerance=tolerance,
             )
+
+    def test_zero_calibration_tolerance_accepts_exact_calibration(self):
+        spec = scenario_spec("stride_height")
+        curve = scenario_curve(spec.bins, spec.cells)
+        verdict = check_pair(curve, spec.threshold, calib_tolerance=0.0)
+        assert verdict.calibration_gap == 0.0
+        assert verdict.calibrated
+        assert verdict.applicable and verdict.ordering_holds
+
+    def test_gap_equal_to_the_tolerance_is_calibrated(self):
+        # One shared bin, at p_scores 1/2 and 3/4: the gap is exactly 0.25.
+        curve = curve_from_counts(BinScheme(edges=(0.0, 1.0, 2.0)), [
+            ("a", 0, 1, 1), ("b", 0, 3, 1),
+        ])
+        verdict = check_pair(curve, 0.5, calib_tolerance=0.25)
+        assert verdict.calibration_gap == 0.25
+        assert verdict.calibrated
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.9])
+    def test_threshold_that_does_not_split_is_not_applicable(self, threshold):
+        # At 0 every record is acted on; above both p_scores, none is. The
+        # pair is calibrated, its base rates differ, and it is applicable at
+        # the scenario's own threshold.
+        spec = scenario_spec("stride_height")
+        curve = scenario_curve(spec.bins, spec.cells)
+        assert check_pair(curve, spec.threshold).applicable
+        verdict = check_pair(curve, threshold)
+        assert verdict.calibrated
+        assert verdict.higher_base_rate_group == "men"
+        assert not verdict.applicable
+        assert not verdict.ordering_holds
 
     def test_matrices_name_a_pair(self):
         spec = scenario_spec("stride_height")
@@ -253,6 +284,25 @@ class TestEqualizeFpr:
         assert result.thresholds == {"g": 0.5, "r": 0.5}
         assert result.fprs == {"g": 1 / 3, "r": 1 / 2}
         assert result.disvalue_delta == 0.0
+
+    def test_residual_equal_to_the_tolerance_gets_the_note(self):
+        # r's FPR is 1/2 at 0.5. g can reach only 0, 1/4 and 1, so the
+        # residual is 1/2 - 1/4, exactly 0.25.
+        curve = curve_from_counts(BinScheme(edges=(0.0, 1.0, 2.0)), [
+            ("r", 0, 0, 1), ("r", 1, 1, 1),
+            ("g", 0, 0, 3), ("g", 1, 3, 1),
+        ])
+        notes: list[str] = []
+        result = equalize_fpr(
+            curve, ThresholdPolicy.uniform(0.5), tolerance=0.25, notes=notes
+        )
+        assert result.reference_group == "r"
+        assert result.fprs == {"g": 0.25, "r": 0.5}
+        assert result.residual_gap == 0.25 and not result.exact
+        assert notes == [
+            "FPR equalization: the residual gap 0.25 is within the "
+            "tolerance 0.25, but the FPRs are not equal."
+        ]
 
     def test_fprs_consistent_with_direct_counts(self):
         spec = scenario_spec("compas_benefit")
