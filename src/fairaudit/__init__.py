@@ -15,7 +15,7 @@ _EXPORTS = {
     for module, names in (
         ("domain", "AuditError BinScheme ConfusionMatrix OutcomeValues "
                    "SYMMETRIC_VALUES ThresholdPolicy ValidationError"),
-        ("metrics", "CalibrationCurve calibration_gap curve_from_counts"),
+        ("metrics", "CalibrationCurve calibration_gap"),
         ("decision", "PolicyAssessment optimal_threshold "
                      "policy_expected_disvalue"),
         ("parity", "EqualizationResult ImpossibilityVerdict LOWER_OTHERS "

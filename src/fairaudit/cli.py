@@ -262,6 +262,18 @@ def cmd_audit(args: argparse.Namespace) -> int:
         score_col=args.score_col,
         outcome_col=args.outcome_col,
     ))
+    # Labels are compared exactly: say so where two differ only in
+    # surrounding whitespace, which most likely names one group twice.
+    alike: dict[str, list[str]] = {}
+    for group in curve.groups:
+        alike.setdefault(group.strip(), []).append(group)
+    for labels in alike.values():
+        if len(labels) > 1:
+            *rest, last = map(repr, labels)
+            notes.append(
+                f"Groups {', '.join(rest)} and {last} differ only in "
+                "surrounding whitespace; they are audited as separate groups."
+            )
     policy = parse_threshold(args.threshold, curve, values, notes)
     equalization = None
     if args.command == "equalize":

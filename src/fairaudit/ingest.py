@@ -10,7 +10,6 @@ content (see :mod:`fairaudit.cellcache`) for the next run on the same file.
 """
 from __future__ import annotations
 
-import codecs
 import math
 import os
 import stat
@@ -38,9 +37,6 @@ class DatasetConfig(NamedTuple):
 #: Which of a group's (positives, negatives) tallies counts each outcome
 #: encoding; a lookup here is also the 0/1 check.
 _OUTCOME_SLOT = {"1": 0, "0": 1}
-
-#: Bytes read at a time when looking for the line of an undecodable byte.
-_CHUNK_BYTES = 1 << 16
 
 #: The digest the duplicate-id check keeps of each id, in an 8-byte slot.
 #: Equal ids have equal digests; unequal ids may too, and the check then
@@ -270,29 +266,17 @@ def _raise_first_duplicate(
 
 
 def _undecodable_line(path: str) -> int:
-    """File line of the first byte that is not UTF-8, read in chunks of
-    ``_CHUNK_BYTES``. Lines end at LF, CR or CRLF, as they do for the csv
-    reader. No byte of a byte-order mark or of a multi-byte character is a
-    CR or LF, so the breaks are counted in the raw bytes."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    line = 1
-    after_cr = False  # the bytes counted so far end with CR
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_CHUNK_BYTES):
-            try:
-                decoder.decode(chunk)
-                good = len(chunk)
-            except UnicodeDecodeError as exc:
-                # exc.object is the bytes the decoder held back from the
-                # chunk before (never a CR or LF), then this chunk.
-                good = max(0, exc.start - len(exc.object) + len(chunk))
-            head = chunk[:good]
-            line += (head.count(b"\n") + head.count(b"\r")
-                     - head.count(b"\r\n"))
-            if after_cr and head.startswith(b"\n"):
-                line -= 1  # a CRLF split between two chunks
-            if good < len(chunk):
-                return line
-            after_cr = chunk.endswith(b"\r")
-    # Only a character cut off by the end of the file is left.
-    return line
+    """File line of the first byte that is not UTF-8: the file is read again
+    as text, each such byte escaped to a lone surrogate (which UTF-8 never
+    decodes to), in lines split at LF, CR and CRLF as the csv reader does."""
+    line = 0
+    with open(path, encoding="utf-8-sig", errors="surrogateescape",
+              newline="") as fh:
+        for line, text in enumerate(fh, 1):
+            if not text.isascii():
+                try:
+                    text.encode()
+                except UnicodeEncodeError:
+                    return line
+    # Only a file that changed since its parse has no such byte.
+    return line + 1

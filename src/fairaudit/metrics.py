@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .domain import (
     BinScheme,
@@ -48,8 +48,8 @@ class CalibrationCurve(ValueObject):
     audit quantity is a function of these integer counts: confusion
     matrices, calibration gaps, and expected and realized value (which
     coincide in sample, because a record's credence is its own cell's
-    positive fraction). Build one with :func:`curve_from_counts` or
-    :func:`curve_from_tallies`.
+    positive fraction). :func:`curve_from_tallies` builds every curve, from
+    each group's records summed by bin.
     """
 
     # No __slots__: the cached properties below are kept in __dict__.
@@ -169,23 +169,6 @@ def curve_from_tallies(
         if cells:
             by_group[g] = tuple(cells)
     return CalibrationCurve(bins=bins, by_group=by_group)
-
-
-def curve_from_counts(
-    bins: BinScheme, counts: Iterable[tuple[str, int, int, int]]
-) -> CalibrationCurve:
-    """Sum (group, bin index, positives, negatives) entries into a curve.
-
-    Entries may repeat a cell. They are summed into a group's tallies and
-    built by :func:`curve_from_tallies`, so a cell that sums to no records
-    is left out, and so is a group with no records.
-    """
-    tallies: dict[str, Tallies] = {}
-    for group, b, positives, negatives in counts:
-        pos, neg = tallies.setdefault(group, ({}, {}))
-        pos[b] = pos.get(b, 0) + positives
-        neg[b] = neg.get(b, 0) + negatives
-    return curve_from_tallies(bins, tallies)
 
 
 def calibration_gap(curve: CalibrationCurve, *groups: str) -> float:

@@ -11,7 +11,7 @@ from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple
 
 from .domain import AuditError, BinScheme
-from .metrics import CalibrationCurve, curve_from_counts
+from .metrics import CalibrationCurve, Tallies, curve_from_tallies
 
 if TYPE_CHECKING:
     from .report import AuditReport
@@ -72,13 +72,16 @@ def scenario_spec(name: str) -> ScenarioSpec:
 def scenario_curve(
     bins: BinScheme, cells: Iterable[Entry]
 ) -> CalibrationCurve:
-    """The calibration curve of declared counts: each entry's score is
-    binned once and its records summed into that cell."""
+    """The curve of declared counts: each entry is binned once and summed
+    into its group's tallies by bin, as ingest sums its rows."""
     bin_of = bins.bin_of
-    return curve_from_counts(bins, (
-        (group, bin_of(score), positives, negatives)
-        for group, score, positives, negatives in cells
-    ))
+    tallies: dict[str, Tallies] = {}
+    for group, score, positives, negatives in cells:
+        b = bin_of(score)
+        pos, neg = tallies.setdefault(group, ({}, {}))
+        pos[b] = pos.get(b, 0) + positives
+        neg[b] = neg.get(b, 0) + negatives
+    return curve_from_tallies(bins, tallies)
 
 
 def _section(report: AuditReport, name: str, label: str):

@@ -1,6 +1,6 @@
 """Test oracles: per-credence and per-cell quantities that no command
-reports, each computed the direct way so the tests can hold the package to
-it.
+reports, and a curve built from per-cell entries, each computed the direct
+way so the tests can hold the package to it.
 
 - :func:`expected_values` is the expected value of acting and of refraining
   at one credence. Acceptance criterion 4 (threshold oracle) finds p* as
@@ -15,13 +15,21 @@ it.
 - :func:`chance_miscalibration_bound` is the Chebyshev bound on a per-bin
   calibration gap arising by chance; ``tests/test_metrics.py`` holds it to
   the exact binomial tail.
+- :func:`curve_from_counts` sums (group, bin index, positives, negatives)
+  entries into a curve, so that a test can declare a curve's cells by bin.
+  ``test_ingest_builds_the_curve_of_its_rows`` holds ingest to it.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from fairaudit.domain import OutcomeValues, ThresholdPolicy, ValidationError
-from fairaudit.metrics import CalibrationCurve
+from fairaudit.domain import (
+    BinScheme,
+    OutcomeValues,
+    ThresholdPolicy,
+    ValidationError,
+)
+from fairaudit.metrics import CalibrationCurve, Tallies, curve_from_tallies
 
 
 class DecisionEV(NamedTuple):
@@ -73,3 +81,20 @@ def chance_miscalibration_bound(n: int, p: float, gap: float) -> float:
     if not gap > 0.0:
         raise ValidationError("gap must be positive")
     return min(1.0, p * (1.0 - p) / (n * gap * gap))
+
+
+def curve_from_counts(
+    bins: BinScheme, counts: Iterable[tuple[str, int, int, int]]
+) -> CalibrationCurve:
+    """Sum (group, bin index, positives, negatives) entries into a curve.
+
+    Entries may repeat a cell. They are summed into a group's tallies and
+    built by :func:`curve_from_tallies`, so a cell that sums to no records
+    is left out, and so is a group with no records.
+    """
+    tallies: dict[str, Tallies] = {}
+    for group, b, positives, negatives in counts:
+        pos, neg = tallies.setdefault(group, ({}, {}))
+        pos[b] = pos.get(b, 0) + positives
+        neg[b] = neg.get(b, 0) + negatives
+    return curve_from_tallies(bins, tallies)

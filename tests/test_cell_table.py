@@ -20,7 +20,6 @@ from fairaudit import (
     OutcomeValues,
     ThresholdPolicy,
     calibration_gap,
-    curve_from_counts,
     equalize_fpr,
     optimal_threshold,
     scenario_curve,
@@ -29,6 +28,7 @@ from fairaudit import (
 from fairaudit.cli import _base_report
 from fairaudit.metrics import CurveCell
 from fairaudit.parity import LOWER_OTHERS, RAISE_OTHERS
+from reference import curve_from_counts
 
 
 @st.composite

@@ -336,11 +336,9 @@ class TestAuditCommand:
 def test_commands_build_no_record_or_population(compas_csv, monkeypatch):
     # Rows and fixture entries are summed into per-group tallies on the way
     # in: no command holds a collection of records. Every curve is built by
-    # the one constructor, which is handed only group -> (positives_by_bin,
-    # negatives_by_bin) int counts, at most one per bin; fixture entries
-    # reach curve_from_counts as a stream.
-    import inspect
-
+    # the one constructor, reached through its bindings in ingest and in
+    # scenarios, and it is handed only group -> (positives_by_bin,
+    # negatives_by_bin) int counts, at most one per bin.
     import fairaudit.ingest
     import fairaudit.metrics
     import fairaudit.scenarios
@@ -359,15 +357,9 @@ def test_commands_build_no_record_or_population(compas_csv, monkeypatch):
         built.append(len(tallies))
         return build(bins, tallies)
 
-    def streamed_only(bins, counts):
-        assert inspect.isgenerator(counts), type(counts)
-        return from_counts(bins, counts)
-
     build = fairaudit.metrics.curve_from_tallies
-    from_counts = fairaudit.metrics.curve_from_counts
-    for module in (fairaudit.ingest, fairaudit.metrics):
+    for module in (fairaudit.ingest, fairaudit.scenarios):
         monkeypatch.setattr(module, "curve_from_tallies", tallies_only)
-    monkeypatch.setattr(fairaudit.scenarios, "curve_from_counts", streamed_only)
     dataset = ["--input", compas_csv, "--bins", COMPAS_BINS]
     for argv in (["audit", *dataset], ["equalize", *dataset],
                  ["scenario", "compas_synthetic"]):
@@ -450,6 +442,30 @@ def test_impossibility_note_names_the_group_count(tmp_path, capsys):
         "Impossibility check skipped: it is pairwise and the input has 3 "
         "groups." in payload["notes"]
     )
+
+
+def test_labels_alike_but_for_whitespace_get_a_note(tmp_path, capsys):
+    # Labels are compared exactly, so 'a' and 'a ' are two groups; a note
+    # names each set of labels that differ only in surrounding whitespace.
+    csv_path = write_csv(tmp_path / "alike.csv", [
+        (group, score, 1, 1)
+        for group in ("a", "a ", " a", "b", "b\t", "c")
+        for score in (0.25, 0.75)
+    ])
+    argv = ["audit", "--input", csv_path, "--bins", "0-0.5,0.5-1",
+            "--threshold", "p=0.5"]
+    assert main([*argv, "--format", "json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    notes = [note for note in payload["notes"] if "whitespace" in note]
+    assert notes == [
+        "Groups ' a', 'a' and 'a ' differ only in surrounding whitespace; "
+        "they are audited as separate groups.",
+        "Groups 'b' and 'b\\t' differ only in surrounding whitespace; they "
+        "are audited as separate groups.",
+    ]
+    assert main([*argv, "--format", "md"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert all(f"- {note}" in text for note in notes)
 
 
 def test_commands_keep_one_cell_table(tmp_path, monkeypatch):
@@ -628,7 +644,7 @@ def test_package_import_loads_no_submodule():
 _EXPORTED = (
     "AuditError BinScheme ConfusionMatrix OutcomeValues SYMMETRIC_VALUES "
     "ThresholdPolicy ValidationError CalibrationCurve calibration_gap "
-    "curve_from_counts PolicyAssessment optimal_threshold "
+    "PolicyAssessment optimal_threshold "
     "policy_expected_disvalue EqualizationResult ImpossibilityVerdict "
     "LOWER_OTHERS RAISE_OTHERS equalize_fpr fair_lottery impossibility_check "
     "SCENARIO_NAMES ScenarioSpec check_scenario scenario_curve scenario_spec "

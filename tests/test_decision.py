@@ -9,7 +9,6 @@ from fairaudit import (
     BinScheme,
     OutcomeValues,
     ThresholdPolicy,
-    curve_from_counts,
     equalize_fpr,
     optimal_threshold,
     policy_expected_disvalue,
@@ -17,7 +16,7 @@ from fairaudit import (
     scenario_spec,
 )
 from fairaudit.domain import ValidationError
-from reference import expected_values
+from reference import curve_from_counts, expected_values
 
 ASYMMETRIC = OutcomeValues(v_tp=0.0, v_fp=-3.0, v_tn=0.0, v_fn=-1.0)
 

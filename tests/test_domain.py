@@ -10,7 +10,6 @@ from fairaudit import (
     OutcomeValues,
     ThresholdPolicy,
     ValidationError,
-    curve_from_counts,
 )
 from fairaudit.cli import scenario_report
 from fairaudit.decision import GroupAssessment, PolicyAssessment
@@ -19,7 +18,7 @@ from fairaudit.metrics import CurveCell
 from fairaudit.parity import EqualizationResult, ImpossibilityVerdict, LotteryResult
 from fairaudit.report import ScenarioSection
 from fairaudit.scenarios import Check, scenario_spec
-from reference import DecisionEV
+from reference import DecisionEV, curve_from_counts
 
 COMPAS_BINS = BinScheme(edges=(1.0, 5.0, 10.0), labels=("low", "high"))
 

@@ -17,13 +17,13 @@ from fairaudit import (
     SCENARIO_NAMES,
     BinScheme,
     ValidationError,
-    curve_from_counts,
     scenario_curve,
     scenario_spec,
 )
 from fairaudit import ingest
 from fairaudit.cli import EXIT_INPUT, main, parse_bins
 from fairaudit.ingest import DatasetConfig, IngestError, ingest_csv
+from reference import curve_from_counts
 
 SAMPLE = """id,group,score,outcome
 r1,alpha,2.0,1
@@ -34,8 +34,9 @@ r4,beta,9.0,0
 
 
 #: LF blank lines after the 23-byte header and a 12-byte row that put the
-#: next byte at the end of ingest's first read chunk.
-_PAD = ingest._CHUNK_BYTES - 1 - 23 - 12
+#: next byte at the end of the file's first 64 KiB, a buffer boundary of
+#: the text layer.
+_PAD = (1 << 16) - 1 - 23 - 12
 
 
 def config_for(path, bins):
@@ -192,8 +193,8 @@ class TestIngest:
             (b"r1,a,2.0,1\r\nr2,\xe9,7.0,0\r\n", "row 3: not UTF-8"),
             (b"r1,a,2.0,1\nr2,b," + b"x" * 140_000 + b",0\n",
              "row 3: field larger than field limit"),
-            # Blank lines up to a CRLF whose CR ends the first chunk the
-            # line search reads: it is one line break, not two.
+            # Blank lines up to a CRLF whose CR ends the file's first
+            # 64 KiB: it is one line break, not two.
             (b"r1,a,2.0,1\r\n" + b"\n" * _PAD + b"\r\nr2,\xe9,7.0,0\r\n",
              f"row {_PAD + 4}: not UTF-8"),
         ],
@@ -345,10 +346,19 @@ _FAULTS = {
 }
 
 
+#: Bytes the last step of _faulty_csv writes anywhere in a file: a byte
+#: that is never UTF-8, a lone lead byte, a cut-off character, an encoded
+#: surrogate, an overlong NUL, a lone CR or LF, NUL, a quote, and a
+#: byte-order mark.
+_PIECES = (b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\x80",
+           b"\r", b"\n", b"\x00", b'"', codecs.BOM_UTF8)
+
+
 @st.composite
 def _faulty_csv(draw):
     """CSV bytes in every line ending, with blank lines, quoted line breaks
-    in ids and groups, maybe a byte-order mark, and 0-3 faulty rows."""
+    in ids and groups, maybe a byte-order mark, and 0-3 faulty rows; then
+    0-2 of ``_PIECES`` at drawn bytes, and maybe a cut at a drawn byte."""
     n = draw(st.integers(1, 12))
     rows = [
         [draw(st.sampled_from(("r", "id\n", "\u00e9", "a,b"))) + str(i),
@@ -377,7 +387,15 @@ def _faulty_csv(draw):
         out.write(ending * draw(st.integers(0, 2)))
         writer.writerow(row)
     text = "\ufeff" * draw(st.booleans()) + out.getvalue()
-    return text.encode().replace(_BAD_BYTE.encode(), b"\xff")
+    data = bytearray(text.encode().replace(_BAD_BYTE.encode(), b"\xff"))
+    # Last, at the byte level: each piece is inserted or overwrites as many
+    # bytes, and then the file may be cut off.
+    for piece in draw(st.lists(st.sampled_from(_PIECES), max_size=2)):
+        at = draw(st.integers(0, len(data)))
+        data[at:at + draw(st.sampled_from((0, len(piece))))] = piece
+    if draw(st.booleans()):
+        del data[draw(st.integers(0, len(data))):]
+    return bytes(data)
 
 
 @settings(max_examples=300, deadline=None)

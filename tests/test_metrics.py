@@ -8,12 +8,11 @@ from fairaudit import (
     BinScheme,
     ConfusionMatrix,
     calibration_gap,
-    curve_from_counts,
     scenario_curve,
     scenario_spec,
 )
 from fairaudit.domain import ValidationError
-from reference import chance_miscalibration_bound
+from reference import chance_miscalibration_bound, curve_from_counts
 
 
 def base_rate(name, group):

@@ -6,7 +6,6 @@ from fairaudit import (
     AuditError,
     BinScheme,
     ThresholdPolicy,
-    curve_from_counts,
     equalize_fpr,
     fair_lottery,
     scenario_curve,
@@ -14,7 +13,7 @@ from fairaudit import (
 )
 from fairaudit.domain import ValidationError
 from fairaudit.parity import LOWER_OTHERS, RAISE_OTHERS
-from reference import individual_error_risk
+from reference import curve_from_counts, individual_error_risk
 
 
 def direct_fpr(spec, group, threshold):

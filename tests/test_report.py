@@ -10,12 +10,12 @@ from fairaudit import (
     SYMMETRIC_VALUES,
     BinScheme,
     ThresholdPolicy,
-    curve_from_counts,
     equalize_fpr,
     scenario_spec,
 )
 from fairaudit.cli import _base_report
 from fairaudit.report import format_percent, render_report
+from reference import curve_from_counts
 
 
 def test_markdown_prints_large_counts_as_integers():

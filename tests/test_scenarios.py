@@ -11,13 +11,13 @@ from fairaudit import (
     ValidationError,
     calibration_gap,
     check_scenario,
-    curve_from_counts,
     scenario_curve,
     scenario_spec,
 )
 from fairaudit import fixtures
 from fairaudit.cli import EXIT_OK, _base_report, main, scenario_report
 from fairaudit.scenarios import Check, scenario_figure
+from reference import curve_from_counts
 from synthetic import calibrated_cells
 
 
@@ -43,7 +43,7 @@ class TestNamedScenarios:
         import fairaudit.metrics
         import fairaudit.scenarios
 
-        calls = {"curve_from_counts": 0, "equalize_fpr": 0}
+        calls = {"curve_from_tallies": 0, "equalize_fpr": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -61,7 +61,7 @@ class TestNamedScenarios:
                         module, key, counting(key, getattr(module, key))
                     )
         assert main(["scenario", name, "--format", "json"]) == EXIT_OK
-        assert calls == {"curve_from_counts": 1, "equalize_fpr": 1}
+        assert calls == {"curve_from_tallies": 1, "equalize_fpr": 1}
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_direct_curve_equals_the_binned_population(self, name):
