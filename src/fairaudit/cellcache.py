@@ -1,13 +1,16 @@
 """On-disk cache of the cell tables :func:`fairaudit.ingest.ingest_csv`
-counts, so that an input audited again is not parsed again.
+builds, so that an input audited again is not parsed again.
 
+An entry holds a curve's built ``by_group`` table, each group's
+:data:`~fairaudit.metrics.Cells` columns, so a hit builds nothing per cell.
 A table depends only on the input's bytes and the ingest settings, and is
 stored under a key of both: the input's BLAKE2b digest, the four column
 names, the bin edges, the entry format, the package version, and the size
-and modification time of the modules that compute the table (editing one
-invalidates every entry). Entries live in ``$XDG_CACHE_HOME/fairaudit``
-(``~/.cache/fairaudit`` by default), a directory of mode 0o700, at most
-:data:`MAX_ENTRIES` of them; storing one more removes the oldest.
+and modification time of the modules that count and build the table
+(editing one invalidates every entry). Entries live in
+``$XDG_CACHE_HOME/fairaudit`` (``~/.cache/fairaudit`` by default), a
+directory of mode 0o700, at most :data:`MAX_ENTRIES` of them; storing one
+more removes the oldest.
 
 Every failure of the cache is a miss: a missing, unwritable or foreign
 directory, a home directory that is not an absolute path, or an entry that
@@ -21,9 +24,9 @@ import marshal
 import os
 import stat
 import zlib
+from typing import Mapping
 
-from . import __version__, domain, ingest
-from .metrics import Tallies
+from . import __version__, domain, ingest, metrics
 
 try:
     # The digest hashlib would give, without the OpenSSL that hashlib loads.
@@ -32,7 +35,7 @@ except ImportError:  # a build without it caches nothing
     blake2b = None
 
 #: Names the layout of an entry; part of every key.
-FORMAT = "fairaudit cell table 2"
+FORMAT = "fairaudit cell table 3"
 
 #: Entries kept in the cache directory.
 MAX_ENTRIES = 64
@@ -57,7 +60,7 @@ def key_of(config: ingest.DatasetConfig) -> tuple | None:
         while n := fh.readinto(buffer):
             summed.update(view[:n])
     digest = summed.digest()
-    modules = (ingest.__file__, domain.__file__, __file__)
+    modules = (ingest.__file__, domain.__file__, metrics.__file__, __file__)
     try:
         code = tuple(
             (st.st_size, st.st_mtime_ns) for st in map(os.stat, modules)
@@ -70,30 +73,32 @@ def key_of(config: ingest.DatasetConfig) -> tuple | None:
     )
 
 
-def load(key: tuple | None) -> dict[str, Tallies] | None:
-    """The tallies stored under ``key``, or None on a miss."""
+def load(key: tuple | None) -> dict[str, metrics.Cells] | None:
+    """The cell table stored under ``key``, or None on a miss. The entry
+    is read through a view of its bytes, not a copy of them."""
     if key is None:
         return None
     try:
         path = os.path.join(_directory(create=False), _entry_name(key))
         with open(path, "rb") as fh:
             data = fh.read()
-        body, crc = data[:-4], data[-4:]
+        view = memoryview(data)
+        body, crc = view[:-4], view[-4:]
         if crc != zlib.crc32(body).to_bytes(4, "big"):
             return None
-        stored_key, tallies = marshal.loads(body)
+        stored_key, table = marshal.loads(body)
     except (OSError, EOFError, ValueError, TypeError):
         return None
-    return tallies if stored_key == key else None
+    return table if stored_key == key else None
 
 
 def store(
     key: tuple | None, config: ingest.DatasetConfig,
-    tallies: dict[str, Tallies],
+    table: Mapping[str, metrics.Cells],
 ) -> None:
-    """Store the tallies parsed from ``config.path`` under ``key``, unless
-    the input changed since ``key`` was taken from it: then the tallies may
-    be of other bytes than the key's."""
+    """Store the cell table built from ``config.path`` under ``key``,
+    unless the input changed since ``key`` was taken from it: then the
+    table may be of other bytes than the key's."""
     if key is None:
         return
     try:
@@ -101,7 +106,7 @@ def store(
         if key_of(config) != key:
             return
         path = os.path.join(directory, _entry_name(key))
-        _write_replace(path, _encode(key, tallies))
+        _write_replace(path, _encode(key, table))
         _evict(directory)
     except OSError:
         pass
@@ -132,9 +137,10 @@ def _entry_name(key: tuple) -> str:
     return blake2b(repr(key).encode(), digest_size=16).hexdigest()
 
 
-def _encode(key: tuple, tallies: dict[str, Tallies]) -> bytes:
-    """An entry: the key and the tallies, marshalled, then their CRC-32."""
-    data = marshal.dumps((key, tallies))
+def _encode(key: tuple, table: Mapping[str, metrics.Cells]) -> bytes:
+    """An entry: the key and the cell table, marshalled, then their
+    CRC-32."""
+    data = marshal.dumps((key, table))
     return data + zlib.crc32(data).to_bytes(4, "big")
 
 

@@ -139,14 +139,14 @@ def parse_threshold(
         first_bin = curve.bins.bin_of(boundary)
         thresholds: dict[str, float] = {}
         for g, cells in curve.by_group.items():
-            acted = [cell.p_score for cell in cells if cell.bin >= first_bin]
+            p_scores = [(b, pos / n) for b, n, pos in zip(*cells)]
+            acted = [p for b, p in p_scores if b >= first_bin]
             if not acted:
                 raise ValidationError(
                     f"group {g!r} has no records at scores >= {boundary:g}"
                 )
             t = min(acted)
-            if any(cell.bin < first_bin and cell.p_score >= t
-                   for cell in cells):
+            if any(b < first_bin and p >= t for b, p in p_scores):
                 notes.append(
                     f"Group {g!r}: some bins below score {boundary:g} have "
                     f"p_score >= {t:.6g}; the probability threshold acts on "

@@ -149,13 +149,9 @@ class ConfusionMatrix(ValueObject):
     fn: int
 
     def __init__(self, tp: int, fp: int, tn: int, fn: int) -> None:
-        # The equalization search builds one matrix per candidate
-        # threshold, so the common case is tested without building the
-        # named pairs.
-        if tp < 0 or fp < 0 or tn < 0 or fn < 0:
-            for name, count in zip(self._fields, (tp, fp, tn, fn)):
-                if count < 0:
-                    raise ValidationError(f"{name} count is negative")
+        for name, count in zip(self._fields, (tp, fp, tn, fn)):
+            if count < 0:
+                raise ValidationError(f"{name} count is negative")
         _set(self, "tp", tp)
         _set(self, "fp", fp)
         _set(self, "tn", tn)

@@ -5,8 +5,9 @@ Input is comma-delimited UTF-8 with a header row; outcomes are encoded 0/1
 not parse aborts with its row number, because silently dropping rows would
 corrupt base rates. One parse loop runs every check and tallies the rows
 per group and bin; :func:`ingest_csv` hands those tallies, not the rows, to
-the curve constructor, and keeps them in a cache keyed by the file's
-content (see :mod:`fairaudit.cellcache`) for the next run on the same file.
+the curve constructor, and keeps the cell table it builds in a cache keyed
+by the file's content (see :mod:`fairaudit.cellcache`) for the next run on
+the same file.
 """
 from __future__ import annotations
 
@@ -49,8 +50,8 @@ def ingest_csv(config: DatasetConfig) -> CalibrationCurve:
     per-(group, bin) counts. Raises IngestError naming the file line of the
     first row that fails a check (see :func:`_count_cells`).
 
-    The counts of an input ingested before with the same settings come from
-    the cache of :mod:`fairaudit.cellcache` instead of a parse; only a
+    The cell table of an input ingested before with the same settings comes
+    from the cache of :mod:`fairaudit.cellcache` instead of a parse; only a
     successful ingest is stored there.
 
     Each of the four columns must be named for one role only: a score read
@@ -73,15 +74,15 @@ def ingest_csv(config: DatasetConfig) -> CalibrationCurve:
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise _unreadable(path)
         key = cellcache.key_of(config)
-        tallies = cellcache.load(key)
-        if tallies is not None:
-            return curve_from_tallies(config.bins, tallies)
+        table = cellcache.load(key)
+        if table is not None:
+            return CalibrationCurve(config.bins, table)
         tallies = _count_cells(config)
     except OSError as exc:
         # A stat, open or read in any of the passes over the file.
         raise _unreadable(path, exc) from None
     curve = curve_from_tallies(config.bins, tallies)
-    cellcache.store(key, config, tallies)
+    cellcache.store(key, config, curve.by_group)
     return curve
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
+from operator import truediv
 from typing import Mapping, NamedTuple
 
 from .domain import (
@@ -16,23 +17,21 @@ from .domain import (
 
 
 class CurveCell(NamedTuple):
-    """One (group, bin) cell of a calibration curve: its bin index, its
-    record count and how many of those records are positive."""
+    """One (group, bin) cell of a calibration curve, as the
+    :attr:`CalibrationCurve.cells` view holds it: its bin index, its record
+    count and how many of those records are positive."""
 
     bin: int
     count: int
     positives: int
 
-    @property
-    def p_score(self) -> float:
-        """Empirical positive fraction inside this cell."""
-        if self.count == 0:
-            raise ValidationError("p_score of an empty cell is undefined")
-        return self.positives / self.count
-
 
 #: A group's record counts by bin index: (positives_by_bin, negatives_by_bin).
 Tallies = tuple[dict[int, int], dict[int, int]]
+
+#: A group's nonempty cells in ascending bin order, as three int columns of
+#: equal length: (bins, counts, positives).
+Cells = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 #: A group's threshold sweep: (cut points, true positives, false positives);
 #: see :attr:`CalibrationCurve._sweeps`.
@@ -43,25 +42,23 @@ class CalibrationCurve(ValueObject):
     """Per-(group, bin) counts and positive fractions for one population.
 
     ``by_group`` is the cell table, the one per-cell structure a curve
-    keeps: each group, in sorted order, with its nonempty cells in bin
-    order; cells with no records are absent. Past ingest and binning, every
-    audit quantity is a function of these integer counts: confusion
-    matrices, calibration gaps, and expected and realized value (which
-    coincide in sample, because a record's credence is its own cell's
-    positive fraction). :func:`curve_from_tallies` builds every curve, from
-    each group's records summed by bin.
+    keeps: each group, in sorted order, with its nonempty cells as
+    :data:`Cells` columns in bin order; cells with no records are absent,
+    and no object is held per cell. Past ingest and binning, every audit
+    quantity is a function of these integer counts: confusion matrices,
+    calibration gaps, and expected and realized value (which coincide in
+    sample, because a record's credence is its own cell's positive
+    fraction). :func:`curve_from_tallies` builds every table, from each
+    group's records summed by bin; a hit of the cache of
+    :mod:`fairaudit.cellcache` returns one it built before.
     """
 
     # No __slots__: the cached properties below are kept in __dict__.
     _fields = ("bins", "by_group")
     bins: BinScheme
-    by_group: Mapping[str, tuple[CurveCell, ...]]
+    by_group: Mapping[str, Cells]
 
-    def __init__(
-        self,
-        bins: BinScheme,
-        by_group: Mapping[str, tuple[CurveCell, ...]],
-    ) -> None:
+    def __init__(self, bins: BinScheme, by_group: Mapping[str, Cells]) -> None:
         object.__setattr__(self, "bins", bins)
         object.__setattr__(self, "by_group", by_group)
         # An audit compares groups. Checked here, so that no copy of a
@@ -80,24 +77,25 @@ class CalibrationCurve(ValueObject):
     @cached_property
     def cells(self) -> Mapping[tuple[str, int], CurveCell]:
         """The nonempty cells keyed by (group, bin index), in (group, bin)
-        order: a view of ``by_group``, built on first use. Nothing in the
-        package reads it; the benchmark's tracer does."""
+        order, one :class:`CurveCell` each: a view of ``by_group``, built
+        on first use. Nothing in the package reads it; the benchmark's
+        tracer does."""
         return {
-            (g, cell.bin): cell
+            (g, b): CurveCell(b, count, positives)
             for g, cells in self.by_group.items()
-            for cell in cells
+            for b, count, positives in zip(*cells)
         }
 
     def p_score(self, group: str, bin_index: int) -> float:
         """The positive fraction of a group's cell in bin ``bin_index``,
-        found by bisecting the group's cells, which are in bin order."""
-        cells = self.by_group.get(group, ())
-        i = bisect_left(cells, bin_index, key=lambda cell: cell.bin)
-        if i == len(cells) or cells[i].bin != bin_index:
+        found by bisecting the group's bins, which are in ascending order."""
+        bins, counts, positives = self.by_group.get(group, ((), (), ()))
+        i = bisect_left(bins, bin_index)
+        if i == len(bins) or bins[i] != bin_index:
             raise ValidationError(
                 f"group {group!r} has no records in bin {bin_index}"
             )
-        return cells[i].p_score
+        return positives[i] / counts[i]
 
     @cached_property
     def _sweeps(self) -> Mapping[str, Sweep]:
@@ -107,15 +105,17 @@ class CalibrationCurve(ValueObject):
         followed by 0 and 0 for acting on nothing. The first entries are
         the group's positives and negatives."""
         sweeps = {}
-        for g, cells in self.by_group.items():
+        for g, (_bins, counts, positives) in self.by_group.items():
             cuts: list[float] = []
             tps, fps = [0], [0]
             # Down from the top p_score, each cell joins the acted set; cells
             # with equal p_scores join at one cut point.
-            for cell in sorted(cells, key=lambda c: c.p_score, reverse=True):
-                p = cell.p_score
-                tp = tps[-1] + cell.positives
-                fp = fps[-1] + cell.count - cell.positives
+            for p, count, pos in sorted(
+                zip(map(truediv, positives, counts), counts, positives),
+                reverse=True,
+            ):
+                tp = tps[-1] + pos
+                fp = fps[-1] + count - pos
                 if cuts and cuts[-1] == p:
                     tps[-1], fps[-1] = tp, fp
                 else:
@@ -126,25 +126,23 @@ class CalibrationCurve(ValueObject):
                          tuple(reversed(fps)))
         return sweeps
 
-    def cut_points(self, group: str) -> tuple[float, ...]:
-        """The distinct p_scores of a group's cells, ascending: the only
-        thresholds at which its acted set changes."""
-        return self._sweep(group)[0]
+    def sweep(self, group: str) -> Sweep:
+        """A group's threshold sweep (see :attr:`_sweeps`). Its cut points
+        are the only thresholds at which the group's acted set changes; at
+        threshold ``t`` the acted counts are at ``bisect_left(cuts, t)``."""
+        try:
+            return self._sweeps[group]
+        except KeyError:
+            raise ValidationError(f"unknown group {group!r}") from None
 
     def confusion(self, group: str, threshold: float) -> ConfusionMatrix:
         """Counts of one group's records by (decision, outcome) when every
         cell with p_score >= ``threshold`` is acted on (ties act). Built
         from the group's sweep on each call; no matrix is kept."""
-        cuts, tps, fps = self._sweep(group)
+        cuts, tps, fps = self.sweep(group)
         i = bisect_left(cuts, threshold)
         tp, fp = tps[i], fps[i]
         return ConfusionMatrix(tp=tp, fp=fp, tn=fps[0] - fp, fn=tps[0] - tp)
-
-    def _sweep(self, group: str) -> Sweep:
-        try:
-            return self._sweeps[group]
-        except KeyError:
-            raise ValidationError(f"unknown group {group!r}") from None
 
 
 def curve_from_tallies(
@@ -152,12 +150,14 @@ def curve_from_tallies(
 ) -> CalibrationCurve:
     """The curve of group -> (positives_by_bin, negatives_by_bin) counts.
 
-    Every curve is built here, so group order (sorted, the order of every
-    report) and cell order are decided in one place. A cell with no
-    records is left out, and so is a group with none; the constructor
-    refuses a curve of fewer than two groups.
+    Every cell table is built here (a cache hit returns one built here
+    before), so group order (sorted, the order of every report) and cell
+    order are decided in one place, and each group's cells become its three
+    :data:`Cells` columns. A cell with no records is left
+    out, and so is a group with none; the constructor refuses a curve of
+    fewer than two groups.
     """
-    by_group: dict[str, tuple[CurveCell, ...]] = {}
+    by_group: dict[str, Cells] = {}
     for g in sorted(tallies):
         positives, negatives = tallies[g]
         cells = []
@@ -165,9 +165,9 @@ def curve_from_tallies(
             p = positives.get(b, 0)
             count = p + negatives.get(b, 0)
             if count:
-                cells.append(CurveCell(b, count, p))
+                cells.append((b, count, p))
         if cells:
-            by_group[g] = tuple(cells)
+            by_group[g] = tuple(zip(*cells))
     return CalibrationCurve(bins=bins, by_group=by_group)
 
 
@@ -184,8 +184,8 @@ def calibration_gap(curve: CalibrationCurve, *groups: str) -> float:
             raise ValidationError(f"unknown group {g!r}")
     spread: dict[int, tuple[float, float]] = {}
     for g in groups:
-        for cell in curve.by_group[g]:
-            p = cell.p_score
-            lo, hi = spread.get(cell.bin, (p, p))
-            spread[cell.bin] = (min(lo, p), max(hi, p))
+        for b, count, positives in zip(*curve.by_group[g]):
+            p = positives / count
+            lo, hi = spread.get(b, (p, p))
+            spread[b] = (min(lo, p), max(hi, p))
     return max((hi - lo for lo, hi in spread.values()), default=0.0)

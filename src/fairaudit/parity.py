@@ -3,6 +3,7 @@ the certainty-case fair lottery.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Mapping, NamedTuple
 
 from .domain import (
@@ -100,11 +101,11 @@ def equalize_fpr(
     ref = baseline[reference]
     ref_neg = ref.fp + ref.tn
 
-    def gap(cm: ConfusionMatrix) -> int:
+    def gap(fp: int, neg: int) -> int:
         # |fp/neg - ref.fp/ref_neg|, ranked by its numerator over the common
         # denominator, which is fixed within a group: gaps that are equal as
         # fractions tie exactly.
-        return abs(cm.fp * ref_neg - ref.fp * (cm.fp + cm.tn))
+        return abs(fp * ref_neg - ref.fp * neg)
 
     thresholds: dict[str, float] = {}
     chosen: dict[str, ConfusionMatrix] = {}
@@ -116,18 +117,20 @@ def equalize_fpr(
         # FPR is a step function of the threshold; only the group's cut
         # points (plus the extremes and the baseline itself) can change the
         # acted set. 1.0 plays the role of "never act" unless some cell has
-        # p_score exactly 1. The smallest gap wins; ties break toward the
-        # baseline threshold, so an already-equal group is left untouched,
-        # and then toward the lower threshold. No two keys are equal.
-        thresholds[g], chosen[g] = min(
-            ((t, baseline[g] if t == t0 else curve.confusion(g, t))
-             for t in {0.0, 1.0, t0, *curve.cut_points(g)}),
-            key=lambda tc: (gap(tc[1]), abs(tc[0] - t0), tc[0]),
-        )
+        # p_score exactly 1. A candidate's gap is read off the group's
+        # sweep, whose fps[0] is the group's negatives. The smallest gap
+        # wins; ties break toward the baseline threshold, so an
+        # already-equal group is left untouched, and then toward the lower
+        # threshold. No two keys are equal.
+        cuts, _tps, fps = curve.sweep(g)
+        t = thresholds[g] = min({0.0, 1.0, t0, *cuts}, key=lambda t: (
+            gap(fps[bisect_left(cuts, t)], fps[0]), abs(t - t0), t,
+        ))
+        chosen[g] = baseline[g] if t == t0 else curve.confusion(g, t)
 
     fprs = {g: cm.fpr for g, cm in chosen.items()}
     residual = max(fprs.values()) - min(fprs.values())
-    exact = all(gap(cm) == 0 for cm in chosen.values())
+    exact = all(gap(cm.fp, cm.fp + cm.tn) == 0 for cm in chosen.values())
     if not exact and residual <= tolerance and notes is not None:
         notes.append(
             f"FPR equalization: the residual gap {residual:.6g} is within "
@@ -233,10 +236,10 @@ def _dominance_failure(
     # bin -> [higher's count, lower's count, positives of both]
     pooled_cells: dict[int, list[int]] = {}
     for side, g in enumerate((higher, lower)):
-        for cell in curve.by_group[g]:
-            sums = pooled_cells.setdefault(cell.bin, [0, 0, 0])
-            sums[side] += cell.count
-            sums[2] += cell.positives
+        for b, count, positives in zip(*curve.by_group[g]):
+            sums = pooled_cells.setdefault(b, [0, 0, 0])
+            sums[side] += count
+            sums[2] += positives
     # pooled p_score -> [higher's count, lower's count, first bin]
     levels: dict[float, list[int]] = {}
     for b in sorted(pooled_cells):

@@ -148,9 +148,9 @@ def _render_markdown(report: AuditReport) -> str:
     for g, cells in curve.by_group.items():
         name = names[g]
         add("\n".join([
-            f"| {name} | {bin_names[cell.bin]} | {cell.count} | "
-            f"{cell.positives} | {pct(cell.p_score)} |"
-            for cell in cells
+            f"| {name} | {bin_names[b]} | {count} | {positives} | "
+            f"{pct(positives / count)} |"
+            for b, count, positives in zip(*cells)
         ]))
     add("")
     add("## Policy assessment")

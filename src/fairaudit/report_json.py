@@ -42,12 +42,12 @@ def report_dict(report: AuditReport) -> dict[str, Any]:
             "gap": report.calibration_gap,
             "cells": {
                 g: {
-                    label(cell.bin): {
-                        "count": cell.count,
-                        "positives": cell.positives,
-                        "p_score": cell.p_score,
+                    label(b): {
+                        "count": count,
+                        "positives": positives,
+                        "p_score": positives / count,
                     }
-                    for cell in cells
+                    for b, count, positives in zip(*cells)
                 }
                 for g, cells in report.curve.by_group.items()
             },

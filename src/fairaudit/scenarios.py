@@ -131,12 +131,15 @@ def scenario_figure(report: AuditReport, label: str) -> float:
         curve = report.curve
         cells = _entry(curve.by_group, group, "calibration", label)
         if kind == "p":
-            by_label = {curve.bins.label(cell.bin): cell for cell in cells}
-            return _entry(by_label, bin_label, "calibration", label).p_score
+            by_label = {
+                curve.bins.label(b): positives / count
+                for b, count, positives in zip(*cells)
+            }
+            return _entry(by_label, bin_label, "calibration", label)
         # Effective per-group probability threshold implied by the uniform
         # score rule: the smallest acted-bin p_score (ties act, as in the
         # sweep).
-        cuts = curve.cut_points(group)
+        cuts = curve.sweep(group)[0]
         i = bisect_left(cuts, report.thresholds[group])
         if i == len(cuts):
             raise AuditError(f"group {group!r} has no acted bins")

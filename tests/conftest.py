@@ -17,6 +17,7 @@ from fairaudit import (
     optimal_threshold,
     policy_expected_disvalue,
 )
+from fairaudit.metrics import CurveCell
 
 
 @pytest.fixture(autouse=True)
@@ -56,12 +57,12 @@ def tally(bins, rows):
 
 
 def keyed_cells(curve):
-    """(group, bin) -> cell of a curve, in (group, bin) order, read off its
-    cell table ``curve.by_group``."""
+    """(group, bin) -> ``CurveCell`` of a curve, in (group, bin) order,
+    zipped from the columns of its cell table ``curve.by_group``."""
     return {
-        (g, cell.bin): cell
+        (g, b): CurveCell(b, count, positives)
         for g, cells in curve.by_group.items()
-        for cell in cells
+        for b, count, positives in zip(*cells)
     }
 
 

@@ -221,7 +221,7 @@ def test_criterion_08_no_preference_invariance(capfd):
             policy = ThresholdPolicy.uniform(spec.threshold)
             by_bin: dict[int, set[float]] = {}
             for (g, b), cell in keyed_cells(curve).items():
-                p = cell.p_score
+                p = cell.positives / cell.count
                 risk = individual_error_risk(curve, g, b, policy)
                 expected = 1.0 - p if p >= spec.threshold else p
                 assert risk == expected
@@ -235,7 +235,7 @@ def test_criterion_08_no_preference_invariance(capfd):
         policy = ThresholdPolicy.uniform(spec.threshold)
         b_cells = [
             (g, b) for (g, b), cell in keyed_cells(curve).items()
-            if cell.p_score == 0.80
+            if cell.positives / cell.count == 0.80
         ]
         risks = {
             individual_error_risk(curve, g, b, policy) for g, b in b_cells

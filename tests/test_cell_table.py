@@ -26,7 +26,7 @@ from fairaudit import (
     scenario_spec,
 )
 from fairaudit.cli import _base_report
-from fairaudit.metrics import CurveCell
+from fairaudit.metrics import CalibrationCurve
 from fairaudit.parity import LOWER_OTHERS, RAISE_OTHERS
 from reference import curve_from_counts
 
@@ -127,7 +127,7 @@ def reference_gap(dataset):
 def draw_policy(data, dataset, curve):
     """A uniform or per-group policy whose thresholds are either arbitrary
     or exactly some cell's p_score, so ties at the threshold occur."""
-    ties = sorted({cell.p_score for cell in keyed_cells(curve).values()})
+    ties = sorted({c.positives / c.count for c in keyed_cells(curve).values()})
     threshold = st.one_of(st.floats(0.0, 1.0), st.sampled_from(ties))
     if data.draw(st.booleans(), label="uniform"):
         return ThresholdPolicy.uniform(data.draw(threshold, label="threshold"))
@@ -171,12 +171,18 @@ def test_by_group_holds_each_group_cells_in_ascending_bin_order(dataset):
     cells = tally(*dataset)
     assert list(curve.by_group) == list(curve.groups) == groups_of(dataset)
     for g, group_cells in curve.by_group.items():
-        assert all(type(cell) is CurveCell for cell in group_cells)
-        bins = [cell.bin for cell in group_cells]
-        assert bins == sorted(set(bins))
-        assert {(g, c.bin): (c.count, c.positives) for c in group_cells} == {
-            key: counts for key, counts in cells.items() if key[0] == g
-        }
+        # Three int columns of equal length: bins, counts, positives.
+        assert type(group_cells) is tuple and len(group_cells) == 3
+        bins, counts, positives = group_cells
+        assert all(type(column) is tuple for column in group_cells)
+        assert len(bins) == len(counts) == len(positives)
+        assert all(type(n) is int for column in group_cells for n in column)
+        assert all(lo < hi for lo, hi in zip(bins, bins[1:]))
+        assert all(0 <= pos <= count and count > 0
+                   for count, pos in zip(counts, positives))
+        assert {
+            (g, b): (count, pos) for b, count, pos in zip(*group_cells)
+        } == {key: counts for key, counts in cells.items() if key[0] == g}
 
 
 @settings(deadline=None)
@@ -187,15 +193,15 @@ def test_confusion_matches_a_walk_over_the_group_cells(dataset):
     # 0 and 1, and between each two cut points.
     curve = curve_of(dataset)
     for g in curve.groups:
-        cells = curve.by_group[g]
-        cuts = curve.cut_points(g)
-        assert list(cuts) == sorted({cell.p_score for cell in cells})
+        cells = [c for (g2, _b), c in keyed_cells(curve).items() if g2 == g]
+        cuts = curve.sweep(g)[0]
+        assert list(cuts) == sorted({c.positives / c.count for c in cells})
         between = [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])]
         for t in sorted({0.0, 1.0, *cuts, *between}):
             tp = fp = tn = fn = 0
             for cell in cells:
                 negatives = cell.count - cell.positives
-                if cell.p_score >= t:
+                if cell.positives / cell.count >= t:
                     tp, fp = tp + cell.positives, fp + negatives
                 else:
                     fn, tn = fn + cell.positives, tn + negatives
@@ -314,7 +320,7 @@ def test_no_uniform_threshold_beats_p_star(dataset, integral, data):
     at_p_star = reference_value(p_star)
     tol = 0.0 if integral else 1e-9
     candidates = {0.0, 1.0} | {
-        cell.p_score for cell in keyed_cells(curve).values()
+        c.positives / c.count for c in keyed_cells(curve).values()
     }
     assert max(reference_value(t) for t in candidates) <= at_p_star + tol
     # The best value does not depend on the policy assessed.
@@ -370,8 +376,10 @@ def test_post_curve_quantities_never_rebin_a_record(monkeypatch):
 
 
 def test_post_curve_work_reads_each_cell_a_few_times(monkeypatch):
-    # 16 groups x 50 bins: a per-candidate walk over a group's cells would
-    # read each cell's p_score about 50 times in the equalization search.
+    # 16 groups x 50 bins. Each group's cells are read once, into its
+    # sweep; the equalization search ranks a group's ~50 candidates on the
+    # sweep's integers and builds a confusion matrix only for the threshold
+    # it picks. A matrix per candidate would be ~50 per group.
     counts = [
         (f"g{g:02d}", b, (3 * g + 7 * b) % 11, (5 * g + 2 * b) % 9 + 1)
         for g in range(16)
@@ -380,18 +388,18 @@ def test_post_curve_work_reads_each_cell_a_few_times(monkeypatch):
     ]
     curve = curve_from_counts(BinScheme(edges=tuple(range(51))), counts)
     policy = ThresholdPolicy.uniform(0.5)
-    reads = 0
-    p_score = CurveCell.p_score.fget
+    builds = 0
+    confusion = CalibrationCurve.confusion
 
-    def counted(cell):
-        nonlocal reads
-        reads += 1
-        return p_score(cell)
+    def counted(self, group, threshold):
+        nonlocal builds
+        builds += 1
+        return confusion(self, group, threshold)
 
-    monkeypatch.setattr(CurveCell, "p_score", property(counted))
+    monkeypatch.setattr(CalibrationCurve, "confusion", counted)
     equalize_fpr(curve, policy, tolerance=1e-9)
     _base_report(curve, False, policy, SYMMETRIC_VALUES, False, 1e-9, [])
-    assert reads <= 4 * len(keyed_cells(curve))
+    assert builds <= 3 * len(curve.groups)
 
 
 def test_report_checks_group_membership_without_scanning_the_groups():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import write_csv
-from fairaudit import AuditError, BinScheme, cellcache, ingest
+from fairaudit import AuditError, BinScheme, cellcache, ingest, metrics
 from fairaudit.cli import EXIT_INPUT, EXIT_OK, main
 from fairaudit.ingest import DatasetConfig, IngestError, ingest_csv
 from fairaudit.metrics import curve_from_tallies
@@ -151,10 +151,10 @@ def test_reports_are_the_same_cold_warm_and_without_a_cache(entries, bad):
 def recounted(data):
     """The entry with one count changed and its CRC-32 left as it was: a
     body that still unmarshals, with the right key, but damaged."""
-    key, tallies = marshal.loads(data[:-4])
-    positives = tallies["a"][0]
-    positives[min(positives)] += 1
-    return marshal.dumps((key, tallies)) + data[-4:]
+    key, table = marshal.loads(data[:-4])
+    bins, counts, positives = table["a"]
+    table["a"] = (bins, (counts[0] + 1, *counts[1:]), positives)
+    return marshal.dumps((key, table)) + data[-4:]
 
 
 class TestMisses:
@@ -186,7 +186,8 @@ class TestMisses:
         lambda data: bytes(range(256)) * 4,
         recounted,
         # An intact entry of another key under this one's name.
-        lambda data: cellcache._encode(("another key",), {"a": ({0: 1}, {})}),
+        lambda data: cellcache._encode(("another key",),
+                                       {"a": ((0,), (1,), (1,))}),
     ], ids=["half", "last_byte_cut", "empty", "garbage", "flipped_count",
             "foreign"])
     def test_a_damaged_entry_is_a_miss_and_is_replaced(
@@ -243,17 +244,21 @@ class TestMisses:
     def test_an_edit_to_the_ingest_module_is_a_miss(
         self, data_csv, parses, tmp_path, monkeypatch
     ):
-        # A copy of ingest.py stands in for it, so that its stat can change.
-        source = tmp_path / "ingest.py"
-        source.write_bytes(Path(ingest.__file__).read_bytes())
-        monkeypatch.setattr(ingest, "__file__", str(source))
+        # The module that parses the rows, and the one that builds the
+        # stored table from them. A copy stands in for each, so that its
+        # stat can change.
         config = DatasetConfig(data_csv, BINS)
-        expected = ingest_csv(config)
-        mtime = source.stat().st_mtime_ns
-        os.utime(source, ns=(mtime, mtime + 1_000_000_000))
-        assert ingest_csv(config) == expected
-        assert ingest_csv(config) == expected
-        assert parses == [data_csv, data_csv]
+        for module in (ingest, metrics):
+            parses.clear()
+            source = tmp_path / os.path.basename(module.__file__)
+            source.write_bytes(Path(module.__file__).read_bytes())
+            monkeypatch.setattr(module, "__file__", str(source))
+            expected = ingest_csv(config)
+            mtime = source.stat().st_mtime_ns
+            os.utime(source, ns=(mtime, mtime + 1_000_000_000))
+            assert ingest_csv(config) == expected
+            assert ingest_csv(config) == expected
+            assert parses == [data_csv, data_csv], module.__name__
 
 
 def edit_in_place(path, old, new):

@@ -338,12 +338,24 @@ def test_commands_build_no_record_or_population(compas_csv, monkeypatch):
     # in: no command holds a collection of records. Every curve is built by
     # the one constructor, reached through its bindings in ingest and in
     # scenarios, and it is handed only group -> (positives_by_bin,
-    # negatives_by_bin) int counts, at most one per bin.
+    # negatives_by_bin) int counts, at most one per bin. A second ingest of
+    # the input reads the built cell table from the cache and builds
+    # nothing, and no command makes an object per cell.
     import fairaudit.ingest
     import fairaudit.metrics
     import fairaudit.scenarios
+    from fairaudit.metrics import CurveCell
 
     built = []
+    cells_made = 0
+    new_cell = CurveCell.__new__
+
+    def counted_cell(cls, *args, **kwargs):
+        nonlocal cells_made
+        cells_made += 1
+        return new_cell(cls, *args, **kwargs)
+
+    monkeypatch.setattr(CurveCell, "__new__", counted_cell)
 
     def tallies_only(bins, tallies):
         for positives, negatives in tallies.values():
@@ -361,10 +373,17 @@ def test_commands_build_no_record_or_population(compas_csv, monkeypatch):
     for module in (fairaudit.ingest, fairaudit.scenarios):
         monkeypatch.setattr(module, "curve_from_tallies", tallies_only)
     dataset = ["--input", compas_csv, "--bins", COMPAS_BINS]
-    for argv in (["audit", *dataset], ["equalize", *dataset],
-                 ["scenario", "compas_synthetic"]):
-        assert main([*argv, "--format", "json"]) == EXIT_OK, argv
-    assert built == [2, 2, 2]
+    # In json, audit is the input's first ingest and equalize a cache hit;
+    # in md, both are hits.
+    for fmt, builds in (("json", [2, 2]), ("md", [2])):
+        built.clear()
+        for argv in (["audit", *dataset], ["equalize", *dataset],
+                     ["scenario", "compas_synthetic"]):
+            assert main([*argv, "--format", fmt]) == EXIT_OK, argv
+        assert built == builds, fmt
+    assert cells_made == 0
+    CurveCell(0, 1, 1)  # the wrapper sees a construction
+    assert cells_made == 1
 
 
 def test_markdown_table_cells_escape_labels(tmp_path, capsys):

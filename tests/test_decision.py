@@ -235,9 +235,9 @@ class TestPolicyExpectedDisvalue:
         ).total.expected_disvalue
         candidates = {i / 100 for i in range(101)}
         candidates.update(
-            curve.p_score(g, cell.bin)
-            for g, cells in curve.by_group.items()
-            for cell in cells
+            curve.p_score(g, b)
+            for g, (bins, _counts, _positives) in curve.by_group.items()
+            for b in bins
         )
         for t in sorted(candidates):
             cost = assess(

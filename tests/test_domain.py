@@ -78,7 +78,7 @@ class TestValidatePopulation:
         )
         assert curve.groups == ("a", "b")
         assert sum(
-            cell.count for cells in curve.by_group.values() for cell in cells
+            sum(counts) for _bins, counts, _pos in curve.by_group.values()
         ) == 3
 
     def test_single_group_rejected(self):
@@ -157,7 +157,7 @@ VALUE_OBJECTS = [
     (lambda: CurveCell(bin=0, count=4, positives=1), "count", None, None),
     (lambda: curve_from_counts(
         BinScheme(edges=(0.0, 1.0, 2.0)), [("a", 0, 1, 1), ("b", 1, 2, 0)],
-    ), "by_group", {"by_group": {"a": (CurveCell(0, 2, 1),)}},
+    ), "by_group", {"by_group": {"a": ((0,), (2,), (1,))}},
      r"need at least 2 groups, found 1: \['a'\]"),
     (lambda: DecisionEV(ev_act=0.25, ev_refrain=0.75), "ev_act", None, None),
     (_assessment, "acted", None, None),

@@ -146,13 +146,15 @@ class TestCalibrationCurve:
         spec = scenario_spec("certainty_lottery")
         curve = scenario_curve(spec.bins, spec.cells)
         for g in curve.groups:
-            assert [cell.bin for cell in curve.by_group[g]] == [0]
+            bins, _counts, _positives = curve.by_group[g]
+            assert bins == (0,)
             assert curve.p_score(g, 0) == base_rate("certainty_lottery", g)
 
     def test_empty_cells_absent_not_zero(self):
         spec = scenario_spec("miscalibrated_compas")
         curve = scenario_curve(spec.bins, spec.cells)
-        assert 0 not in [cell.bin for cell in curve.by_group["white"]]
+        bins, _counts, _positives = curve.by_group["white"]
+        assert 0 not in bins
         with pytest.raises(ValidationError):
             curve.p_score("white", 0)
 
@@ -168,11 +170,10 @@ class TestCalibrationCurve:
         counts += [("a", 0, 1, 0), ("b", 7, 0, 1)]
         curve = curve_from_counts(BinScheme(edges=tuple(range(9))), counts)
         for g in "abc":
-            cells = curve.by_group.get(g, ())
-            for cell in cells:
-                p = cell.positives / cell.count
-                assert curve.p_score(g, cell.bin) == p
-            for b in set(range(-1, 9)) - {cell.bin for cell in cells}:
+            bins, counts, positives = curve.by_group.get(g, ((), (), ()))
+            for b, count, pos in zip(bins, counts, positives):
+                assert curve.p_score(g, b) == pos / count
+            for b in set(range(-1, 9)) - set(bins):
                 with pytest.raises(ValidationError,
                                    match=f"has no records in bin {b}$"):
                     curve.p_score(g, b)

@@ -185,7 +185,7 @@ def tables_with_a_third_group(draw):
 def test_applicable_verdict_always_finds_the_ordering(table, data):
     bins, entries = table
     curve = curve_from_counts(bins, entries)
-    p_scores = sorted({cell.p_score for cell in keyed_cells(curve).values()})
+    p_scores = sorted({c.positives / c.count for c in keyed_cells(curve).values()})
     threshold = data.draw(
         st.sampled_from(p_scores) | st.floats(0.0, 1.0), label="threshold"
     )
@@ -201,7 +201,7 @@ def test_a_pairs_verdict_depends_only_on_that_pair(table, data):
     bins, entries = table
     three = curve_from_counts(bins, entries)
     two = curve_from_counts(bins, [e for e in entries if e[0] != "c"])
-    p_scores = sorted({cell.p_score for cell in keyed_cells(two).values()})
+    p_scores = sorted({c.positives / c.count for c in keyed_cells(two).values()})
     threshold = data.draw(
         st.sampled_from(p_scores) | st.floats(0.0, 1.0), label="threshold"
     )

@@ -235,10 +235,10 @@ class TestRandomCalibratedPopulation:
         assert curve.groups == ("a", "b")
         assert bins.n_bins == n_bins and (bins.edges[0], bins.edges[-1]) == (0.0, 1.0)
         for g, rate in (("a", rate_a), ("b", rate_b)):
-            cells = curve.by_group[g]
-            assert tuple(cell.bin for cell in cells) == tuple(range(n_bins))
-            for b, cell in enumerate(cells):
-                assert cell.positives * (n_bins + 1) == cell.count * (b + 1)
+            cell_bins, counts, positives = curve.by_group[g]
+            assert cell_bins == tuple(range(n_bins))
+            for b, (count, pos) in enumerate(zip(counts, positives)):
+                assert pos * (n_bins + 1) == count * (b + 1)
             cm = curve.confusion(g, 0.5)
             assert cm.n == n
             assert abs(cm.base_rate - rate) <= 1 / n
