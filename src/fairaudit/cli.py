@@ -167,7 +167,11 @@ def _base_report(
     values_defaulted: bool,
     tolerance: float,
     notes: list[str],
+    direction: str | None = None,
+    equalize_tolerance: float = 1e-9,
 ) -> AuditReport:
+    """The report of ``policy`` on ``curve``: every section reads one matrix
+    per group at its threshold; a ``direction`` adds FPR equalization."""
     thresholds = policy.thresholds(curve.groups)
     groups = {g: curve.confusion(g, t) for g, t in thresholds.items()}
     # A group whose threshold is p* has its best matrix in ``groups``.
@@ -176,6 +180,10 @@ def _base_report(
         g: cm if thresholds[g] == p_star else curve.confusion(g, p_star)
         for g, cm in groups.items()
     }
+    equalization = None if direction is None else equalize_fpr(
+        curve, policy, groups, equalize_tolerance,
+        direction=direction, values=values, notes=notes,
+    )
     impossibility = None
     if len(groups) != 2:
         notes.append(
@@ -206,6 +214,7 @@ def _base_report(
         curve=curve,
         assessment=assessment,
         impossibility=impossibility,
+        equalization=equalization,
         notes=tuple(notes),
     )
 
@@ -275,17 +284,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 "surrounding whitespace; they are audited as separate groups."
             )
     policy = parse_threshold(args.threshold, curve, values, notes)
-    equalization = None
+    direction = None
     if args.command == "equalize":
         direction = RAISE_OTHERS if args.raise_thresholds else LOWER_OTHERS
-        equalization = equalize_fpr(
-            curve, policy, tolerance=args.tolerance,
-            direction=direction, values=values, notes=notes,
-        )
-    report = _base_report(
-        curve, args.benefit, policy, values, defaulted, args.tolerance, notes
-    )
-    _emit(report._replace(equalization=equalization), args)
+    _emit(_base_report(
+        curve, args.benefit, policy, values, defaulted, args.tolerance, notes,
+        direction, args.tolerance,
+    ), args)
     return EXIT_OK
 
 
@@ -293,26 +298,17 @@ def scenario_report(name: str) -> AuditReport:
     """Build a named scenario's report and check its published figures
     against the numbers in that report."""
     spec = scenario_spec(name)
-    notes = list(spec.notes)
-    values = SYMMETRIC_VALUES
     curve = scenario_curve(spec.bins, spec.cells)
     policy = ThresholdPolicy.uniform(spec.threshold)
     report = _base_report(
-        curve, spec.action_benefits_subject, policy, values, True,
-        spec.calib_tolerance, notes,
+        curve, spec.action_benefits_subject, policy, SYMMETRIC_VALUES, True,
+        spec.calib_tolerance, list(spec.notes), spec.equalize_direction, 1e-9,
     )
-    extras: dict = {}
-    try:
-        extras["equalization"] = equalize_fpr(
-            curve, policy, tolerance=1e-9,
-            direction=spec.equalize_direction, values=values, notes=notes,
-        )
-    except AuditError as exc:
-        notes.append(f"Equalization skipped: {exc}")
     if spec.exclusion_quota is not None:
         counts = {g: cm.n for g, cm in report.groups.items()}
-        extras["lottery"] = fair_lottery(counts, spec.exclusion_quota)
-    report = report._replace(**extras, notes=tuple(notes))
+        report = report._replace(
+            lottery=fair_lottery(counts, spec.exclusion_quota)
+        )
     checks = check_scenario(report, spec)
     return report._replace(scenario=ScenarioSection(
         name=spec.name,

@@ -140,6 +140,9 @@ def _count_cells(config: DatasetConfig) -> dict[str, Tallies]:
                         )
                     raw_score = row[score_at]
                     try:
+                        # float() alone reads '0_1' and non-ASCII digits.
+                        if "_" in raw_score or not raw_score.isascii():
+                            raise ValueError
                         score = float(raw_score)
                     except ValueError:
                         raise IngestError(

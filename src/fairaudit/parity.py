@@ -59,33 +59,33 @@ class ImpossibilityVerdict(NamedTuple):
 def equalize_fpr(
     curve: CalibrationCurve,
     baseline_policy: ThresholdPolicy,
+    baseline: Mapping[str, ConfusionMatrix],
     tolerance: float,
     direction: str = LOWER_OTHERS,
     values: OutcomeValues = SYMMETRIC_VALUES,
-    notes: list[str] | None = None,
+    *,
+    notes: list[str],
 ) -> EqualizationResult:
     """Search per-group thresholds that minimize the FPR gap.
 
-    The reference group (highest FPR by default, lowest with
-    direction=RAISE_OTHERS) keeps its baseline threshold; every other group
-    moves over its finite set of achievable cut points to the threshold
+    ``baseline`` maps each group of ``curve``, and no other, to its matrix
+    at its ``baseline_policy`` threshold. The reference group (highest FPR
+    by default, lowest with direction=RAISE_OTHERS) keeps that threshold;
+    every other group moves over its achievable cut points to the threshold
     whose FPR is closest to the reference's. Exact parity is often
     unattainable with discrete bins, so the residual gap is first-class
-    output. ``disvalue_delta`` is the increase in total expected disvalue
-    relative to the baseline policy under ``values``: the baseline's value
-    minus the equalized one, read off the search's confusion matrices; a
-    value sum that is not finite is a ValidationError.
-    ``exact`` means equal FPRs, decided on integer counts; a nonzero
-    residual at or below ``tolerance`` gets a note in ``notes``.
+    output; ``exact`` means equal FPRs, decided on integer counts, and a
+    nonzero residual at or below ``tolerance`` gets a note in ``notes``.
+    ``disvalue_delta`` is the baseline's total value under ``values`` minus
+    the equalized one (a sum that is not finite is a ValidationError).
     """
     if not tolerance > 0:
         raise ValidationError("tolerance must be positive")
     if direction not in (LOWER_OTHERS, RAISE_OTHERS):
         raise ValidationError(f"unknown direction {direction!r}")
+    if baseline.keys() != curve.by_group.keys():
+        raise ValidationError("baseline and curve name different groups")
     groups = curve.groups
-    baseline = {
-        g: curve.confusion(g, baseline_policy.threshold_for(g)) for g in groups
-    }
     baseline_fprs: dict[str, float] = {}
     for g, cm in baseline.items():
         fpr = cm.fpr
@@ -131,7 +131,7 @@ def equalize_fpr(
     fprs = {g: cm.fpr for g, cm in chosen.items()}
     residual = max(fprs.values()) - min(fprs.values())
     exact = all(gap(cm.fp, cm.fp + cm.tn) == 0 for cm in chosen.values())
-    if not exact and residual <= tolerance and notes is not None:
+    if not exact and residual <= tolerance:
         notes.append(
             f"FPR equalization: the residual gap {residual:.6g} is within "
             f"the tolerance {tolerance:g}, but the FPRs are not equal."
@@ -155,7 +155,8 @@ def impossibility_check(
     curve: CalibrationCurve,
     matrices: Mapping[str, ConfusionMatrix],
     calib_tolerance: float = 1e-9,
-    notes: list[str] | None = None,
+    *,
+    notes: list[str],
 ) -> ImpossibilityVerdict:
     """Check the central impossibility on a pair of groups of ``curve``:
     the two keys of ``matrices``, which maps each to its confusion matrix
@@ -197,16 +198,15 @@ def impossibility_check(
         fall = _dominance_failure(curve, higher, lower)
         if fall is not None:
             applicable = False
-            if notes is not None:
-                below, above = (curve.bins.label(i) for i in fall)
-                notes.append(
-                    f"Impossibility check: group {higher!r} does not "
-                    f"dominate group {lower!r} in likelihood ratio. Over the "
-                    "bins in ascending p_score order, the first group's "
-                    "count divided by the second's falls from bin "
-                    f"{below!r} to bin {above!r}. Calibration alone does not "
-                    "order the FPRs."
-                )
+            below, above = (curve.bins.label(i) for i in fall)
+            notes.append(
+                f"Impossibility check: group {higher!r} does not "
+                f"dominate group {lower!r} in likelihood ratio. Over the "
+                "bins in ascending p_score order, the first group's "
+                "count divided by the second's falls from bin "
+                f"{below!r} to bin {above!r}. Calibration alone does not "
+                "order the FPRs."
+            )
     ordering = applicable and fprs[higher] >= fprs[lower]
     return ImpossibilityVerdict(
         calibrated=calibrated,

@@ -124,8 +124,6 @@ def scenario_figure(report: AuditReport, label: str) -> float:
             "acted_equalized": equalization.acted_equalized,
         }[kind]
         return float(_entry(table, rest, "equalization", label))
-    if kind == "equalize_residual":
-        return _section(report, "equalization", label).residual_gap
     if kind in ("p", "equiv_threshold"):
         bin_label, _, group = rest.rpartition(":")
         curve = report.curve

@@ -1,8 +1,8 @@
 """Test helpers shared by the suite and by ``tests/test_golden.py`` run as a
 script: the per-record view of declared counts, which the tests' oracles
-walk, the one writer of CSV input, and a policy's value assessment and a
-pair's impossibility verdict read off a curve; and, for every test, a
-cell-table cache of its own.
+walk, the one writer of CSV input, and a policy's value assessment, a
+pair's impossibility verdict and a policy's FPR equalization read off a
+curve; and, for every test, a cell-table cache of its own.
 
 Counts are declared as (group, score, positives, negatives) entries, the
 shape of ``ScenarioSpec.cells``; a record is a (group, score, positive)
@@ -13,6 +13,7 @@ import csv
 import pytest
 
 from fairaudit import (
+    equalize_fpr,
     impossibility_check,
     optimal_threshold,
     policy_expected_disvalue,
@@ -103,9 +104,25 @@ def assess(curve, policy, values):
 def check_pair(curve, threshold, *pair, **options):
     """``impossibility_check`` of a pair of groups at one uniform threshold:
     each group's confusion matrix there. The pair defaults to the curve's
-    groups; ``options`` are the check's keyword arguments."""
+    groups; ``options`` are the check's keyword arguments, and ``notes``
+    defaults to a new list."""
+    options.setdefault("notes", [])
     return impossibility_check(
         curve,
         {g: curve.confusion(g, threshold) for g in pair or curve.groups},
+        **options,
+    )
+
+
+def equalize(curve, policy, **options):
+    """``equalize_fpr`` of a policy on a curve, from each group's confusion
+    matrix at its policy threshold; ``options`` are the search's keyword
+    arguments, ``tolerance`` defaults to 1e-9 and ``notes`` to a new list."""
+    options.setdefault("tolerance", 1e-9)
+    options.setdefault("notes", [])
+    return equalize_fpr(
+        curve,
+        policy,
+        {g: curve.confusion(g, policy.threshold_for(g)) for g in curve.groups},
         **options,
     )

@@ -9,12 +9,11 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import assess, keyed_cells, records, write_csv
+from conftest import assess, equalize, keyed_cells, records, write_csv
 from fairaudit import (
     OutcomeValues,
     SCENARIO_NAMES,
     ThresholdPolicy,
-    equalize_fpr,
     fair_lottery,
     optimal_threshold,
     scenario_curve,
@@ -183,7 +182,7 @@ def test_criterion_06_disvalue_dominance(capfd):
             baseline = ThresholdPolicy.uniform(p_star)
             base_cost = assess(curve, baseline, values).total.expected_disvalue
             for direction in ("lower_others", "raise_others"):
-                result = equalize_fpr(
+                result = equalize(
                     curve, baseline, tolerance=1e-9,
                     direction=direction, values=values,
                 )
@@ -202,7 +201,7 @@ def test_criterion_07_benefit_reversal(capfd):
         assert spec.action_benefits_subject
         curve = scenario_curve(spec.bins, spec.cells)
         baseline = ThresholdPolicy.uniform(spec.threshold)
-        result = equalize_fpr(
+        result = equalize(
             curve, baseline, tolerance=1e-9, direction=RAISE_OTHERS
         )
         higher = max(

@@ -12,7 +12,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assess, check_pair, entries_of, keyed_cells, tally
+from conftest import (
+    assess, check_pair, entries_of, equalize, keyed_cells, tally,
+)
 from fairaudit import (
     SYMMETRIC_VALUES,
     BinScheme,
@@ -20,7 +22,6 @@ from fairaudit import (
     OutcomeValues,
     ThresholdPolicy,
     calibration_gap,
-    equalize_fpr,
     optimal_threshold,
     scenario_curve,
     scenario_spec,
@@ -240,7 +241,7 @@ def test_equalization_counts_match_the_per_record_reference(dataset, data):
                 fp += count - pos
         return acted, fp / negatives
 
-    result = equalize_fpr(curve, policy, tolerance=1e-9)
+    result = equalize(curve, policy, tolerance=1e-9)
     groups = groups_of(dataset)
     for g in groups:
         acted, _ = acted_and_fpr(g, policy.threshold_for(g))
@@ -279,7 +280,7 @@ def test_equalization_picks_the_best_candidate_of_each_group(
     baseline = {g: fpr(g, policy.threshold_for(g)) for g in groups}
     pick = max if direction == LOWER_OTHERS else min
     reference = pick(groups, key=lambda g: (baseline[g], g))
-    result = equalize_fpr(curve, policy, tolerance=1e-9, direction=direction)
+    result = equalize(curve, policy, tolerance=1e-9, direction=direction)
     assert result.reference_group == reference
     for g in groups:
         t0 = policy.threshold_for(g)
@@ -340,7 +341,7 @@ def test_disvalue_delta_is_the_difference_of_the_two_policies(
     curve = curve_of(dataset)
     policy = draw_policy(data, dataset, curve)
     values = data.draw(outcome_values(integral), label="values")
-    result = equalize_fpr(curve, policy, tolerance=1e-9, values=values)
+    result = equalize(curve, policy, tolerance=1e-9, values=values)
     equalized = ThresholdPolicy.per_group(result.thresholds)
     costs = [
         assess(curve, p, values).total.expected_disvalue
@@ -361,7 +362,7 @@ def test_post_curve_quantities_never_rebin_a_record(monkeypatch):
             [curve.confusion(g, policy.threshold_for(g)) for g in curve.groups],
             calibration_gap(curve, *curve.groups),
             assess(curve, policy, SYMMETRIC_VALUES),
-            equalize_fpr(curve, policy, tolerance=1e-9),
+            equalize(curve, policy, tolerance=1e-9),
             check_pair(curve, spec.threshold),
         )
 
@@ -379,7 +380,10 @@ def test_post_curve_work_reads_each_cell_a_few_times(monkeypatch):
     # 16 groups x 50 bins. Each group's cells are read once, into its
     # sweep; the equalization search ranks a group's ~50 candidates on the
     # sweep's integers and builds a confusion matrix only for the threshold
-    # it picks. A matrix per candidate would be ~50 per group.
+    # it picks. A matrix per candidate would be ~50 per group. The report
+    # builds each group's matrix at its threshold once, for every section:
+    # at 0.5, which is p* for the symmetric values, that is one matrix per
+    # group and one per group the search moves.
     counts = [
         (f"g{g:02d}", b, (3 * g + 7 * b) % 11, (5 * g + 2 * b) % 9 + 1)
         for g in range(16)
@@ -388,6 +392,7 @@ def test_post_curve_work_reads_each_cell_a_few_times(monkeypatch):
     ]
     curve = curve_from_counts(BinScheme(edges=tuple(range(51))), counts)
     policy = ThresholdPolicy.uniform(0.5)
+    assert optimal_threshold(SYMMETRIC_VALUES) == 0.5
     builds = 0
     confusion = CalibrationCurve.confusion
 
@@ -397,9 +402,11 @@ def test_post_curve_work_reads_each_cell_a_few_times(monkeypatch):
         return confusion(self, group, threshold)
 
     monkeypatch.setattr(CalibrationCurve, "confusion", counted)
-    equalize_fpr(curve, policy, tolerance=1e-9)
-    _base_report(curve, False, policy, SYMMETRIC_VALUES, False, 1e-9, [])
-    assert builds <= 3 * len(curve.groups)
+    report = _base_report(
+        curve, False, policy, SYMMETRIC_VALUES, False, 1e-9, [], LOWER_OTHERS
+    )
+    assert report.equalization is not None
+    assert builds <= 2 * len(curve.groups)
 
 
 def test_report_checks_group_membership_without_scanning_the_groups():
@@ -423,5 +430,5 @@ def test_report_checks_group_membership_without_scanning_the_groups():
     curve.__dict__["groups"] = ScanCountingTuple(curve.groups)
     policy = ThresholdPolicy.uniform(0.5)
     _base_report(curve, False, policy, SYMMETRIC_VALUES, False, 1e-9, [])
-    equalize_fpr(curve, policy, tolerance=1e-9)
+    equalize(curve, policy, tolerance=1e-9)
     assert scanned <= 2 * len(curve.groups)

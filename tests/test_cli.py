@@ -247,6 +247,28 @@ class TestAuditCommand:
         assert code == EXIT_INPUT
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", [
+        "0_1", "1_0", "\u0660.\u0662", "\uff15", "5\u00a0", "\u20035",
+    ])
+    def test_score_that_is_not_an_ascii_decimal_exits_2_naming_the_row(
+        self, tmp_path, capsys, raw
+    ):
+        # float() reads each of these as a number: a digit separator,
+        # Arabic-Indic and fullwidth digits, and Unicode spaces.
+        f = tmp_path / "score.csv"
+        f.write_text(f"id,group,score,outcome\nr1,a,2.0,1\nr2,b,{raw},0\n",
+                     encoding="utf-8")
+        code = main(["audit", "--input", str(f), "--bins", COMPAS_BINS])
+        assert code == EXIT_INPUT
+        _only_error_line(capsys.readouterr().err,
+                         f"row 3: unparseable score {raw!r}")
+
+    def test_score_may_have_surrounding_ascii_whitespace(self, tmp_path):
+        f = tmp_path / "score.csv"
+        f.write_text("id,group,score,outcome\nr1,a, 2.0\t,1\nr2,b,7.0 ,0\n")
+        assert main(["audit", "--input", str(f), "--bins", COMPAS_BINS,
+                     "--out", str(tmp_path / "report.md")]) == EXIT_OK
+
     def test_unreadable_file_exits_2_naming_file_and_row(
         self, tmp_path, capsys
     ):
@@ -990,6 +1012,31 @@ class TestEqualizeCommand:
         assert "Parity residual; residual FPR gap <0.05%" in text
         assert f"- {note}" in text
 
+    def test_residual_note_comes_before_the_impossibility_note(
+        self, tmp_path, capsys
+    ):
+        # FPRs 1/4, 1/3 and 1/2 at p=0.5; no candidate of a or b comes
+        # nearer the reference's 1/2, so the residual gap 1/4 stays, inside
+        # a tolerance of 0.5. The search runs before the check.
+        csv_path = write_csv(tmp_path / "three.csv", [
+            ("a", 8.0, 1, 1), ("a", 2.0, 0, 3),
+            ("b", 8.0, 2, 1), ("b", 2.0, 0, 2),
+            ("c", 8.0, 1, 1), ("c", 2.0, 0, 1),
+        ])
+        argv = ["equalize", "--input", csv_path, "--bins", COMPAS_BINS,
+                "--threshold", "p=0.5", "--tolerance", "0.5"]
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        notes = json.loads(capsys.readouterr().out)["notes"]
+        assert notes[-2:] == [
+            "FPR equalization: the residual gap 0.25 is within the "
+            "tolerance 0.5, but the FPRs are not equal.",
+            "Impossibility check skipped: it is pairwise and the input has "
+            "3 groups.",
+        ]
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [f"- {note}" for note in notes[-2:]]
+
     def test_nan_tolerance_exits_2(self, compas_csv, capsys):
         for command in ("equalize", "audit"):
             for tolerance in ("nan", "-1", "0"):
@@ -1042,17 +1089,23 @@ class TestScenarioCommand:
         assert payload["scenario"]["passed"] is False
 
     def test_check_reading_a_skipped_section_exits_2(self, monkeypatch, capsys):
+        # compas_benefit has no exclusion quota, so its report has no
+        # lottery section for a lottery check to read.
         import fairaudit.cli as cli_mod
-        from fairaudit import AuditError
+        from fairaudit.scenarios import Check
 
-        def no_equalization(*args, **kwargs):
-            raise AuditError("forced")
-
-        monkeypatch.setattr(cli_mod, "equalize_fpr", no_equalization)
+        spec = scenario_spec("compas_benefit")
+        assert spec.exclusion_quota is None
+        lottery_check = Check("lottery_probability:black", 0.0)
+        monkeypatch.setattr(
+            cli_mod, "scenario_spec",
+            lambda name: spec._replace(checks=(*spec.checks, lottery_check)),
+        )
         code = main(["scenario", "compas_benefit"])
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
-        assert "equalized_threshold:black" in err and "equalization" in err
+        assert "'lottery_probability:black'" in err
+        assert "the report's lottery section" in err
 
     def test_unknown_scenario_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):

@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assess, records
+from conftest import assess, equalize, records
 from fairaudit import (
     BinScheme,
     OutcomeValues,
     ThresholdPolicy,
-    equalize_fpr,
     optimal_threshold,
     policy_expected_disvalue,
     scenario_curve,
@@ -258,4 +257,4 @@ def test_value_sums_past_the_largest_float_are_rejected():
     with pytest.raises(ValidationError, match="rescale --values"):
         assess(curve, policy, values)
     with pytest.raises(ValidationError, match="rescale --values"):
-        equalize_fpr(curve, policy, tolerance=1e-9, values=values)
+        equalize(curve, policy, tolerance=1e-9, values=values)

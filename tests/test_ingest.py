@@ -282,6 +282,8 @@ def _reference_count_cells(path, bins):
                     )
                 raw_score = row[score_at]
                 try:
+                    if "_" in raw_score or not raw_score.isascii():
+                        raise ValueError(raw_score)
                     score = float(raw_score)
                 except ValueError:
                     raise IngestError(
@@ -336,6 +338,8 @@ _BAD_BYTE = "\ue000"
 
 _FAULTS = {
     "bad_score": lambda row, other: row.__setitem__(2, "tall"),
+    "underscore_score": lambda row, other: row.__setitem__(2, "0_1"),
+    "non_ascii_score": lambda row, other: row.__setitem__(2, "\u0660.\u0662"),
     "bad_outcome": lambda row, other: row.__setitem__(3, "2"),
     "empty_group": lambda row, other: row.__setitem__(1, ""),
     "extra_field": lambda row, other: row.append("x"),

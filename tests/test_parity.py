@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import check_pair, keyed_cells, records
+from conftest import check_pair, equalize, keyed_cells, records
 from fairaudit import (
     AuditError,
     BinScheme,
@@ -216,7 +216,7 @@ class TestEqualizeFpr:
     def test_stride_raise_others(self):
         spec = scenario_spec("stride_height")
         curve = scenario_curve(spec.bins, spec.cells)
-        result = equalize_fpr(
+        result = equalize(
             curve,
             ThresholdPolicy.uniform(spec.threshold),
             tolerance=1e-9,
@@ -234,7 +234,7 @@ class TestEqualizeFpr:
     def test_compas_benefit_matches_hand_computation(self):
         spec = scenario_spec("compas_benefit")
         curve = scenario_curve(spec.bins, spec.cells)
-        result = equalize_fpr(
+        result = equalize(
             curve,
             ThresholdPolicy.uniform(spec.threshold),
             tolerance=1e-9,
@@ -259,7 +259,7 @@ class TestEqualizeFpr:
             for name in ("black", "black2")
         ]
         curve = scenario_curve(spec.bins, clone)
-        result = equalize_fpr(
+        result = equalize(
             curve, ThresholdPolicy.uniform(0.5), tolerance=1e-9
         )
         assert result.thresholds == {"black": 0.5, "black2": 0.5}
@@ -276,7 +276,7 @@ class TestEqualizeFpr:
             ("g", 7, 5, 3), ("g", 4, 1, 3), ("g", 2, 0, 3),
         ])
         assert abs(2 / 3 - 1 / 2) < abs(1 / 3 - 1 / 2)
-        result = equalize_fpr(
+        result = equalize(
             curve, ThresholdPolicy.uniform(0.5), tolerance=1e-9
         )
         assert result.reference_group == "r"
@@ -292,7 +292,7 @@ class TestEqualizeFpr:
             ("g", 0, 0, 3), ("g", 1, 3, 1),
         ])
         notes: list[str] = []
-        result = equalize_fpr(
+        result = equalize(
             curve, ThresholdPolicy.uniform(0.5), tolerance=0.25, notes=notes
         )
         assert result.reference_group == "r"
@@ -306,7 +306,7 @@ class TestEqualizeFpr:
     def test_fprs_consistent_with_direct_counts(self):
         spec = scenario_spec("compas_benefit")
         curve = scenario_curve(spec.bins, spec.cells)
-        result = equalize_fpr(
+        result = equalize(
             curve,
             ThresholdPolicy.uniform(spec.threshold),
             tolerance=1e-9,
@@ -323,24 +323,39 @@ class TestEqualizeFpr:
             [("a", 0.5, 5, 0), ("b", 0.5, 3, 3)],
         )
         with pytest.raises(AuditError, match="no negatives"):
-            equalize_fpr(curve, ThresholdPolicy.uniform(0.5), tolerance=1e-9)
+            equalize(curve, ThresholdPolicy.uniform(0.5), tolerance=1e-9)
 
     def test_rejects_bad_arguments(self):
         spec = scenario_spec("stride_height")
         curve = scenario_curve(spec.bins, spec.cells)
         with pytest.raises(ValidationError):
-            equalize_fpr(curve, ThresholdPolicy.uniform(0.5), tolerance=0.0)
+            equalize(curve, ThresholdPolicy.uniform(0.5), tolerance=0.0)
         with pytest.raises(ValidationError):
-            equalize_fpr(
+            equalize(
                 curve, ThresholdPolicy.uniform(0.5), tolerance=float("nan")
             )
         with pytest.raises(ValidationError):
-            equalize_fpr(
+            equalize(
                 curve,
                 ThresholdPolicy.uniform(0.5),
                 tolerance=1e-9,
                 direction="sideways",
             )
+
+    def test_rejects_a_baseline_of_other_groups(self):
+        # The baseline's matrices are the report's, one per group of the
+        # curve; any other set of groups is the caller's error.
+        spec = scenario_spec("stride_height")
+        curve = scenario_curve(spec.bins, spec.cells)
+        policy = ThresholdPolicy.uniform(0.5)
+        men, women = (curve.confusion(g, 0.5) for g in ("men", "women"))
+        for baseline in (
+            {"men": men},
+            {"men": men, "women": women, "others": women},
+            {"men": men, "others": women},
+        ):
+            with pytest.raises(ValidationError, match="different groups"):
+                equalize_fpr(curve, policy, baseline, 1e-9, notes=[])
 
 
 class TestIndividualErrorRisk:

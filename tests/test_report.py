@@ -10,10 +10,10 @@ from fairaudit import (
     SYMMETRIC_VALUES,
     BinScheme,
     ThresholdPolicy,
-    equalize_fpr,
     scenario_spec,
 )
 from fairaudit.cli import _base_report
+from fairaudit.parity import LOWER_OTHERS
 from fairaudit.report import format_percent, render_report
 from reference import curve_from_counts
 
@@ -60,8 +60,8 @@ def many_cell_report():
     curve = curve_from_counts(BinScheme(edges=tuple(range(51))), counts)
     policy = ThresholdPolicy.uniform(0.5)
     return _base_report(
-        curve, False, policy, SYMMETRIC_VALUES, False, 1e-9, []
-    )._replace(equalization=equalize_fpr(curve, policy, tolerance=1e-9))
+        curve, False, policy, SYMMETRIC_VALUES, False, 1e-9, [], LOWER_OTHERS
+    )
 
 
 def test_markdown_formats_each_distinct_rate_once(monkeypatch):

@@ -88,7 +88,6 @@ class TestNamedScenarios:
         "label, section",
         [
             ("equalized_threshold:black", "equalization"),
-            ("equalize_residual", "equalization"),
             ("lottery_probability:black", "lottery"),
             ("fpr:nobody", "groups"),
             ("p:99:black", "calibration"),
