@@ -172,7 +172,7 @@ def _base_report(
 ) -> AuditReport:
     """The report of ``policy`` on ``curve``: every section reads one matrix
     per group at its threshold; a ``direction`` adds FPR equalization."""
-    thresholds = policy.thresholds(curve.groups)
+    thresholds = {g: policy.threshold_for(g) for g in curve.groups}
     groups = {g: curve.confusion(g, t) for g, t in thresholds.items()}
     # A group whose threshold is p* has its best matrix in ``groups``.
     p_star = optimal_threshold(values)

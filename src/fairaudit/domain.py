@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 # Sets a field of a frozen value object, in its __init__ only.
 _set = object.__setattr__
@@ -166,9 +166,11 @@ class ConfusionMatrix(ValueObject):
         return self.tp + self.fp
 
     @property
-    def base_rate(self) -> float:
-        """Positive-outcome fraction, whatever the policy: (tp + fn) / n."""
-        return (self.tp + self.fn) / self.n
+    def base_rate(self) -> float | None:
+        """Positive-outcome fraction, whatever the policy: (tp + fn) / n;
+        None when the matrix counts no records."""
+        n = self.n
+        return (self.tp + self.fn) / n if n else None
 
     @property
     def fpr(self) -> float | None:
@@ -248,50 +250,43 @@ SYMMETRIC_VALUES = OutcomeValues(v_tp=1.0, v_fp=0.0, v_tn=1.0, v_fn=0.0)
 
 
 class ThresholdPolicy(ValueObject):
-    """Uniform or per-group probability threshold.
+    """A probability threshold: one for every group (``threshold`` is a
+    float), or one per group (a mapping of group to float).
 
     Decisions compare the bin p_score against the group's threshold with >=
     (ties resolve toward acting).
     """
 
-    __slots__ = _fields = ("_uniform", "_per_group")
-    _uniform: float | None
-    _per_group: Mapping[str, float]
+    __slots__ = _fields = ("threshold",)
+    threshold: float | Mapping[str, float]
 
-    def __init__(
-        self,
-        _uniform: float | None = None,
-        _per_group: Mapping[str, float] | None = None,
-    ) -> None:
-        _set(self, "_uniform", _uniform)
-        _set(self, "_per_group", {} if _per_group is None else _per_group)
-        thresholds = list(self._per_group.values())
-        if self._uniform is not None:
-            thresholds.append(self._uniform)
-        if self._uniform is None and not self._per_group:
-            raise ValidationError("policy must set a uniform or per-group threshold")
+    def __init__(self, threshold: float | Mapping[str, float]) -> None:
+        _set(self, "threshold", threshold)
+        thresholds = (threshold,) if self.is_uniform else threshold.values()
+        if not thresholds:
+            raise ValidationError("a per-group policy needs a threshold")
         for t in thresholds:
             if not 0.0 <= t <= 1.0:
                 raise ValidationError(f"threshold {t!r} outside [0, 1]")
 
     @classmethod
     def uniform(cls, threshold: float) -> "ThresholdPolicy":
-        return cls(_uniform=threshold)
+        return cls(threshold)
 
     @classmethod
     def per_group(cls, thresholds: Mapping[str, float]) -> "ThresholdPolicy":
-        return cls(_per_group=dict(thresholds))
+        return cls(dict(thresholds))
 
     @property
     def is_uniform(self) -> bool:
-        return self._uniform is not None and not self._per_group
+        return not isinstance(self.threshold, Mapping)
 
     def threshold_for(self, group: str) -> float:
-        if group in self._per_group:
-            return self._per_group[group]
-        if self._uniform is not None:
-            return self._uniform
-        raise ValidationError(f"policy has no threshold for group {group!r}")
-
-    def thresholds(self, groups: Sequence[str]) -> dict[str, float]:
-        return {g: self.threshold_for(g) for g in groups}
+        if self.is_uniform:
+            return self.threshold
+        try:
+            return self.threshold[group]
+        except KeyError:
+            raise ValidationError(
+                f"policy has no threshold for group {group!r}"
+            ) from None

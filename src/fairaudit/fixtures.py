@@ -91,7 +91,8 @@ SPECS = {spec.name: spec for spec in (
         threshold=0.5,
         # The B (acted) bin is exactly calibrated at 0.80; the A-bin
         # fractions (0.10 vs 0.40) necessarily differ given the base rates,
-        # so the pairwise check runs with a tolerance that covers them.
+        # so the pair is calibrated only within a tolerance that covers
+        # them, and the report notes its FPR ordering without asserting it.
         calib_tolerance=0.35,
         equalize_direction=LOWER_OTHERS,
         checks=(

@@ -41,10 +41,12 @@ class ImpossibilityVerdict(NamedTuple):
     higher-base-rate group dominates the other in likelihood ratio, the
     higher-base-rate group has the higher FPR at every uniform threshold.
 
-    ``ordering_holds`` is asserted only when ``applicable`` is true, i.e.
-    the pair is calibrated within tolerance, base rates differ, the
-    threshold splits each group's bins nontrivially, and the dominance
-    holds. Calibration and unequal base rates alone do not order the FPRs.
+    ``calibrated`` means calibrated within the tolerance. ``ordering_holds``
+    is asserted only when ``applicable`` is true, i.e. the pair is exactly
+    calibrated, base rates differ, the threshold splits each group's bins
+    nontrivially, and the dominance holds. Calibration and unequal base
+    rates alone do not order the FPRs, and calibration within a tolerance
+    does not order them even with the dominance.
     """
 
     calibrated: bool
@@ -162,9 +164,13 @@ def impossibility_check(
     the two keys of ``matrices``, which maps each to its confusion matrix
     at one uniform threshold. The uniform threshold is the caller's
     precondition; the ``audit`` and ``equalize`` reports enforce it, and
-    skip the check, with a note, on more than two groups. When every
-    precondition but the likelihood-ratio dominance holds, a note naming
-    the bins where it fails is appended to ``notes``.
+    skip the check, with a note, on more than two groups.
+
+    The ordering is a theorem only under exact calibration, decided on
+    integer counts: a pair calibrated within ``calib_tolerance`` but not
+    exactly gets a note giving its observed FPR ordering, unasserted. When
+    every precondition but the likelihood-ratio dominance holds, a note
+    naming the bins where it fails is appended to ``notes``.
     """
     if not calib_tolerance >= 0:
         raise ValidationError("calibration tolerance must be nonnegative")
@@ -178,36 +184,58 @@ def impossibility_check(
     fprs: dict[str, float] = {}
     split = True
     for g, cm in matrices.items():
-        rates[g] = cm.base_rate
-        fpr = cm.fpr
+        rate, fpr = cm.base_rate, cm.fpr
+        if rate is None:
+            raise AuditError(
+                f"group {g!r} has no records; base rate undefined"
+            )
         if fpr is None:
             raise AuditError(f"group {g!r} has no negatives; FPR undefined")
-        fprs[g] = fpr
+        rates[g], fprs[g] = rate, fpr
         # The ordering claim needs the threshold to act on some bin and
         # refrain on some bin, with negatives observable.
         if cm.acted == 0 or cm.acted == cm.n or cm.tn == 0:
             split = False
-
-    calibrated = gap <= calib_tolerance
     higher = None
     if rates[a] != rates[b]:
         higher = a if rates[a] > rates[b] else b
-    applicable = calibrated and higher is not None and split
-    lower = b if higher == a else a
+    # The pair with the higher-base-rate group first, if there is one.
+    first, second = (b, a) if higher == b else (a, b)
+    # bin -> [first's count, second's count, first's positives, second's
+    # positives]; a bin only one group populates holds 0 and 0 for the other.
+    pair: dict[int, list[int]] = {}
+    for side, g in enumerate((first, second)):
+        for bin_, count, positives in zip(*curve.by_group[g]):
+            cell = pair.setdefault(bin_, [0, 0, 0, 0])
+            cell[side], cell[2 + side] = count, positives
+    exact = all(p1 * n2 == p2 * n1 for n1, n2, p1, p2 in pair.values())
+
+    calibrated = gap <= calib_tolerance
+    if calibrated and not exact:
+        top, bottom = sorted(fprs, key=fprs.get, reverse=True)
+        relation = "above" if fprs[top] > fprs[bottom] else "equal to"
+        notes.append(
+            "Impossibility check: the groups are calibrated within the "
+            f"tolerance {calib_tolerance:g} but not exactly, and only exact "
+            "calibration orders their FPRs. Observed, not asserted: the FPR "
+            f"of group {top!r}, {fprs[top]:.6g}, is {relation} that of "
+            f"group {bottom!r}, {fprs[bottom]:.6g}."
+        )
+    applicable = exact and higher is not None and split
     if applicable:
-        fall = _dominance_failure(curve, higher, lower)
+        fall = _dominance_failure(pair)
         if fall is not None:
             applicable = False
             below, above = (curve.bins.label(i) for i in fall)
             notes.append(
-                f"Impossibility check: group {higher!r} does not "
-                f"dominate group {lower!r} in likelihood ratio. Over the "
+                f"Impossibility check: group {first!r} does not "
+                f"dominate group {second!r} in likelihood ratio. Over the "
                 "bins in ascending p_score order, the first group's "
                 "count divided by the second's falls from bin "
                 f"{below!r} to bin {above!r}. Calibration alone does not "
                 "order the FPRs."
             )
-    ordering = applicable and fprs[higher] >= fprs[lower]
+    ordering = applicable and fprs[first] >= fprs[second]
     return ImpossibilityVerdict(
         calibrated=calibrated,
         calibration_gap=gap,
@@ -220,33 +248,28 @@ def impossibility_check(
 
 
 def _dominance_failure(
-    curve: CalibrationCurve, higher: str, lower: str
+    pair: Mapping[int, list[int]]
 ) -> tuple[int, int] | None:
     """The first pair of adjacent bins, taken in ascending order of their
-    p_score pooled over both groups, across which ``higher``'s count over
-    ``lower``'s falls; None when it never falls, i.e. when ``higher``
-    dominates ``lower`` in likelihood ratio. A missing cell counts 0, bins
-    with equal pooled p_score merge (a threshold acts on both or neither),
-    and every comparison is on integer counts, by cross-multiplication.
+    p_score pooled over both groups, across which the first group's count
+    over the second's falls; None when it never falls, i.e. when the first
+    group dominates the second in likelihood ratio. ``pair`` holds each
+    bin's two counts and two positives, as ``impossibility_check`` builds
+    it. Bins with equal pooled p_score merge (a threshold acts on both or
+    neither), and every comparison is on integer counts, by
+    cross-multiplication.
 
     With exact calibration the dominance carries over to each group's
-    negatives, so ``higher``'s FPR is at least ``lower``'s at every
+    negatives, so the first group's FPR is at least the second's at every
     threshold.
     """
-    # bin -> [higher's count, lower's count, positives of both]
-    pooled_cells: dict[int, list[int]] = {}
-    for side, g in enumerate((higher, lower)):
-        for b, count, positives in zip(*curve.by_group[g]):
-            sums = pooled_cells.setdefault(b, [0, 0, 0])
-            sums[side] += count
-            sums[2] += positives
-    # pooled p_score -> [higher's count, lower's count, first bin]
+    # pooled p_score -> [first's count, second's count, first bin]
     levels: dict[float, list[int]] = {}
-    for b in sorted(pooled_cells):
-        h, lo, positives = pooled_cells[b]
-        level = levels.setdefault(positives / (h + lo), [0, 0, b])
-        level[0] += h
-        level[1] += lo
+    for b in sorted(pair):
+        n1, n2, p1, p2 = pair[b]
+        level = levels.setdefault((p1 + p2) / (n1 + n2), [0, 0, b])
+        level[0] += n1
+        level[1] += n2
     ordered = [levels[p] for p in sorted(levels)]
     for (h0, l0, b0), (h1, l1, b1) in zip(ordered, ordered[1:]):
         if h1 * l0 < h0 * l1:

@@ -122,7 +122,7 @@ def _render_markdown(report: AuditReport) -> str:
         f"TN={v.v_tn:g}, FN={v.v_fn:g}."
     )
     thr = ", ".join(
-        f"{names[g]}={t:g}" for g, t in sorted(report.thresholds.items())
+        f"{names[g]}={t:g}" for g, t in report.thresholds.items()
     )
     add(f"Policy ({report.policy_kind}): act when p_score >= threshold; {thr}.")
     add("")
@@ -130,8 +130,7 @@ def _render_markdown(report: AuditReport) -> str:
     add("")
     add("| group | n | base rate | FPR | FNR | PPV | TP | FP | TN | FN |")
     add("|---|---|---|---|---|---|---|---|---|---|")
-    for g in sorted(report.groups):
-        c = report.groups[g]
+    for g, c in report.groups.items():
         add(
             f"| {names[g]} | {c.n} | {pct(c.base_rate)} | {pct(c.fpr)} | "
             f"{pct(c.fnr)} | {pct(c.ppv)} | {c.tp} | {c.fp} | {c.tn} | {c.fn} |"
@@ -172,11 +171,9 @@ def _render_markdown(report: AuditReport) -> str:
             f"(gap {gap(imp.calibration_gap)})."
         )
         rates = ", ".join(
-            f"{names[g]}={pct(r)}" for g, r in sorted(imp.base_rates.items())
+            f"{names[g]}={pct(r)}" for g, r in imp.base_rates.items()
         )
-        fprs = ", ".join(
-            f"{names[g]}={pct(r)}" for g, r in sorted(imp.fprs.items())
-        )
+        fprs = ", ".join(f"{names[g]}={pct(r)}" for g, r in imp.fprs.items())
         add(f"Base rates: {rates}. FPRs: {fprs}.")
         if imp.applicable:
             holds = "holds" if imp.ordering_holds else "VIOLATED"
@@ -198,7 +195,7 @@ def _render_markdown(report: AuditReport) -> str:
         add("| group | threshold | FPR (baseline) | FPR (equalized) "
             "| acted (baseline) | acted (equalized) |")
         add("|---|---|---|---|---|---|")
-        for g in sorted(e.thresholds):
+        for g in e.thresholds:
             add(
                 f"| {names[g]} | {e.thresholds[g]:g} | "
                 f"{pct(e.baseline_fprs[g])} | {pct(e.fprs[g])} | "

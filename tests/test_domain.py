@@ -102,6 +102,8 @@ class TestPolicy:
         policy = ThresholdPolicy.per_group({"a": 0.2})
         with pytest.raises(ValidationError):
             policy.threshold_for("b")
+        with pytest.raises(ValidationError, match="needs a threshold"):
+            ThresholdPolicy.per_group({})
 
     def test_threshold_range_enforced(self):
         with pytest.raises(ValidationError):
@@ -135,6 +137,12 @@ class TestConfusionMatrix:
     def test_base_rate_counts_positives_whatever_the_decision(self):
         assert ConfusionMatrix(tp=3, fp=1, tn=4, fn=2).base_rate == 5 / 10
 
+    def test_every_rate_of_an_empty_matrix_is_none(self):
+        empty = ConfusionMatrix(0, 0, 0, 0)
+        assert (empty.base_rate, empty.fpr, empty.fnr, empty.ppv) == (
+            None, None, None, None
+        )
+
 
 def _assessment():
     return GroupAssessment(
@@ -153,7 +161,7 @@ VALUE_OBJECTS = [
     (lambda: OutcomeValues(v_tp=1.0, v_fp=0.0, v_tn=1.0, v_fn=0.0),
      "v_tp", {"v_fp": 2.0}, "need v_tn > v_fp"),
     (lambda: ThresholdPolicy.per_group({"a": 0.5}),
-     "_per_group", {"_uniform": 1.5}, r"threshold 1.5 outside \[0, 1\]"),
+     "threshold", {"threshold": {"a": 1.5}}, r"threshold 1.5 outside \[0, 1\]"),
     (lambda: CurveCell(bin=0, count=4, positives=1), "count", None, None),
     (lambda: curve_from_counts(
         BinScheme(edges=(0.0, 1.0, 2.0)), [("a", 0, 1, 1), ("b", 1, 2, 0)],

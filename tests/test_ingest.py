@@ -258,6 +258,18 @@ class TestIngest:
             ingest_csv(cfg)
 
 
+def _reference_column(header, name):
+    """The one position of ``name`` in the header, found by a scan of it."""
+    positions = [i for i, field in enumerate(header) if field == name]
+    if not positions:
+        raise IngestError(f"missing column {name!r}; file has {header}")
+    if len(positions) > 1:
+        raise IngestError(
+            f"header names column {name!r} {len(positions)} times"
+        )
+    return positions[0]
+
+
 def _reference_count_cells(path, bins):
     """The reference row loop: it keeps every id string, as a dict's keys,
     for the duplicate check, and decodes the whole file to find the line of
@@ -268,7 +280,7 @@ def _reference_count_cells(path, bins):
             reader = csv.reader(fh)
             header = next(reader, [])
             id_at, group_at, score_at, outcome_at = (
-                ingest._column(header, name)
+                _reference_column(header, name)
                 for name in ("id", "group", "score", "outcome")
             )
             for row in reader:
@@ -350,6 +362,11 @@ _FAULTS = {
 }
 
 
+#: Faults of the header, each applied to every row's fields alike, so that
+#: the header alone is at fault: a column the audit reads named again, one
+#: it reads dropped, and one it does not read added.
+_HEADER_FAULTS = ("repeated_column", "dropped_column", "unused_column")
+
 #: Bytes the last step of _faulty_csv writes anywhere in a file: a byte
 #: that is never UTF-8, a lone lead byte, a cut-off character, an encoded
 #: surrogate, an overlong NUL, a lone CR or LF, NUL, a quote, and a
@@ -361,8 +378,9 @@ _PIECES = (b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\x80",
 @st.composite
 def _faulty_csv(draw):
     """CSV bytes in every line ending, with blank lines, quoted line breaks
-    in ids and groups, maybe a byte-order mark, and 0-3 faulty rows; then
-    0-2 of ``_PIECES`` at drawn bytes, and maybe a cut at a drawn byte."""
+    in ids and groups, maybe a byte-order mark, 0-3 faulty rows and 0-2
+    ``_HEADER_FAULTS``; then 0-2 of ``_PIECES`` at drawn bytes, and maybe a
+    cut at a drawn byte."""
     n = draw(st.integers(1, 12))
     rows = [
         [draw(st.sampled_from(("r", "id\n", "\u00e9", "a,b"))) + str(i),
@@ -379,6 +397,20 @@ def _faulty_csv(draw):
     for fault in sorted(faults, key=("extra_field", "short_row").__contains__):
         row, other = (rows[draw(st.integers(0, n - 1))] for _ in range(2))
         _FAULTS[fault](row, other)
+    header = ["id", "group", "score", "outcome"]
+    for fault in draw(st.lists(st.sampled_from(_HEADER_FAULTS), max_size=2)):
+        if fault == "dropped_column":
+            at = draw(st.integers(0, len(header) - 1))
+            for fields in (header, *rows):
+                del fields[at:at + 1]
+            continue
+        at = draw(st.integers(0, len(header)))
+        name = "note" if fault == "unused_column" else draw(
+            st.sampled_from(("id", "group", "score", "outcome"))
+        )
+        header.insert(at, name)
+        for row in rows:
+            row.insert(at, "x")
     ending = draw(st.sampled_from(("\n", "\r\n", "\r")))
     out = io.StringIO()
     # Minimal quoting leaves an LF unquoted under CR line endings, which
@@ -386,7 +418,7 @@ def _faulty_csv(draw):
     writer = csv.writer(out, lineterminator=ending, quoting=draw(
         st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL))
     ))
-    writer.writerow(("id", "group", "score", "outcome"))
+    writer.writerow(header)
     for row in rows:
         out.write(ending * draw(st.integers(0, 2)))
         writer.writerow(row)

@@ -5,15 +5,21 @@ from conftest import check_pair, equalize, keyed_cells, records
 from fairaudit import (
     AuditError,
     BinScheme,
+    ConfusionMatrix,
     ThresholdPolicy,
     equalize_fpr,
     fair_lottery,
+    impossibility_check,
     scenario_curve,
     scenario_spec,
 )
 from fairaudit.domain import ValidationError
 from fairaudit.parity import LOWER_OTHERS, RAISE_OTHERS
-from reference import curve_from_counts, individual_error_risk
+from reference import (
+    curve_from_counts,
+    impossibility_applicable,
+    individual_error_risk,
+)
 
 
 def direct_fpr(spec, group, threshold):
@@ -54,15 +60,40 @@ class TestImpossibilityCheck:
         assert verdict.ordering_holds
 
     def test_section_grades_ordering(self):
+        # Calibrated only within its tolerance (gap 0.3): the ordering is
+        # observed and noted, but not asserted.
         spec = scenario_spec("section_grades")
         curve = scenario_curve(spec.bins, spec.cells)
+        notes: list[str] = []
         verdict = check_pair(
-            curve, spec.threshold, calib_tolerance=spec.calib_tolerance
+            curve, spec.threshold, calib_tolerance=spec.calib_tolerance,
+            notes=notes,
         )
-        assert verdict.applicable
-        assert verdict.ordering_holds
+        assert verdict.calibrated
+        assert not verdict.applicable
+        assert not verdict.ordering_holds
         assert verdict.fprs["section2"] == pytest.approx(0.40)
         assert verdict.fprs["section1"] == pytest.approx(0.10)
+        assert notes == [
+            "Impossibility check: the groups are calibrated within the "
+            "tolerance 0.35 but not exactly, and only exact calibration "
+            "orders their FPRs. Observed, not asserted: the FPR of group "
+            "'section2', 0.4, is above that of group 'section1', 0.1."
+        ]
+
+    def test_tolerance_note_names_equal_fprs_as_equal(self):
+        # Bin 1 holds p_scores 3/4 and 2/3, a gap of 1/12 under the
+        # tolerance 0.1; at threshold 0.6 both FPRs are 1/2.
+        curve = curve_from_counts(BinScheme(edges=(0.0, 1.0, 2.0)), [
+            ("a", 0, 1, 1), ("a", 1, 3, 1), ("b", 0, 1, 1), ("b", 1, 2, 1),
+        ])
+        notes: list[str] = []
+        verdict = check_pair(curve, 0.6, calib_tolerance=0.1, notes=notes)
+        assert verdict.calibrated and not verdict.applicable
+        assert notes[0].endswith(
+            "Observed, not asserted: the FPR of group 'a', 0.5, is equal to "
+            "that of group 'b', 0.5."
+        )
 
     def test_miscalibrated_population_not_applicable(self):
         spec = scenario_spec("miscalibrated_compas")
@@ -193,6 +224,46 @@ def test_applicable_verdict_always_finds_the_ordering(table, data):
     assert verdict.calibrated
     if verdict.applicable:
         assert verdict.ordering_holds, verdict
+
+
+@settings(max_examples=300, deadline=None)
+@given(calibrated_tables(), st.data())
+def test_applicable_verdict_matches_the_fraction_oracle(table, data):
+    # Up to two records, each added to a drawn cell, mostly break the
+    # exact calibration, often by less than the drawn tolerance.
+    bins, entries = table
+    extra = data.draw(st.lists(st.tuples(
+        st.sampled_from("ab"), st.integers(0, bins.n_bins - 1),
+        st.sampled_from([(1, 0), (0, 1)]),
+    ), max_size=2), label="extra")
+    curve = curve_from_counts(
+        bins, entries + [(g, j, *record) for g, j, record in extra]
+    )
+    p_scores = sorted({c.positives / c.count for c in keyed_cells(curve).values()})
+    threshold = data.draw(
+        st.sampled_from(p_scores) | st.floats(0.0, 1.0), label="threshold"
+    )
+    tolerance = data.draw(
+        st.sampled_from([0.0, 1e-9, 0.05, 0.5, 1.0]), label="tolerance"
+    )
+    verdict = check_pair(curve, threshold, calib_tolerance=tolerance)
+    assert verdict.applicable == impossibility_applicable(
+        curve, "a", "b", threshold
+    ), verdict
+    assert verdict.ordering_holds == verdict.applicable
+
+
+def test_a_group_with_no_records_is_named():
+    # A curve has no empty group, but a library caller may pass an empty
+    # matrix: its base rate is undefined, as an FPR without negatives is.
+    spec = scenario_spec("stride_height")
+    curve = scenario_curve(spec.bins, spec.cells)
+    matrices = {
+        "men": curve.confusion("men", spec.threshold),
+        "women": ConfusionMatrix(0, 0, 0, 0),
+    }
+    with pytest.raises(AuditError, match="group 'women' has no records"):
+        impossibility_check(curve, matrices, notes=[])
 
 
 @settings(max_examples=200, deadline=None)

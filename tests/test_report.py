@@ -13,6 +13,7 @@ from fairaudit import (
     scenario_spec,
 )
 from fairaudit.cli import _base_report
+from fairaudit.metrics import CalibrationCurve
 from fairaudit.parity import LOWER_OTHERS
 from fairaudit.report import format_percent, render_report
 from reference import curve_from_counts
@@ -46,6 +47,36 @@ def test_markdown_never_prints_a_nonzero_gap_as_zero():
     text = render_report(report, "md")
     assert "Max per-bin p_score gap between groups: <0.05%" in text
     assert "(gap <0.05%)" in text
+
+
+def test_markdown_lists_groups_in_the_curve_order():
+    # A library caller may build a curve whose groups are not sorted: every
+    # table, and the policy and base-rate lines, list them as the curve
+    # does.
+    bins = BinScheme(edges=(0.0, 0.5, 1.0))
+    by_group = curve_from_counts(bins, [
+        ("a", 0, 1, 3), ("a", 1, 6, 2), ("b", 0, 2, 6), ("b", 1, 3, 1),
+    ]).by_group
+    curve = CalibrationCurve(bins, {"b": by_group["b"], "a": by_group["a"]})
+    assert curve.groups == ("b", "a")
+    report = _base_report(
+        curve, False, ThresholdPolicy.uniform(0.5), SYMMETRIC_VALUES, True,
+        1e-9, [], LOWER_OTHERS,
+    )
+    text = render_report(report, "md")
+    tables = 0
+    for section in text.split("\n## ")[1:]:
+        rows = [
+            line.split(" | ")[0].removeprefix("| ")
+            for line in section.splitlines()
+            if line.startswith("| ") and not line.startswith("| group ")
+        ]
+        if rows:
+            tables += 1
+            assert list(dict.fromkeys(rows)) == ["b", "a"], section
+    assert tables == 3
+    assert "act when p_score >= threshold; b=0.5, a=0.5." in text
+    assert "Base rates: b=" in text and ". FPRs: b=" in text
 
 
 def many_cell_report():
